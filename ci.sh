@@ -2,9 +2,11 @@
 # Local CI gate for the ThirstyFLOPS workspace. Run from the repo root.
 #
 #   ./ci.sh                # full gate: fmt, clippy, release build, tests
-#                          # at two thread counts, serve smoke, docs
-#   ./ci.sh quick          # skip the release build and the sequential
-#                          # test pass (fastest signal)
+#                          # at two worker thread counts plus a pass at
+#                          # four concurrent test threads, serve smoke,
+#                          # docs
+#   ./ci.sh quick          # skip the release build, the sequential and
+#                          # the four-test-thread passes (fastest signal)
 #   ./ci.sh serve-smoke    # just the HTTP serving-layer smoke probe
 #                          # (ephemeral port, std-only TcpStream client)
 #   ./ci.sh load-smoke     # deterministic loadgen replay of the smoke
@@ -437,6 +439,15 @@ fi
 
 step "cargo test -q (default thread count)"
 cargo test -q --workspace
+
+# libtest runs as many tests at once as the host has CPUs, so on a
+# 1-CPU runner two tests that share process-global state (span and
+# trace switches, counters) never overlap. A pass at four test threads
+# catches that class of race on any host.
+if [[ "$mode" != "quick" ]]; then
+  step "cargo test -q (--test-threads=4)"
+  cargo test -q --workspace -- --test-threads=4
+fi
 
 if [[ "$mode" != "quick" ]]; then
   serve_smoke

@@ -41,3 +41,16 @@ pub mod trace;
 
 pub use hist::LatencyHistogram;
 pub use registry::Counter;
+
+/// Serializes the unit tests that flip the process-global span and
+/// trace switches. libtest runs tests on parallel threads, so without
+/// it a test that turns profiling on would also count the spans another
+/// test opens at the same moment.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the unit value it guards is still
+    // valid, so the next test proceeds.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -50,8 +50,16 @@ pub const CLUSTER_SIM: usize = 8;
 /// Utilization → hourly power/energy conversion
 /// (`workload::PowerModel`), nested inside [`WORKLOAD_SIM`].
 pub const POWER_MODEL: usize = 9;
+/// One sweep chunk's preparation (`scenario::batch`): combination index
+/// → compiled section picks and lane keys. Nested inside
+/// [`SWEEP_CHUNK`], opened once per chunk.
+pub const SWEEP_PREPARE: usize = 10;
+/// One sweep chunk's finish (`scenario::batch`): metric arithmetic on
+/// the resolved lanes and the top-N (or row) fold. Nested inside
+/// [`SWEEP_CHUNK`], opened once per chunk.
+pub const TOPN: usize = 11;
 /// Number of profiled stages.
-pub const STAGE_COUNT: usize = 10;
+pub const STAGE_COUNT: usize = 12;
 
 /// Stage names, indexed by the stage constants.
 pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
@@ -65,6 +73,8 @@ pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
     "trace_gen",
     "cluster_sim",
     "power_model",
+    "sweep_prepare",
+    "topn",
 ];
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -203,9 +213,10 @@ mod tests {
     use super::*;
 
     // Span state is process-global, so the span tests run as one test
-    // body — parallel test threads would interleave counts otherwise.
+    // body, serialized with the trace tests that also open spans.
     #[test]
     fn spans_record_nest_and_disable() {
+        let _serial = crate::test_lock();
         // Disabled spans record nothing.
         set_enabled(false);
         reset();

@@ -523,9 +523,10 @@ mod tests {
     use crate::span;
 
     // Recorder state is process-global, so everything runs as one test
-    // body — parallel test threads would interleave the ring.
+    // body, serialized with the span tests that read the flat counts.
     #[test]
     fn recorder_contexts_ring_and_folded() {
+        let _serial = crate::test_lock();
         // Disabled recorder: spans record nothing even in a context.
         set_enabled(false);
         reset();

@@ -1,14 +1,19 @@
 //! Chunked streaming sweep evaluation over the batched K-lane kernel.
 //!
-//! The scalar sweep path expands every combination, simulates each, and
-//! materializes every row. This module streams instead: combination
-//! indices are processed in fixed-size chunks (rayon fan-out over the
-//! chunks), each chunk resolves its rows' annual aggregates through one
-//! `core::batch` kernel call — deduplicated on an aggregate key, so a
+//! Each evaluation compiles the sweep once ([`SweepPlan`]): every
+//! override section's sub-combinations are parsed, validated and
+//! applied to the base system up front, so a cell costs mixed-radix
+//! arithmetic, one pick per section, a patch of a reused `SystemSpec`
+//! and the metric arithmetic — never a spec rebuild. Combination indices
+//! are processed in fixed-size chunks (rayon fan-out over the chunks);
+//! each chunk resolves its rows' annual aggregates through one
+//! `core::batch` kernel call — deduplicated on an integer lane key, so a
 //! 10⁵-cell sweep whose axes mostly reinterpret the same series runs a
-//! few dozen kernel passes — and, under `top_n`, each chunk folds its
-//! rows into a bounded [`TopN`] heap before the next chunk starts. The
-//! memory floor is one chunk plus the heap, never the cross product.
+//! few hundred lanes — and, under `top_n`, folds its rows into a bounded
+//! [`TopN`] heap before the next chunk starts. Names, deltas and rows
+//! are built only for the rows the report keeps. The memory floor is
+//! one chunk plus the heap and the compiled sections, never the cross
+//! product.
 //!
 //! **Determinism.** Rows depend only on their combination index, the
 //! aggregate cache is keyed on values (racing recomputes are
@@ -19,18 +24,22 @@
 //! `./ci.sh batch-smoke`).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use rayon::prelude::*;
 use thirstyflops_catalog::{SystemId, SystemSpec};
-use thirstyflops_core::batch::{self as kernel, BatchContext, LaneAggregates, LaneRequest, TopN};
+use thirstyflops_core::batch::{self as kernel, BatchContext, LaneRequest, TopN};
 use thirstyflops_grid::RegionId;
 use thirstyflops_obs::span;
 use thirstyflops_obs::Counter;
+use thirstyflops_units::{Pue, WaterScarcityIndex};
+use thirstyflops_weather::ClimatePreset;
 
-use crate::engine::{self, AggregateInputs};
-use crate::spec::{Overrides, ScenarioError, ScenarioSpec};
-use crate::sweep::{rank_key, SweepReport, SweepRow, SweepSpec, DEFAULT_RANK_METRIC};
+use crate::engine::{self, AggregateInputs, ScenarioMetrics};
+use crate::spec::{Overrides, ScenarioError};
+use crate::sweep::{
+    rank_key, SweepPlan, SweepReport, SweepRow, SweepSpec, Variants, DEFAULT_RANK_METRIC, SECTIONS,
+};
 
 /// Combinations per chunk: small enough that a materialized chunk is
 /// noise next to the heap, large enough that per-chunk overhead (lock
@@ -38,6 +47,16 @@ use crate::sweep::{rank_key, SweepReport, SweepRow, SweepSpec, DEFAULT_RANK_METR
 /// on it, and `tests/batch.rs` checks they don't by comparing against
 /// the scalar path, which chunks identically but never batches.
 const CHUNK: usize = 512;
+
+// Positions in `SECTIONS`.
+const CLIMATE: usize = 0;
+const GRID: usize = 1;
+const PUE: usize = 2;
+const NODES: usize = 3;
+const WSI: usize = 4;
+const RECLAIMED: usize = 5;
+const WATER_PRICE: usize = 6;
+const FLEET_UPGRADE: usize = 7;
 
 /// Sweep cells (combinations) streamed through chunk evaluation.
 /// Deterministic: the expansion size is a pure function of the spec.
@@ -62,99 +81,192 @@ fn chunks_counter() -> &'static Counter {
     })
 }
 
-/// State shared by every chunk of one sweep evaluation.
-struct Shared<'a> {
-    sweep: &'a SweepSpec,
-    base_spec: SystemSpec,
-    baseline: engine::ScenarioMetrics,
-    rank_metric: &'a str,
-    ctx: BatchContext,
-    /// Region → annual (EWF mean, carbon mean) of the unscaled series.
-    region_means: Mutex<HashMap<RegionId, (f64, f64)>>,
+/// The `SystemSpec` fields overrides replace
+/// ([`engine::apply_spec_overrides`]); each is owned by one section.
+#[derive(Debug, Clone, Copy)]
+struct Patch {
+    climate: ClimatePreset,
+    region: RegionId,
+    pue: Pue,
+    nodes: u32,
+    site_wsi: WaterScarcityIndex,
 }
 
-impl Shared<'_> {
-    fn means_of(&self, region: RegionId) -> (f64, f64) {
-        if let Some(m) = self.region_means.lock().expect("means lock").get(&region) {
-            return *m;
-        }
-        let m = self.ctx.region_means(region);
-        self.region_means
-            .lock()
-            .expect("means lock")
-            .insert(region, m);
-        m
+/// One section sub-combination, compiled once per evaluation.
+#[derive(Debug)]
+struct Variant {
+    /// The typed section (every other section unset).
+    overrides: Overrides,
+    /// The base system's overridable fields with this section applied.
+    applied: Patch,
+    /// EWF/carbon scale factors of a grid `mix` / `mix_delta`.
+    factors: Option<(f64, f64)>,
+}
+
+impl Variant {
+    /// Applies a validated section to the base system; `None` where
+    /// that (or its grid factors) fails.
+    fn compile(overrides: Overrides, base: &SystemSpec, ctx: &BatchContext) -> Option<Variant> {
+        let applied = engine::apply_spec_overrides(base, &overrides).ok()?;
+        let factors = match &overrides.grid {
+            Some(g) => {
+                let (ewf_mean, carbon_mean) = ctx.region_means(applied.region);
+                engine::grid_factors(g, &applied, ewf_mean, carbon_mean).ok()?
+            }
+            None => None,
+        };
+        Some(Variant {
+            applied: Patch {
+                climate: applied.climate,
+                region: applied.region,
+                pue: applied.pue,
+                nodes: applied.nodes,
+                site_wsi: applied.site_wsi,
+            },
+            factors,
+            overrides,
+        })
     }
 }
 
-/// One combination, resolved up to (but not including) its aggregates.
-struct PreparedRow {
-    name: String,
-    transformed: SystemSpec,
-    overrides: Overrides,
-    request: LaneRequest,
-    /// Everything the kernel result depends on: the energy key plus the
-    /// (scaled) series identities. Rows sharing a key share one lane.
-    agg_key: String,
+/// The compiled sections one cell picks, by position in `SECTIONS`.
+type Cell<'v> = [&'v Variant; SECTIONS.len()];
+
+/// Writes a cell's overridden fields into a reused copy of the base
+/// system.
+fn patch(spec: &mut SystemSpec, cell: &Cell<'_>) {
+    spec.climate = cell[CLIMATE].applied.climate;
+    spec.region = cell[GRID].applied.region;
+    spec.pue = cell[PUE].applied.pue;
+    spec.nodes = cell[NODES].applied.nodes;
+    spec.site_wsi = cell[WSI].applied.site_wsi;
 }
 
-fn prepare(shared: &Shared<'_>, index: usize) -> Result<PreparedRow, ScenarioError> {
-    let spec: ScenarioSpec = shared.sweep.combination(index)?;
-    let transformed = engine::apply_spec_overrides(&shared.base_spec, &spec.overrides)?;
-    let wue_scale = spec.overrides.climate.as_ref().and_then(|c| c.wue_scale);
-    let factors = match spec.overrides.grid.as_ref() {
-        Some(g) => {
-            let (ewf_mean, carbon_mean) = shared.means_of(transformed.region);
-            engine::grid_factors(g, &transformed, ewf_mean, carbon_mean)?
+fn wue_scale(cell: &Cell<'_>) -> Option<f64> {
+    cell[CLIMATE]
+        .overrides
+        .climate
+        .as_ref()
+        .and_then(|c| c.wue_scale)
+}
+
+/// Everything a cell's kernel aggregates depend on; rows sharing a key
+/// share one lane. Within one sweep the system, utilization, node
+/// hardware and seed are fixed, so of the `energy_key` inputs only the
+/// node count varies; the rest are the series identities and the bits
+/// of their scales.
+type LaneKey = (
+    u32,
+    ClimatePreset,
+    Option<u64>,
+    RegionId,
+    Option<u64>,
+    Option<u64>,
+);
+
+fn lane_key(cell: &Cell<'_>) -> LaneKey {
+    let factors = cell[GRID].factors;
+    (
+        cell[NODES].applied.nodes,
+        cell[CLIMATE].applied.climate,
+        wue_scale(cell).map(f64::to_bits),
+        cell[GRID].applied.region,
+        factors.map(|(k_ewf, _)| k_ewf.to_bits()),
+        factors.map(|(_, k_ci)| k_ci.to_bits()),
+    )
+}
+
+/// State shared by every chunk of one sweep evaluation.
+struct Shared<'a> {
+    sweep: &'a SweepSpec,
+    plan: SweepPlan,
+    /// Per section, its compiled sub-combinations.
+    sections: Vec<Variants<Variant>>,
+    base_spec: SystemSpec,
+    rank_metric: &'a str,
+    ctx: BatchContext,
+}
+
+impl Shared<'_> {
+    /// The error of a cell one of whose sections did not compile:
+    /// exactly what rebuilding the cell from its full spec reports.
+    fn cell_error(&self, index: usize) -> ScenarioError {
+        let rebuilt = self.sweep.combination(index).and_then(|spec| {
+            let system = engine::apply_spec_overrides(&self.base_spec, &spec.overrides)?;
+            match &spec.overrides.grid {
+                Some(g) => {
+                    let (ewf_mean, carbon_mean) = self.ctx.region_means(system.region);
+                    engine::grid_factors(g, &system, ewf_mean, carbon_mean).map(drop)
+                }
+                None => Ok(()),
+            }
+        });
+        rebuilt.expect_err("a cell with an invalid section fails its rebuild")
+    }
+}
+
+/// A chunk's contribution: every row's metrics in expansion order
+/// (plain sweeps) or its bounded top-N fold (streaming sweeps).
+enum Fold {
+    All(Vec<ScenarioMetrics>),
+    Top(TopN<ScenarioMetrics>),
+}
+
+impl Fold {
+    fn push(&mut self, index: usize, metrics: ScenarioMetrics, rank_metric: &str) {
+        match self {
+            Fold::All(rows) => rows.push(metrics),
+            Fold::Top(heap) => heap.push(rank_key(&metrics, rank_metric), index as u64, metrics),
         }
-        None => None,
-    };
-    let (ewf_scale, carbon_scale) = match factors {
-        Some((k_ewf, k_ci)) => (Some(k_ewf), Some(k_ci)),
-        None => (None, None),
-    };
-    let agg_key = format!(
-        "{}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        kernel::energy_key(&transformed, spec.seed),
-        transformed.climate,
-        wue_scale.map(f64::to_bits),
-        transformed.region,
-        ewf_scale.map(f64::to_bits),
-        carbon_scale.map(f64::to_bits),
-    );
-    Ok(PreparedRow {
-        name: spec.name,
-        transformed: transformed.clone(),
-        overrides: spec.overrides,
-        request: LaneRequest {
-            spec: transformed,
-            seed: spec.seed,
-            wue_scale,
-            ewf_scale,
-            carbon_scale,
-        },
-        agg_key,
-    })
+    }
 }
 
-/// A chunk's contribution: all its rows (plain sweeps) or its bounded
-/// top-N fold (streaming sweeps).
-enum ChunkOutput {
-    All(Vec<SweepRow>),
-    Top(TopN<SweepRow>),
-}
-
-fn evaluate_chunk(
-    shared: &Shared<'_>,
-    start: usize,
-    end: usize,
-) -> Result<ChunkOutput, ScenarioError> {
+fn evaluate_chunk(shared: &Shared<'_>, start: usize, end: usize) -> Result<Fold, ScenarioError> {
     let _span = span::span(span::SWEEP_CHUNK);
     chunks_counter().inc();
     cells_counter().add((end - start) as u64);
-    let mut prepared = Vec::with_capacity(end - start);
-    for index in start..end {
-        prepared.push(prepare(shared, index)?);
+    let mut fold = match shared.sweep.top_n {
+        Some(n) => Fold::Top(TopN::new(usize::try_from(n).expect("top_n fits usize"))),
+        None => Fold::All(Vec::with_capacity(end - start)),
+    };
+    if !kernel::enabled() {
+        // Scalar reference path (`--no-batch`): every cell rebuilt from
+        // its full spec and simulated on its own — independent of the
+        // compiled plan, so it stays an oracle for it.
+        let _topn = span::span(span::TOPN);
+        for index in start..end {
+            let spec = shared.sweep.combination(index)?;
+            let system = engine::apply_spec_overrides(&shared.base_spec, &spec.overrides)?;
+            let metrics = engine::metrics(&system, spec.seed, &spec.overrides)?;
+            fold.push(index, metrics, shared.rank_metric);
+        }
+        return Ok(fold);
+    }
+
+    let mut spec = shared.base_spec.clone();
+    let mut cells: Vec<(Cell<'_>, usize)> = Vec::with_capacity(end - start);
+    let mut lanes: HashMap<LaneKey, usize> = HashMap::new();
+    let mut requests: Vec<LaneRequest> = Vec::new();
+    {
+        let _prepare = span::span(span::SWEEP_PREPARE);
+        for index in start..end {
+            let Some(cell) = shared.plan.pick(&shared.sections, index) else {
+                return Err(shared.cell_error(index));
+            };
+            let lane = *lanes.entry(lane_key(&cell)).or_insert_with(|| {
+                patch(&mut spec, &cell);
+                let factors = cell[GRID].factors;
+                requests.push(LaneRequest {
+                    spec: spec.clone(),
+                    seed: shared.sweep.seed,
+                    wue_scale: wue_scale(&cell),
+                    ewf_scale: factors.map(|(k_ewf, _)| k_ewf),
+                    carbon_scale: factors.map(|(_, k_ci)| k_ci),
+                });
+                requests.len() - 1
+            });
+            cells.push((cell, lane));
+        }
     }
 
     // Each chunk dedups and resolves its own rows' aggregates in one
@@ -167,72 +279,32 @@ fn evaluate_chunk(
     // cheap lane reductions on the flagship 10⁵-cell sweep (the
     // expensive workload simulations stay deduplicated by the batch
     // context's energy cache). See `docs/PERFORMANCE.md`.
-    let mut aggregates: HashMap<String, Arc<LaneAggregates>> = HashMap::new();
-    if kernel::enabled() {
-        let mut missing: Vec<&PreparedRow> = Vec::new();
-        for row in &prepared {
-            if !missing.iter().any(|m| m.agg_key == row.agg_key) {
-                missing.push(row);
-            }
-        }
-        let requests: Vec<LaneRequest> = missing.iter().map(|m| m.request.clone()).collect();
-        let resolved = shared.ctx.aggregate(&requests);
-        for (row, agg) in missing.iter().zip(resolved) {
-            aggregates.insert(row.agg_key.clone(), Arc::new(agg));
-        }
-    }
+    let aggregates = shared.ctx.aggregate(&requests);
 
-    let mut all = Vec::with_capacity(if shared.sweep.top_n.is_some() {
-        0
-    } else {
-        prepared.len()
-    });
-    let mut top = shared
-        .sweep
-        .top_n
-        .map(|n| TopN::new(usize::try_from(n).expect("top_n fits usize")));
-    for (offset, row) in prepared.into_iter().enumerate() {
-        let scenario = if kernel::enabled() {
-            let agg = Arc::clone(
-                aggregates
-                    .get(&row.agg_key)
-                    .expect("chunk resolved its aggregates"),
-            );
-            let inputs = AggregateInputs {
-                energy_kwh: agg.energy_kwh,
-                direct: agg.direct_l,
-                indirect: agg.indirect_per_pue_l * row.transformed.pue.value(),
-                carbon_g: agg.carbon_g,
-                mean_wue: agg.mean_wue,
-                mean_ewf: agg.mean_ewf,
-                mean_carbon: agg.mean_carbon,
-                monthly_direct: agg.monthly_direct_l,
-            };
-            engine::finish_metrics(&row.transformed, &row.overrides, &inputs)
-        } else {
-            // Scalar reference path (`--no-batch`): per-row simulation
-            // and fused scalar kernels, still streamed and still
-            // top-N-bounded.
-            engine::metrics(&row.transformed, shared.sweep.seed, &row.overrides)?
+    let _topn = span::span(span::TOPN);
+    for (index, (cell, lane)) in (start..end).zip(&cells) {
+        patch(&mut spec, cell);
+        let agg = &aggregates[*lane];
+        let inputs = AggregateInputs {
+            energy_kwh: agg.energy_kwh,
+            direct: agg.direct_l,
+            indirect: agg.indirect_per_pue_l * spec.pue.value(),
+            carbon_g: agg.carbon_g,
+            mean_wue: agg.mean_wue,
+            mean_ewf: agg.mean_ewf,
+            mean_carbon: agg.mean_carbon,
+            monthly_direct: agg.monthly_direct_l,
         };
-        let deltas = engine::deltas(&shared.baseline, &scenario);
-        let sweep_row = SweepRow {
-            name: row.name,
-            scenario,
-            deltas,
-        };
-        match &mut top {
-            Some(heap) => {
-                let key = rank_key(&sweep_row.scenario, shared.rank_metric);
-                heap.push(key, (start + offset) as u64, sweep_row);
-            }
-            None => all.push(sweep_row),
-        }
+        let metrics = engine::finish_metrics(
+            &spec,
+            cell[RECLAIMED].overrides.reclaimed.as_ref(),
+            cell[WATER_PRICE].overrides.water_price.as_ref(),
+            cell[FLEET_UPGRADE].overrides.fleet_upgrade.as_ref(),
+            &inputs,
+        );
+        fold.push(index, metrics, shared.rank_metric);
     }
-    Ok(match top {
-        Some(heap) => ChunkOutput::Top(heap),
-        None => ChunkOutput::All(all),
-    })
+    Ok(fold)
 }
 
 /// The streaming sweep evaluator behind [`crate::sweep::evaluate_sweep`]
@@ -245,14 +317,24 @@ pub(crate) fn evaluate_sweep_streaming(sweep: &SweepSpec) -> Result<SweepReport,
     // The shared baseline: the scalar path, exactly as `evaluate` would
     // compute it (one row — batching buys nothing).
     let baseline = engine::metrics(&base_spec, sweep.seed, &Overrides::default())?;
-    let rank_metric = sweep.rank_by.as_deref().unwrap_or(DEFAULT_RANK_METRIC);
+    let ctx = BatchContext::new();
+    let (plan, compiled) = SweepPlan::compile(sweep);
+    let sections = compiled
+        .into_iter()
+        .map(|variants| {
+            variants
+                .into_iter()
+                .map(|o| o.and_then(|o| Variant::compile(o, &base_spec, &ctx)))
+                .collect()
+        })
+        .collect();
     let shared = Shared {
         sweep,
+        plan,
+        sections,
         base_spec,
-        baseline,
-        rank_metric,
-        ctx: BatchContext::new(),
-        region_means: Mutex::new(HashMap::new()),
+        rank_metric: sweep.rank_by.as_deref().unwrap_or(DEFAULT_RANK_METRIC),
+        ctx,
     };
     let total = sweep.combination_count();
     let starts: Vec<usize> = (0..total).step_by(CHUNK).collect();
@@ -263,7 +345,7 @@ pub(crate) fn evaluate_sweep_streaming(sweep: &SweepSpec) -> Result<SweepReport,
     // keeps the span-tree shape thread-count-independent
     // (`docs/CONCURRENCY.md` rule seven).
     let trace_handle = thirstyflops_obs::trace::handle();
-    let outputs: Vec<Result<ChunkOutput, ScenarioError>> = starts
+    let outputs: Vec<Result<Fold, ScenarioError>> = starts
         .par_iter()
         .map(|&start| {
             let _trace = trace_handle.as_ref().map(|h| h.attach());
@@ -273,21 +355,33 @@ pub(crate) fn evaluate_sweep_streaming(sweep: &SweepSpec) -> Result<SweepReport,
 
     // Merge in chunk (= expansion) order; the first error in expansion
     // order wins, as the eager path's sequential fold did.
-    let mut all_rows = Vec::new();
-    let mut top: Option<TopN<SweepRow>> = None;
+    let mut all = Vec::new();
+    let mut top: Option<TopN<ScenarioMetrics>> = None;
     for output in outputs {
         match output? {
-            ChunkOutput::All(mut rows) => all_rows.append(&mut rows),
-            ChunkOutput::Top(heap) => match &mut top {
+            Fold::All(mut rows) => all.append(&mut rows),
+            Fold::Top(heap) => match &mut top {
                 Some(merged) => merged.merge(heap),
                 None => top = Some(heap),
             },
         }
     }
-    let rows = match top {
-        Some(heap) => heap.into_sorted().into_iter().map(|e| e.item).collect(),
-        None => all_rows,
+    let kept: Vec<(usize, ScenarioMetrics)> = match top {
+        Some(heap) => heap
+            .into_sorted()
+            .into_iter()
+            .map(|e| (e.index as usize, e.item))
+            .collect(),
+        None => all.into_iter().enumerate().collect(),
     };
+    let rows = kept
+        .into_iter()
+        .map(|(index, scenario)| SweepRow {
+            name: shared.plan.name(index),
+            deltas: engine::deltas(&baseline, &scenario),
+            scenario,
+        })
+        .collect();
     Ok(SweepReport {
         name: sweep.name.clone(),
         base: sweep.base.clone(),
@@ -295,8 +389,8 @@ pub(crate) fn evaluate_sweep_streaming(sweep: &SweepSpec) -> Result<SweepReport,
         fingerprint: sweep.fingerprint(),
         scenario_count: total as u64,
         top_n: sweep.top_n,
-        rank_by: sweep.top_n.map(|_| rank_metric.to_string()),
-        baseline: shared.baseline.clone(),
+        rank_by: sweep.top_n.map(|_| shared.rank_metric.to_string()),
+        baseline,
         rows,
     })
 }

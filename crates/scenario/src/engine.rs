@@ -21,8 +21,9 @@ use thirstyflops_timeseries::{HourlySeries, Month};
 use thirstyflops_units::Pue;
 
 use crate::spec::{
-    effective_region, shifted_mix, GridOverride, Overrides, ScenarioError, ScenarioSpec,
-    DEFAULT_POTABLE_USD_PER_KL, DEFAULT_RECLAIMED_USD_PER_KL,
+    effective_region, shifted_mix, FleetUpgradeOverride, GridOverride, Overrides,
+    ReclaimedOverride, ScenarioError, ScenarioSpec, WaterPriceOverride, DEFAULT_POTABLE_USD_PER_KL,
+    DEFAULT_RECLAIMED_USD_PER_KL,
 };
 
 /// Everything the engine measures for one evaluated configuration.
@@ -313,16 +314,25 @@ pub(crate) fn metrics(
         mean_carbon: carbon.mean(),
         monthly_direct,
     };
-    Ok(finish_metrics(sys, o, &agg))
+    Ok(finish_metrics(
+        sys,
+        o.reclaimed.as_ref(),
+        o.water_price.as_ref(),
+        o.fleet_upgrade.as_ref(),
+        &agg,
+    ))
 }
 
 /// The shared metric arithmetic on top of the annual aggregates:
-/// scarcity weighting, seasonal pricing, the lifecycle projection.
-/// Scalar and batched evaluation both end here, so the two paths cannot
-/// diverge downstream of the kernels.
+/// scarcity weighting, seasonal pricing, the lifecycle projection — the
+/// three override sections read here are the only ones left once `sys`
+/// and the aggregates carry the rest. Scalar and batched evaluation both
+/// end here, so the two paths cannot diverge downstream of the kernels.
 pub(crate) fn finish_metrics(
     sys: &SystemSpec,
-    o: &Overrides,
+    reclaimed: Option<&ReclaimedOverride>,
+    water_price: Option<&WaterPriceOverride>,
+    fleet_upgrade: Option<&FleetUpgradeOverride>,
     a: &AggregateInputs,
 ) -> ScenarioMetrics {
     let direct = a.direct;
@@ -334,9 +344,9 @@ pub(crate) fn finish_metrics(
     // Scarcity weighting: the direct component sees the site WSI — or
     // its blend with the reclaimed source — the indirect component sees
     // the plant fleet's aggregate index (Fig. 9 split form).
-    let reclaimed_fraction = o.reclaimed.as_ref().map_or(0.0, |r| r.fraction);
+    let reclaimed_fraction = reclaimed.map_or(0.0, |r| r.fraction);
     let site_wsi = sys.site_wsi.value();
-    let direct_wsi = match o.reclaimed.as_ref() {
+    let direct_wsi = match reclaimed {
         Some(r) => (1.0 - r.fraction) * site_wsi + r.fraction * r.wsi,
         None => site_wsi,
     };
@@ -346,20 +356,13 @@ pub(crate) fn finish_metrics(
     // Water bill: monthly direct water through the seasonal potable
     // schedule, with the reclaimed share priced at its own flat rate.
     // Indirect water is embedded in electricity, not purchased.
-    let potable_base = o
-        .water_price
-        .as_ref()
-        .map_or(DEFAULT_POTABLE_USD_PER_KL, |wp| wp.base_usd_per_kl);
-    let reclaimed_price = o
-        .reclaimed
-        .as_ref()
+    let potable_base = water_price.map_or(DEFAULT_POTABLE_USD_PER_KL, |wp| wp.base_usd_per_kl);
+    let reclaimed_price = reclaimed
         .and_then(|r| r.usd_per_kl)
         .unwrap_or(DEFAULT_RECLAIMED_USD_PER_KL);
     let mut cost = 0.0;
     for (i, monthly_l) in a.monthly_direct.iter().enumerate() {
-        let multiplier = o
-            .water_price
-            .as_ref()
+        let multiplier = water_price
             .and_then(|wp| wp.monthly_multiplier.as_ref())
             .map_or(1.0, |m| m[i]);
         let kl = monthly_l / 1000.0;
@@ -368,7 +371,7 @@ pub(crate) fn finish_metrics(
                 + reclaimed_fraction * reclaimed_price);
     }
 
-    let lifecycle = o.fleet_upgrade.as_ref().map(|fu| {
+    let lifecycle = fleet_upgrade.map(|fu| {
         let embodied = EmbodiedBreakdown::for_system(sys).total().value();
         let upgrade: f64 = fu
             .upgrades

@@ -3,12 +3,14 @@
 //! kernel (`core::batch`) in one rayon fan-out.
 //!
 //! A sweep file is a scenario spec plus `"axes": {"<override path>":
-//! [v1, v2, ...], ...}`. Each combination produces a full
-//! [`ScenarioSpec`] — the axis value is written into the (canonical)
-//! overrides tree at its path, and the result goes through the same
-//! strict validation as a hand-written spec. Expansion order is
-//! deterministic: axes iterate in file order, the first axis slowest,
-//! so row order never depends on thread count.
+//! [v1, v2, ...], ...}`. Each combination means a full [`ScenarioSpec`]
+//! — the axis value is written into the (canonical) overrides tree at
+//! its path, and the result goes through the same strict validation as
+//! a hand-written spec. Override sections never validate against each
+//! other, so evaluation compiles each section's sub-combinations once
+//! (`SweepPlan`) instead of rebuilding a spec per cell. Expansion
+//! order is deterministic: axes iterate in file order, the first axis
+//! slowest, so row order never depends on thread count.
 //!
 //! Plain sweeps keep every row and are capped at [`MAX_SCENARIOS`]
 //! cells. A sweep with `"top_n"` streams instead: rows flow through a
@@ -21,7 +23,7 @@ use serde::Serialize as _;
 use serde::Value;
 
 use crate::engine::{ScenarioDeltas, ScenarioMetrics};
-use crate::spec::{fingerprint_of, Overrides, ScenarioError, ScenarioSpec};
+use crate::spec::{fingerprint_of, parse_overrides, Overrides, ScenarioError, ScenarioSpec};
 
 /// Override paths an axis may set (the settable leaves of the override
 /// schema — anything else is a hard error).
@@ -289,16 +291,12 @@ impl SweepSpec {
             top_n,
             rank_by,
         };
-        // Every combination must be a valid scenario spec. This makes
-        // the evaluate path expand twice (once here, once in
-        // `evaluate_sweep`), a deliberate trade: parse-time rejection of
-        // any bad combination costs ~60µs for a 25-combo sweep — noise
-        // next to one 8760-hour simulation. Above the plain ceiling
-        // (streaming sweeps only) full expansion would defeat the point
-        // of streaming, so validation samples: every axis value, with
-        // the other axes pinned to their first value.
+        // Every combination must be a valid scenario spec. Above the
+        // plain ceiling (streaming sweeps only) validation samples:
+        // every axis value, with the other axes pinned to their first
+        // value; a jointly invalid combination then fails at evaluation.
         if expansion <= MAX_SCENARIOS {
-            sweep.expand()?;
+            sweep.validate_combinations()?;
         } else {
             sweep.validate_sampled()?;
         }
@@ -342,9 +340,10 @@ impl SweepSpec {
     /// Builds the validated [`ScenarioSpec`] for one combination index
     /// without expanding anything else. The index ↔ combination map is
     /// pure mixed-radix arithmetic (first axis slowest, matching
-    /// [`SweepSpec::expand`] order), so chunked streaming evaluation
-    /// addresses any cell in O(axes) — the memory floor of a 10⁶-cell
-    /// sweep is one chunk, not the cross product.
+    /// [`SweepSpec::expand`] order). Evaluation itself never rebuilds a
+    /// valid cell this way — it picks compiled sections — but the
+    /// scalar reference path does, and an invalid cell's error is this
+    /// function's.
     ///
     /// # Panics
     /// Panics if `index >= combination_count()`.
@@ -361,6 +360,62 @@ impl SweepSpec {
             rem /= len;
         }
         self.spec_for_indices(&indices)
+    }
+
+    /// Validates every combination without building one spec per cell:
+    /// each override section's sub-combinations are parsed and
+    /// validated once (`SweepPlan`), and the first combination in
+    /// expansion order that picks an invalid one reports exactly the
+    /// error [`SweepSpec::combination`] gives it. [`SweepSpec::from_json`]
+    /// runs this below [`MAX_SCENARIOS`]; above it a streaming sweep is
+    /// only sample-validated, so a caller that must refuse a jointly
+    /// invalid combination before evaluating runs this itself.
+    pub fn validate_combinations(&self) -> Result<(), ScenarioError> {
+        let expansion = self.combination_count();
+        if expansion > self.ceiling() {
+            return Err(ceiling_error(expansion, self.top_n));
+        }
+        let (plan, sections) = SweepPlan::compile(self);
+        match plan.first_invalid(&sections, expansion) {
+            Some(index) => Err(self
+                .combination(index)
+                .expect_err("a combination picking an invalid section fails")),
+            None => Ok(()),
+        }
+    }
+
+    /// One sub-combination of one override section: the common
+    /// section with that section's axis values written in, parsed and
+    /// validated on its own. `None` where `set_path`, the parser or
+    /// `validate` rejects it.
+    fn compile_section(
+        &self,
+        common: &Value,
+        section: usize,
+        sub: usize,
+        axes: &[PlanAxis],
+    ) -> Option<Overrides> {
+        let key = SECTIONS[section];
+        let current = common
+            .as_object()
+            .and_then(|pairs| pairs.iter().find(|(k, _)| k == key))
+            .map_or(Value::Null, |(_, v)| v.clone());
+        let mut tree = Value::Object(vec![(key.to_string(), current)]);
+        for (axis, plan) in self.axes.iter().zip(axes) {
+            if plan.section == Some(section) {
+                let value = axis.values[sub / plan.stride % plan.len].clone();
+                set_path(&mut tree, &axis.path, value).ok()?;
+            }
+        }
+        let spec = ScenarioSpec {
+            name: self.name.clone(),
+            description: None,
+            base: self.base.clone(),
+            seed: self.seed,
+            overrides: parse_overrides(&tree).ok()?,
+        };
+        spec.validate().ok()?;
+        Some(spec.overrides)
     }
 
     /// Sampled validation for streaming sweeps too large to expand:
@@ -478,6 +533,143 @@ fn set_path(tree: &mut Value, path: &str, value: Value) -> Result<(), ScenarioEr
         current = &mut pairs[idx].1;
     }
     unreachable!("paths have at least one segment")
+}
+
+/// The override sections, in `parse_overrides` order. An axis belongs
+/// to the section its path starts with.
+pub(crate) const SECTIONS: [&str; 8] = [
+    "climate",
+    "grid",
+    "pue",
+    "nodes",
+    "wsi",
+    "reclaimed",
+    "water_price",
+    "fleet_upgrade",
+];
+
+/// One section's compiled sub-combinations, indexed by the
+/// sub-combination number [`SweepPlan::pick`] derives; `None` marks one
+/// that failed to compile.
+pub(crate) type Variants<T> = Vec<Option<T>>;
+
+/// How one axis enters the plan's index arithmetic.
+#[derive(Debug, Clone, Copy)]
+struct PlanAxis {
+    /// Number of values.
+    len: usize,
+    /// Its section in [`SECTIONS`] (`None`: a path outside every
+    /// section, which no combination survives).
+    section: Option<usize>,
+    /// Weight of its value index in the section's sub-combination
+    /// number (first axis slowest, as in the full expansion).
+    stride: usize,
+}
+
+/// A sweep compiled once per evaluation. The axes are grouped by
+/// override section, and each distinct sub-combination of one section's
+/// axes goes through `set_path`, the strict parser and `validate` once
+/// — for the 101,250-cell `sweep_siting_large.json` that is 50 + 45 + 45
+/// sub-combinations of its three axes (plus the common value of each
+/// untouched section) instead of a rebuild per cell. A combination is
+/// then one pick per section, found by mixed-radix arithmetic.
+#[derive(Debug)]
+pub(crate) struct SweepPlan {
+    /// The sweep name; rows are named `name[path=value,...]`.
+    name: String,
+    /// Per axis, file order.
+    axes: Vec<PlanAxis>,
+    /// Per axis and value: the `path=value` name label.
+    labels: Vec<Vec<String>>,
+}
+
+impl SweepPlan {
+    /// Compiles `sweep`: the plan, plus per section every
+    /// sub-combination of its axes as a typed section (an [`Overrides`]
+    /// with only that section set), `None` where it did not validate.
+    pub(crate) fn compile(sweep: &SweepSpec) -> (SweepPlan, Vec<Variants<Overrides>>) {
+        let mut axes = Vec::with_capacity(sweep.axes.len());
+        let mut counts = [1usize; SECTIONS.len()];
+        for axis in sweep.axes.iter().rev() {
+            let len = axis.values.len();
+            let head = axis.path.split('.').next();
+            let section = SECTIONS.iter().position(|s| head == Some(*s));
+            let stride = section.map_or(0, |s| {
+                let stride = counts[s];
+                counts[s] *= len;
+                stride
+            });
+            axes.push(PlanAxis {
+                len,
+                section,
+                stride,
+            });
+        }
+        axes.reverse();
+        let common = sweep.overrides.to_value();
+        let sections = counts
+            .iter()
+            .enumerate()
+            .map(|(section, &count)| {
+                (0..count)
+                    .map(|sub| sweep.compile_section(&common, section, sub, &axes))
+                    .collect()
+            })
+            .collect();
+        let labels = sweep
+            .axes
+            .iter()
+            .map(|axis| {
+                axis.values
+                    .iter()
+                    .map(|v| format!("{}={}", axis.path, label_of(v)))
+                    .collect()
+            })
+            .collect();
+        let plan = SweepPlan {
+            name: sweep.name.clone(),
+            axes,
+            labels,
+        };
+        (plan, sections)
+    }
+
+    /// The compiled section each section contributes to combination
+    /// `index`, or `None` when one of them failed to compile.
+    pub(crate) fn pick<'v, T>(
+        &self,
+        sections: &'v [Variants<T>],
+        index: usize,
+    ) -> Option<[&'v T; SECTIONS.len()]> {
+        let mut subs = [0; SECTIONS.len()];
+        let mut rem = index;
+        for axis in self.axes.iter().rev() {
+            subs[axis.section?] += rem % axis.len * axis.stride;
+            rem /= axis.len;
+        }
+        let mut picked = [None; SECTIONS.len()];
+        for ((slot, variants), sub) in picked.iter_mut().zip(sections).zip(subs) {
+            *slot = Some(variants[sub].as_ref()?);
+        }
+        Some(picked.map(|v| v.expect("every section was picked")))
+    }
+
+    /// The first combination, in expansion order, that picks a section
+    /// which failed to compile.
+    pub(crate) fn first_invalid<T>(&self, sections: &[Variants<T>], count: usize) -> Option<usize> {
+        (0..count).find(|&index| self.pick(sections, index).is_none())
+    }
+
+    /// Combination `index`'s row name, `name[path=value,...]`.
+    pub(crate) fn name(&self, index: usize) -> String {
+        let mut parts = vec![""; self.axes.len()];
+        let mut rem = index;
+        for (pos, axis) in self.axes.iter().enumerate().rev() {
+            parts[pos] = &self.labels[pos][rem % axis.len];
+            rem /= axis.len;
+        }
+        format!("{}[{}]", self.name, parts.join(","))
+    }
 }
 
 /// Evaluates a sweep: chunked streaming evaluation through the batched

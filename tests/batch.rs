@@ -12,12 +12,16 @@
 //! under the (key, index) total order, independent of push or merge
 //! order (docs/CONCURRENCY.md).
 
+use std::collections::HashSet;
 use std::process::Command;
 
 use proptest::prelude::*;
+use rayon::prelude::*;
 use thirstyflops::catalog::{SystemId, SystemSpec};
-use thirstyflops::core::batch::{BatchContext, LaneRequest, TopN};
+use thirstyflops::core::batch::{energy_key, BatchContext, LaneRequest, TopN};
 use thirstyflops::core::SystemYear;
+use thirstyflops::obs::report::ProfileReport;
+use thirstyflops::scenario::{engine, evaluate, evaluate_sweep, ScenarioOutcome, SweepSpec};
 use thirstyflops::timeseries::Month;
 
 /// A proptest-shaped spec perturbation: system pick, node count,
@@ -322,5 +326,160 @@ fn no_batch_env_var_disables_the_kernel() {
     assert_eq!(
         flagged.stdout, plain.stdout,
         "the oracle agrees with the kernel"
+    );
+}
+
+// ---------------------------------------- compiled sweeps vs the oracle
+
+/// A plain sweep with axes on every override section, alias spellings
+/// included (`"Kobe"`/`"kobe"`, `1.0`/`1.00`, `1.1`/`1.10`,
+/// `"hydro"`/`"Hydro"`): 768 cells, two 512-cell chunks.
+const SECTIONED_SWEEP: &str = r#"{
+    "name": "sectioned", "base": "polaris",
+    "overrides": {
+        "reclaimed": {"fraction": 0.1, "wsi": 0.05},
+        "fleet_upgrade": {"lifetime_years": 6, "upgrades": [
+            {"year": 3, "gpu": {"name": "Next", "die_mm2": 814, "process_nm": 4,
+                                "tdp_watts": 700}}]}
+    },
+    "axes": {
+        "climate.preset": ["Kobe", "kobe", "lemont"],
+        "climate.wue_scale": [1.0, 1.00],
+        "grid.mix_delta": [{"hydro": 0.1, "coal": -0.1}, {"Hydro": 0.1, "Coal": -0.1}],
+        "pue": [1.1, 1.10],
+        "nodes": [400, 560],
+        "wsi.site": [0.1, 0.9],
+        "reclaimed.fraction": [0.2, 0.5],
+        "water_price.base_usd_per_kl": [1.5, 3.0],
+        "fleet_upgrade.lifetime_years": [5, 6]
+    }
+}"#;
+
+/// Region × replacement mix: a `grid.mix` factor divides by the
+/// region's own series means.
+const MIX_SWEEP: &str = r#"{
+    "name": "mixed", "base": "fugaku",
+    "axes": {
+        "grid.region": ["kansai", "Kansai", "tennessee"],
+        "grid.mix": [{"coal": 1.0}, {"Coal": 0.5, "gas": 0.5}],
+        "climate.wue_scale": [0.8, 1.2]
+    }
+}"#;
+
+/// Every combination of `sweep` evaluated on its own from its full spec.
+fn per_cell_oracle(sweep: &SweepSpec) -> Vec<ScenarioOutcome> {
+    let indices: Vec<usize> = (0..sweep.combination_count()).collect();
+    indices
+        .par_iter()
+        .map(|&i| evaluate(&sweep.combination(i).expect("valid cell")).expect("cell evaluates"))
+        .collect()
+}
+
+/// Tentpole acceptance: the compiled sweep evaluator reproduces, row for
+/// row, what evaluating each combination's full spec gives — name,
+/// metrics and deltas to the bit (`{:?}` prints every `f64` in its
+/// shortest round-trip form) — and its top-N is sort-then-truncate of
+/// that oracle under the (key, expansion index) order.
+#[test]
+fn compiled_sweep_rows_equal_the_per_cell_oracle() {
+    for text in [SECTIONED_SWEEP, MIX_SWEEP] {
+        let sweep = SweepSpec::from_json(text).expect("sweep parses");
+        let oracle = per_cell_oracle(&sweep);
+        let report = evaluate_sweep(&sweep).expect("sweep evaluates");
+        assert_eq!(report.rows.len(), oracle.len());
+        for (row, want) in report.rows.iter().zip(&oracle) {
+            assert_eq!(row.name, want.name);
+            assert_eq!(
+                format!("{:?}", row.scenario),
+                format!("{:?}", want.scenario),
+                "{}",
+                row.name
+            );
+            assert_eq!(
+                format!("{:?}", row.deltas),
+                format!("{:?}", want.deltas),
+                "{}",
+                row.name
+            );
+        }
+
+        let streamed =
+            evaluate_sweep(&SweepSpec::from_json_with_top(text, Some(7)).expect("parses"))
+                .expect("streamed sweep evaluates");
+        let mut ranked: Vec<usize> = (0..oracle.len()).collect();
+        ranked.sort_by(|&a, &b| {
+            let key = |i: usize| oracle[i].scenario.operational_water_l;
+            key(a).total_cmp(&key(b)).then(a.cmp(&b))
+        });
+        ranked.truncate(7);
+        assert_eq!(streamed.rows.len(), ranked.len());
+        for (row, &i) in streamed.rows.iter().zip(&ranked) {
+            assert_eq!(row.name, oracle[i].name);
+            assert_eq!(
+                format!("{:?}", row.scenario),
+                format!("{:?}", oracle[i].scenario)
+            );
+        }
+    }
+}
+
+/// The kernel aggregates exactly one lane per distinct resolved key per
+/// 512-cell chunk — alias spellings resolve to one key. The count is read
+/// off a `--profile --json` run, where no other test's kernel calls can
+/// interleave with it.
+#[test]
+fn lanes_are_the_distinct_resolved_keys_per_chunk() {
+    let sweep = SweepSpec::from_json(SECTIONED_SWEEP).expect("sweep parses");
+    let base = SystemSpec::reference(SystemId::Polaris);
+    let keys: Vec<_> = (0..sweep.combination_count())
+        .map(|i| {
+            let cell = sweep.combination(i).expect("valid cell");
+            let system = engine::apply_spec_overrides(&base, &cell.overrides).expect("applies");
+            let wue_scale = cell.overrides.climate.as_ref().and_then(|c| c.wue_scale);
+            (
+                energy_key(&system, cell.seed),
+                system.climate,
+                wue_scale.map(f64::to_bits),
+                system.region,
+                serde_json::to_string(&cell.overrides.grid).expect("grid renders"),
+            )
+        })
+        .collect();
+    let expected: usize = keys
+        .chunks(512)
+        .map(|chunk| chunk.iter().collect::<HashSet<_>>().len())
+        .sum();
+
+    let path = std::env::temp_dir().join(format!(
+        "thirstyflops_sectioned_sweep_{}.json",
+        std::process::id()
+    ));
+    std::fs::write(&path, SECTIONED_SWEEP).expect("spec writes");
+    let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
+        .args([
+            "scenario",
+            "sweep",
+            path.to_str().expect("UTF-8 path"),
+            "--json",
+            "--profile",
+        ])
+        .output()
+        .expect("CLI binary runs");
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success(), "{out:?}");
+    let profile: ProfileReport =
+        serde_json::from_str(&String::from_utf8(out.stderr).expect("UTF-8 stderr"))
+            .expect("stderr is a profile report");
+    let lanes = profile
+        .counters
+        .iter()
+        .find(|c| c.name == "thirstyflops_batch_lanes_total")
+        .expect("lane counter registered")
+        .value;
+    assert_eq!(lanes, expected as u64);
+    assert!(
+        expected < keys.len() / 100,
+        "{expected} lanes for {} cells",
+        keys.len()
     );
 }

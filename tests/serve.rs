@@ -449,6 +449,68 @@ fn oversized_sweep_post_gets_structured_json_400() {
     server.shutdown();
 }
 
+/// A streaming sweep is only sample-validated at parse time, so a
+/// combination that is invalid only jointly inside one section — a
+/// `mix_delta` that zeroes every Northern Illinois share but leaves
+/// Emilia-Romagna its hydro — fails at evaluation. The error names the
+/// first such combination in expansion order, identically from
+/// `evaluate_sweep`, the CLI and `POST /v1/scenarios/sweep`.
+#[test]
+fn jointly_invalid_streaming_sweep_names_its_first_bad_combination() {
+    // 2 × 2 × 1025 = 4100 cells: over the plain ceiling, so parsing
+    // samples; the first bad cell (index 3075) sits mid-chunk.
+    let pue: Vec<String> = (0..1025)
+        .map(|i| format!("{:.3}", 1.0 + f64::from(i) * 0.001))
+        .collect();
+    let spec = format!(
+        r#"{{"name": "joint", "base": "polaris", "top_n": 3, "axes": {{
+            "grid.region": ["emilia-romagna", "northern-illinois"],
+            "grid.mix_delta": [{{"gas": 0.05}},
+                               {{"nuclear": -1, "coal": -1, "wind": -1, "solar": -1, "gas": -1}}],
+            "pue": [{}]
+        }}}}"#,
+        pue.join(", ")
+    );
+    let expected = "invalid scenario spec: combination [grid.region=northern-illinois,\
+        grid.mix_delta={\"nuclear\":-1,\"coal\":-1,\"wind\":-1,\"solar\":-1,\"gas\":-1},pue=1.0] \
+        is invalid: \"grid.mix_delta\" drives every share to zero on Northern Illinois (US): \
+        energy mix has no sources";
+
+    let sweep =
+        thirstyflops::scenario::SweepSpec::from_json(&spec).expect("sampled validation passes");
+    assert_eq!(sweep.combination_count(), 4100);
+    let err = thirstyflops::scenario::evaluate_sweep(&sweep).expect_err("joint cell fails");
+    assert_eq!(err.to_string(), expected);
+
+    let path = std::env::temp_dir().join(format!(
+        "thirstyflops_joint_sweep_{}.json",
+        std::process::id()
+    ));
+    std::fs::write(&path, &spec).expect("spec writes");
+    let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
+        .args([
+            "scenario",
+            "sweep",
+            path.to_str().expect("UTF-8 path"),
+            "--json",
+        ])
+        .output()
+        .expect("CLI binary runs");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("{expected}\n")
+    );
+
+    let server = start(1);
+    let (status, body) = http_post(server.local_addr(), "/v1/scenarios/sweep", &spec);
+    let parsed: thirstyflops::serve::error::ErrorBody =
+        serde_json::from_str(&body).expect("structured error body");
+    assert_eq!((status, parsed.error.as_str()), (400, expected));
+    server.shutdown();
+}
+
 /// An in-body `top_n` streams over HTTP: the report keeps N rows, is
 /// byte-identical to the CLI `--top` twin, and the batch kernel's
 /// counters surface in `/v1/cache/stats`.
