@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Local CI gate for the ThirstyFLOPS workspace. Run from the repo root.
 #
-#   ./ci.sh                # full gate: fmt, clippy, release build, tests
-#                          # at two worker thread counts plus a pass at
-#                          # four concurrent test threads, serve smoke,
-#                          # docs
+#   ./ci.sh                # full gate: fmt, clippy, release build, the
+#                          # perfbench build, tests and digest check,
+#                          # tests at two worker thread counts plus a
+#                          # pass at four concurrent test threads, serve
+#                          # smoke, docs
 #   ./ci.sh quick          # skip the release build, the sequential and
 #                          # the four-test-thread passes (fastest signal)
 #   ./ci.sh serve-smoke    # just the HTTP serving-layer smoke probe
@@ -38,7 +39,7 @@
 #                          # recorded into BENCH_serve.json
 #                          # (docs/ROBUSTNESS.md)
 #   ./ci.sh bench-json     # quick cold-vs-warm SystemYear::simulate,
-#                          # grid-kernel, and scalar-vs-batched
+#                          # grid-kernel, and per-cell-vs-batched
 #                          # scenario-sweep measurement, with a
 #                          # per-stage span breakdown of the cold path
 #                          # -> BENCH_simulate.json, plus a one-shot-vs-
@@ -425,6 +426,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 if [[ "$mode" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release
+
+  # perfbench links the repository's public APIs from its own workspace,
+  # so nothing above compiles it; build, test and digest-check it here so
+  # a change that drops an API it probes, or alters an output byte it
+  # verifies, fails the gate instead of the benchmark. The target
+  # directory is the one perfbench/run.sh builds into.
+  step "cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+  CARGO_TARGET_DIR=target cargo build --release --offline --manifest-path perfbench/Cargo.toml
+  step "cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+  CARGO_TARGET_DIR=target cargo test --release --offline --manifest-path perfbench/Cargo.toml
+  step "bash perfbench/run.sh --check"
+  bash perfbench/run.sh --check
 fi
 
 # The determinism contract (docs/CONCURRENCY.md) promises bit-identical

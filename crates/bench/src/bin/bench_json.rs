@@ -12,13 +12,14 @@
 //! * `warm_simulate_ns` — median of a repeated memoized
 //!   `SystemYear::simulate` (an `Arc` clone);
 //! * `grid_year_ns` — median of the `GridRegion::simulate_year` kernel;
-//! * `scenario_sweep_ns` — median of the 25-scenario siting sweep
-//!   through the declarative engine with the batch kernel disabled (the
-//!   scalar reference path, per-row simulation and fused scalar
-//!   kernels);
-//! * `batched_sweep_ns` — the same sweep through the `core::batch`
-//!   K-lane kernel (the default path a `POST /v1/scenarios/sweep` burst
-//!   pays), plus `scalar_over_batched`, the tracked speedup ratio;
+//! * `scenario_sweep_ns` — median of the per-cell baseline over the
+//!   25-scenario siting sweep: `scenario::evaluate` on each
+//!   combination's full spec, one after another (the oracle
+//!   `tests/batch.rs` compares sweeps against);
+//! * `batched_sweep_ns` — the same sweep through `evaluate_sweep` and
+//!   the `core::batch` K-lane kernel (the path a
+//!   `POST /v1/scenarios/sweep` burst pays), plus `scalar_over_batched`,
+//!   the per-cell baseline over the batched sweep;
 //! * `trace_overhead` — the cold simulate re-measured with the causal
 //!   trace recorder off, recording, and sampled out (context active but
 //!   ring writes skipped) — the tracked cost of `--trace-out` /
@@ -142,16 +143,18 @@ fn main() {
     .expect("the shipped siting sweep exists");
     let sweep =
         thirstyflops_scenario::SweepSpec::from_json(&sweep_text).expect("shipped sweep parses");
-    // Scalar reference first (batch kernel off), then the default
-    // batched K-lane path over the identical spec — the ratio is the
-    // tracked win of aggregate dedup + lane fusion.
-    thirstyflops_core::batch::set_enabled(false);
+    // The per-cell baseline first (each combination evaluated from its
+    // full spec), then the compiled, batched sweep over the identical
+    // spec — the ratio is the tracked win of section compilation,
+    // aggregate dedup and lane fusion.
     let sweep_ns = median_ns(5, || {
-        std::hint::black_box(
-            thirstyflops_scenario::evaluate_sweep(&sweep).expect("shipped sweep evaluates"),
-        );
+        for index in 0..sweep.combination_count() {
+            let cell = sweep.combination(index).expect("shipped cells are valid");
+            std::hint::black_box(
+                thirstyflops_scenario::evaluate(&cell).expect("shipped cell evaluates"),
+            );
+        }
     });
-    thirstyflops_core::batch::set_enabled(true);
     let batched_sweep_ns = median_ns(5, || {
         std::hint::black_box(
             thirstyflops_scenario::evaluate_sweep(&sweep).expect("shipped sweep evaluates"),

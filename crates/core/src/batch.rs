@@ -1,32 +1,27 @@
 //! Batched K-lane evaluation: score K system configurations in one pass
 //! over the hour axis instead of K scalar walks.
 //!
-//! The scalar scenario path simulates a [`SystemYear`] per configuration
+//! The single-scenario path simulates a [`SystemYear`] per configuration
 //! and reduces it with the fused `timeseries` kernels. A sweep of 10⁵
-//! cells repeats those reductions cell by cell. This module recasts the
-//! loop as matrix-shaped batch computation: K lanes of hourly series are
-//! packed into hour-major [`LaneBuffer`]s and every annual reduction the
-//! scenario engine needs (`Σe`, `Σe·w`, `Σe·f`, `Σe·c`, means, monthly
-//! sums) runs once per batch via the K-lane kernels
-//! ([`thirstyflops_timeseries::lanes`]).
+//! cells would repeat those reductions cell by cell. This module recasts
+//! the loop as matrix-shaped batch computation: every annual reduction
+//! the scenario engine needs (`Σe`, `Σe·w`, `Σe·f`, `Σe·c`, means,
+//! monthly sums) runs for K lanes in one pass of the K-lane kernel
+//! ([`thirstyflops_timeseries::lanes::annual_reductions_scaled`]).
 //!
 //! **Bit-identity contract.** The batch path is *invisible*: per lane it
-//! performs the exact operation sequence of the scalar reference —
+//! performs the exact operation sequence of the scalar expressions —
 //! the per-lane ChaCha12 workload stream comes from the same
-//! `workload_series` helper the scalar path uses (identical seeding:
-//! `seed ^ id·φ64`), packed scales materialize `v·k` exactly like
-//! [`HourlySeries::scale`], and every reduction folds hours in ascending
-//! order like the scalar kernels. `tests/batch.rs` proves the batched
-//! results bit-identical to the [`SystemYear::simulate_uncached`] oracle
-//! on proptest-random spec batches, across thread counts, cached or not.
-//!
-//! The scalar path stays available as the reference oracle: disable
-//! batching with `--no-batch` or `THIRSTYFLOPS_NO_BATCH=1` (mirrors the
-//! `--no-sim-cache` escape hatch).
+//! `workload_series` helper [`SystemYear::simulate_uncached`] uses
+//! (identical seeding: `seed ^ id·φ64`), scales evaluate `v·k` exactly
+//! like [`HourlySeries::scale`], and every reduction folds hours in
+//! ascending order like the scalar kernels. `tests/batch.rs` proves the
+//! batched aggregates bit-identical to the scalar reductions over the
+//! [`SystemYear::simulate_uncached`] oracle on proptest-random spec
+//! batches, and compiled sweeps row-identical to per-cell evaluation.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use thirstyflops_obs::span;
@@ -34,8 +29,8 @@ use thirstyflops_obs::Counter;
 
 use thirstyflops_catalog::SystemSpec;
 use thirstyflops_grid::{GridRegion, GridYear, RegionId};
-use thirstyflops_timeseries::lanes::{self, LaneBuffer};
-use thirstyflops_timeseries::{DistributionSummary, HourlySeries, MONTHS_PER_YEAR};
+use thirstyflops_timeseries::lanes::{self, LaneSource};
+use thirstyflops_timeseries::{DistributionSummary, HourlySeries};
 use thirstyflops_units::Liters;
 use thirstyflops_weather::ClimatePreset;
 
@@ -43,32 +38,12 @@ use crate::operational::OperationalBreakdown;
 use crate::simcache::{self, MemoCache};
 use crate::simulate::SystemYear;
 
-/// Lanes evaluated per kernel pass. Bounds the packed working set
-/// (5 buffers × 32 lanes × 8760 h ≈ 11 MB) — lanes are independent, so
-/// splitting a batch across passes cannot change any lane's bits.
+pub use thirstyflops_timeseries::lanes::LaneAggregates;
+
+/// Lanes evaluated per kernel pass. Bounds the per-pass accumulators and
+/// source slices the hour loop cycles through — lanes are independent,
+/// so splitting a batch across passes cannot change any lane's bits.
 const LANES_PER_PASS: usize = 32;
-
-// ------------------------------------------------------------- enabling
-
-fn disabled_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let raw = std::env::var("THIRSTYFLOPS_NO_BATCH").unwrap_or_default();
-        AtomicBool::new(matches!(raw.as_str(), "1" | "true" | "yes"))
-    })
-}
-
-/// Whether the batched kernel is enabled (default yes; `--no-batch` /
-/// `THIRSTYFLOPS_NO_BATCH=1` routes sweeps through the scalar oracle).
-pub fn enabled() -> bool {
-    !disabled_flag().load(Ordering::Relaxed)
-}
-
-/// Enables or disables the batch path process-wide (the CLI's
-/// `--no-batch` hook; overrides the environment variable).
-pub fn set_enabled(on: bool) {
-    disabled_flag().store(!on, Ordering::Relaxed);
-}
 
 // ------------------------------------------------------------- counters
 //
@@ -81,17 +56,6 @@ pub fn set_enabled(on: bool) {
 fn lanes_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| {
-        thirstyflops_obs::registry::gauge(
-            "thirstyflops_batch_enabled",
-            "1 while the batched K-lane kernel is active, 0 under --no-batch.",
-            || {
-                if enabled() {
-                    1.0
-                } else {
-                    0.0
-                }
-            },
-        );
         thirstyflops_obs::registry::counter(
             "thirstyflops_batch_lanes_total",
             "Lanes aggregated by the K-lane kernel.",
@@ -133,9 +97,6 @@ fn lane_width_hist() -> &'static std::sync::Arc<thirstyflops_obs::LatencyHistogr
 /// `GET /v1/cache/stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BatchStats {
-    /// False when `--no-batch` / `THIRSTYFLOPS_NO_BATCH` routed sweeps
-    /// through the scalar reference path.
-    pub enabled: bool,
     /// Lanes aggregated by the K-lane kernel since process start.
     pub lanes: u64,
     /// Kernel passes (lane chunks) executed.
@@ -147,7 +108,6 @@ pub struct BatchStats {
 /// Current counters.
 pub fn stats() -> BatchStats {
     BatchStats {
-        enabled: enabled(),
         lanes: lanes_counter().get(),
         chunks: passes_counter().get(),
         topn_rows: topn_counter().get(),
@@ -174,31 +134,6 @@ pub struct LaneRequest {
     pub carbon_scale: Option<f64>,
 }
 
-/// Every annual reduction the scenario engine derives from one lane's
-/// hourly series, computed by the K-lane kernels. The remaining metric
-/// arithmetic (PUE application, scarcity weights, pricing, lifecycle)
-/// is cheap scalar post-processing on these.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaneAggregates {
-    /// `Σ energy` — annual IT energy, kWh.
-    pub energy_kwh: f64,
-    /// `Σ energy·wue'` — annual direct water, liters.
-    pub direct_l: f64,
-    /// `Σ energy·ewf'` — annual indirect water *before* the PUE factor
-    /// (the scalar path multiplies the dot by `pue` afterwards).
-    pub indirect_per_pue_l: f64,
-    /// `Σ energy·carbon'` — annual operational carbon, grams.
-    pub carbon_g: f64,
-    /// Annual mean of the (scaled) WUE series, L/kWh.
-    pub mean_wue: f64,
-    /// Annual mean of the (scaled) EWF series, L/kWh.
-    pub mean_ewf: f64,
-    /// Annual mean of the (scaled) carbon series, gCO₂/kWh.
-    pub mean_carbon: f64,
-    /// Monthly `Σ energy·wue'` (January first), liters.
-    pub monthly_direct_l: [f64; MONTHS_PER_YEAR],
-}
-
 /// The memo key for one lane's seed-dependent workload simulation: the
 /// spec fields the jobs → utilization → energy path actually reads
 /// (identity, node count, target utilization, per-node hardware) plus
@@ -218,8 +153,8 @@ pub fn energy_key(spec: &SystemSpec, seed: u64) -> String {
 /// `POST /v1/scenarios/sweep` burst shape) stop repaying the ChaCha12
 /// workload simulation once it is warm. LRU-bounded like the simcache
 /// layers; an evicted entry recomputes to identical bytes.
-fn global_energy() -> &'static MemoCache<String, (HourlySeries, HourlySeries)> {
-    static CACHE: OnceLock<MemoCache<String, (HourlySeries, HourlySeries)>> = OnceLock::new();
+fn global_energy() -> &'static MemoCache<String, HourlySeries> {
+    static CACHE: OnceLock<MemoCache<String, HourlySeries>> = OnceLock::new();
     CACHE.get_or_init(|| {
         let (hits, misses, evictions) = simcache::layer_counters("batch_energy");
         MemoCache::new(8, 256).with_counters(hits, misses, evictions)
@@ -235,7 +170,7 @@ fn global_energy() -> &'static MemoCache<String, (HourlySeries, HourlySeries)> {
 /// deterministic, so the values are byte-identical either way.
 #[derive(Debug)]
 pub struct BatchContext {
-    energy: MemoCache<String, (HourlySeries, HourlySeries)>,
+    energy: MemoCache<String, HourlySeries>,
     wue_local: MemoCache<ClimatePreset, HourlySeries>,
     grid_local: MemoCache<RegionId, GridYear>,
 }
@@ -248,7 +183,7 @@ impl Default for BatchContext {
 
 impl BatchContext {
     /// A fresh context. The energy layer is LRU-bounded (a huge `nodes`
-    /// axis would otherwise pin one year-long series pair per value);
+    /// axis would otherwise pin one year-long series per value);
     /// an evicted entry recomputes to identical bytes.
     pub fn new() -> Self {
         BatchContext {
@@ -258,11 +193,11 @@ impl BatchContext {
         }
     }
 
-    /// The (utilization, energy) pair for one lane, memoized by
+    /// The hourly energy series for one lane, memoized by
     /// [`energy_key`] (globally when the simcache is enabled, per
     /// context otherwise). Single source of truth: the same
     /// `workload_series` helper the scalar path calls.
-    pub fn energy_of(&self, spec: &SystemSpec, seed: u64) -> Arc<(HourlySeries, HourlySeries)> {
+    fn energy_of(&self, spec: &SystemSpec, seed: u64) -> Arc<HourlySeries> {
         // Demand-level span: counts energy-series *requests*, which are
         // identical whichever cache layer (global or local) serves them.
         let _span = span::span(span::CACHE_LOOKUP);
@@ -272,7 +207,7 @@ impl BatchContext {
             &self.energy
         };
         cache.get_or_compute(energy_key(spec, seed), || {
-            crate::simulate::workload_series(spec, seed)
+            crate::simulate::workload_series(spec, seed).1
         })
     }
 
@@ -306,29 +241,23 @@ impl BatchContext {
         (grid.ewf().mean(), grid.carbon().mean())
     }
 
-    /// Evaluates a batch of lanes: packs the (scaled) hourly series into
-    /// hour-major lane buffers and runs every annual reduction once per
-    /// `LANES_PER_PASS`-lane pass. Per lane the result is bit-identical
-    /// to the scalar expressions over [`SystemYear::simulate_uncached`]
-    /// telemetry (`tests/batch.rs`).
+    /// Evaluates a batch of lanes: every annual reduction of the
+    /// (scaled) hourly series, once per `LANES_PER_PASS`-lane kernel
+    /// pass. Per lane the result is bit-identical to the scalar
+    /// expressions over [`SystemYear::simulate_uncached`] telemetry
+    /// (`tests/batch.rs`).
     pub fn aggregate(&self, requests: &[LaneRequest]) -> Vec<LaneAggregates> {
-        let mut out = Vec::with_capacity(requests.len());
-        for block in requests.chunks(LANES_PER_PASS) {
-            self.aggregate_block(block, &mut out);
-        }
-        out
+        requests
+            .chunks(LANES_PER_PASS)
+            .flat_map(|block| self.aggregate_block(block))
+            .collect()
     }
 
-    fn aggregate_block(&self, block: &[LaneRequest], out: &mut Vec<LaneAggregates>) {
-        if block.is_empty() {
-            return;
-        }
-        let k = block.len();
+    fn aggregate_block(&self, block: &[LaneRequest]) -> Vec<LaneAggregates> {
         // Resolve shared sub-simulations. Lanes overwhelmingly alias a
         // handful of unique series (energy per workload key, WUE per
-        // climate, EWF/carbon per region), so the zero-copy fused kernel
-        // reads the shared slices in place — the working set stays at
-        // the unique-series size instead of K copies of it.
+        // climate, EWF/carbon per region), which the kernel reads in
+        // place.
         let resolved: Vec<_> = block
             .iter()
             .map(|req| {
@@ -339,11 +268,11 @@ impl BatchContext {
                 )
             })
             .collect();
-        let sources: Vec<lanes::LaneSource<'_>> = resolved
+        let sources: Vec<LaneSource<'_>> = resolved
             .iter()
             .zip(block)
-            .map(|((energy, wue, grid), req)| lanes::LaneSource {
-                energy: energy.1.values(),
+            .map(|((energy, wue, grid), req)| LaneSource {
+                energy: energy.values(),
                 wue: wue.values(),
                 ewf: grid.ewf().values(),
                 carbon: grid.carbon().values(),
@@ -352,56 +281,22 @@ impl BatchContext {
                 carbon_scale: req.carbon_scale,
             })
             .collect();
-        // Every annual reduction in one fused pass over the hour axis —
-        // bit-identical to pack-then-reduce with the single-purpose
-        // K-lane kernels (see `annual_reductions_scaled`).
-        let red = {
-            let _span = span::span(span::FUSED_REDUCTION);
-            lanes::annual_reductions_scaled(&sources)
-        };
-        lanes_counter().add(k as u64);
-        passes_counter().inc();
-        lane_width_hist().record(k as u64);
-        for l in 0..k {
-            let mut monthly_direct_l = [0.0; MONTHS_PER_YEAR];
-            monthly_direct_l.copy_from_slice(
-                &red.monthly_direct[l * MONTHS_PER_YEAR..(l + 1) * MONTHS_PER_YEAR],
-            );
-            out.push(LaneAggregates {
-                energy_kwh: red.energy_total[l],
-                direct_l: red.direct[l],
-                indirect_per_pue_l: red.indirect[l],
-                carbon_g: red.carbon[l],
-                mean_wue: red.wue_mean[l],
-                mean_ewf: red.ewf_mean[l],
-                mean_carbon: red.carbon_mean[l],
-                monthly_direct_l,
-            });
-        }
+        fused_pass(&sources)
     }
+}
 
-    /// Simulates K `(spec, seed)` pairs sharing sub-simulations within
-    /// the batch. Per lane the returned year is bit-identical to
-    /// [`SystemYear::simulate_uncached`] — the differential suite's
-    /// direct comparison target.
-    pub fn simulate_batch(&self, requests: &[(SystemSpec, u64)]) -> Vec<SystemYear> {
-        requests
-            .iter()
-            .map(|(spec, seed)| {
-                let workload = self.energy_of(spec, *seed);
-                let wue = self.wue_of(spec.climate);
-                let grid = self.grid_of(spec.region);
-                SystemYear {
-                    spec: spec.clone(),
-                    utilization: workload.0.clone(),
-                    energy: workload.1.clone(),
-                    wue: (*wue).clone(),
-                    ewf: grid.ewf().clone(),
-                    carbon: grid.carbon().clone(),
-                }
-            })
-            .collect()
-    }
+/// One counted kernel pass: every annual reduction of `sources` in one
+/// fused sweep over the hour axis.
+fn fused_pass(sources: &[LaneSource<'_>]) -> Vec<LaneAggregates> {
+    let aggregates = {
+        let _span = span::span(span::FUSED_REDUCTION);
+        lanes::annual_reductions_scaled(sources)
+    };
+    let k = sources.len() as u64;
+    lanes_counter().add(k);
+    passes_counter().inc();
+    lane_width_hist().record(k);
+    aggregates
 }
 
 // ------------------------------------------------- experiment lane stats
@@ -425,58 +320,40 @@ pub struct YearLaneStats {
     pub ewf_summary: Vec<DistributionSummary>,
 }
 
-/// Computes [`YearLaneStats`] for a batch of years in one K-lane pass
-/// per reduction. Bit-identical to the scalar per-year expressions
-/// (`year.operational()`, `year.water_intensity().mean()`,
-/// `year.wue.mean()`, …) — the experiments' golden values pin this.
+/// Computes [`YearLaneStats`] for a batch of years in one K-lane kernel
+/// pass over the years' own series. Bit-identical to the scalar
+/// per-year expressions (`year.operational()`,
+/// `year.water_intensity().mean()`, `year.wue.mean()`, …) — the
+/// experiments' golden values pin this.
+///
+/// # Panics
+/// Panics if `years` is empty.
 pub fn year_lane_stats(years: &[Arc<SystemYear>]) -> YearLaneStats {
-    let k = years.len();
-    assert!(k > 0, "a lane batch needs at least one year");
-    let mut e = LaneBuffer::new(k);
-    let mut w = LaneBuffer::new(k);
-    let mut f = LaneBuffer::new(k);
-    let pue: Vec<f64> = years.iter().map(|y| y.spec.pue.value()).collect();
-    let energy_src: Vec<(&[f64], Option<f64>)> =
-        years.iter().map(|y| (y.energy.values(), None)).collect();
-    let wue_src: Vec<(&[f64], Option<f64>)> =
-        years.iter().map(|y| (y.wue.values(), None)).collect();
-    let ewf_src: Vec<(&[f64], Option<f64>)> =
-        years.iter().map(|y| (y.ewf.values(), None)).collect();
-    {
-        let _span = span::span(span::LANE_PACK);
-        e.pack_scaled(&energy_src);
-        w.pack_scaled(&wue_src);
-        f.pack_scaled(&ewf_src);
-    }
-    let mut direct = vec![0.0; k];
-    let mut indirect = vec![0.0; k];
-    let mut wue_mean = vec![0.0; k];
-    let mut ewf_mean = vec![0.0; k];
-    let mut wi = LaneBuffer::new(k);
-    let mut wi_mean = vec![0.0; k];
-    {
-        let _span = span::span(span::FUSED_REDUCTION);
-        lanes::dot_k(&e, &w, &mut direct);
-        lanes::dot_k(&e, &f, &mut indirect);
-        lanes::mean_k(&w, &mut wue_mean);
-        lanes::mean_k(&f, &mut ewf_mean);
-        lanes::add_scaled_k(&w, &f, &pue, &mut wi);
-        lanes::mean_k(&wi, &mut wi_mean);
-    }
-    lanes_counter().add(k as u64);
-    passes_counter().inc();
-    lane_width_hist().record(k as u64);
-    let operational = (0..k)
-        .map(|l| OperationalBreakdown {
-            direct: Liters::new(direct[l]),
-            indirect: Liters::new(indirect[l] * pue[l]),
+    let sources: Vec<LaneSource<'_>> = years
+        .iter()
+        .map(|y| LaneSource {
+            energy: y.energy.values(),
+            wue: y.wue.values(),
+            ewf: y.ewf.values(),
+            carbon: y.carbon.values(),
+            wue_scale: None,
+            ewf_scale: None,
+            carbon_scale: None,
         })
         .collect();
+    let aggregates = fused_pass(&sources);
     YearLaneStats {
-        operational,
-        wi_mean,
-        wue_mean,
-        ewf_mean,
+        operational: aggregates
+            .iter()
+            .zip(years)
+            .map(|(a, y)| OperationalBreakdown {
+                direct: Liters::new(a.direct_l),
+                indirect: Liters::new(a.indirect_per_pue_l * y.spec.pue.value()),
+            })
+            .collect(),
+        wi_mean: years.iter().map(|y| y.water_intensity().mean()).collect(),
+        wue_mean: aggregates.iter().map(|a| a.mean_wue).collect(),
+        ewf_mean: aggregates.iter().map(|a| a.mean_ewf).collect(),
         wue_summary: years.iter().map(|y| y.wue.summary()).collect(),
         ewf_summary: years.iter().map(|y| y.ewf.summary()).collect(),
     }
@@ -662,23 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_batch_matches_the_uncached_oracle() {
-        let ctx = BatchContext::new();
-        let mut a = SystemSpec::reference(SystemId::Marconi);
-        a.nodes = 150;
-        let requests = vec![(a.clone(), 11), (a, 12)];
-        let batched = ctx.simulate_batch(&requests);
-        for ((spec, seed), year) in requests.iter().zip(&batched) {
-            let oracle = SystemYear::simulate_uncached(spec.clone(), *seed);
-            assert_eq!(year.utilization, oracle.utilization);
-            assert_eq!(year.energy, oracle.energy);
-            assert_eq!(year.wue, oracle.wue);
-            assert_eq!(year.ewf, oracle.ewf);
-            assert_eq!(year.carbon, oracle.carbon);
-        }
-    }
-
-    #[test]
     fn topn_keeps_the_n_best_with_index_tie_break() {
         let mut top = TopN::new(3);
         for (i, key) in [5.0, 1.0, 3.0, 1.0, 4.0, 2.0].iter().enumerate() {
@@ -716,15 +576,5 @@ mod tests {
         let a: Vec<(u64, f64)> = full.iter().map(|e| (e.index, e.key)).collect();
         let b: Vec<(u64, f64)> = merged.iter().map(|e| (e.index, e.key)).collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batch_toggle_round_trips() {
-        let before = enabled();
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(before);
     }
 }

@@ -35,31 +35,29 @@ pub const GRID_KERNEL: usize = 1;
 pub const WUE_SERIES: usize = 2;
 /// Simulation-cache lookup (hit or miss) for a demanded system-year.
 pub const CACHE_LOOKUP: usize = 3;
-/// Packing scalar series into K-wide lanes for the batched kernel.
-pub const LANE_PACK: usize = 4;
 /// One fused multi-lane annual reduction pass.
-pub const FUSED_REDUCTION: usize = 5;
-/// One sweep chunk: prepare, aggregate, fold (batched or scalar).
-pub const SWEEP_CHUNK: usize = 6;
+pub const FUSED_REDUCTION: usize = 4;
+/// One sweep chunk: prepare, aggregate, fold.
+pub const SWEEP_CHUNK: usize = 5;
 /// Synthetic job-trace generation (`workload::TraceGenerator`), nested
 /// inside [`WORKLOAD_SIM`].
-pub const TRACE_GEN: usize = 7;
+pub const TRACE_GEN: usize = 6;
 /// FCFS + EASY-backfill cluster-year scheduling
 /// (`workload::ClusterSim`), nested inside [`WORKLOAD_SIM`].
-pub const CLUSTER_SIM: usize = 8;
+pub const CLUSTER_SIM: usize = 7;
 /// Utilization → hourly power/energy conversion
 /// (`workload::PowerModel`), nested inside [`WORKLOAD_SIM`].
-pub const POWER_MODEL: usize = 9;
+pub const POWER_MODEL: usize = 8;
 /// One sweep chunk's preparation (`scenario::batch`): combination index
 /// → compiled section picks and lane keys. Nested inside
 /// [`SWEEP_CHUNK`], opened once per chunk.
-pub const SWEEP_PREPARE: usize = 10;
+pub const SWEEP_PREPARE: usize = 9;
 /// One sweep chunk's finish (`scenario::batch`): metric arithmetic on
 /// the resolved lanes and the top-N (or row) fold. Nested inside
 /// [`SWEEP_CHUNK`], opened once per chunk.
-pub const TOPN: usize = 11;
+pub const TOPN: usize = 10;
 /// Number of profiled stages.
-pub const STAGE_COUNT: usize = 12;
+pub const STAGE_COUNT: usize = 11;
 
 /// Stage names, indexed by the stage constants.
 pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
@@ -67,7 +65,6 @@ pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
     "grid_kernel",
     "wue_series",
     "cache_lookup",
-    "lane_pack",
     "fused_reduction",
     "sweep_chunk",
     "trace_gen",
@@ -230,17 +227,17 @@ mod tests {
         {
             let _outer = span(SWEEP_CHUNK);
             {
-                let _inner = span(LANE_PACK);
+                let _inner = span(FUSED_REDUCTION);
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
         {
-            let _again = span(LANE_PACK);
+            let _again = span(FUSED_REDUCTION);
         }
         set_enabled(false);
         let snap = snapshot();
         assert_eq!(snap[SWEEP_CHUNK].invocations, 1);
-        assert_eq!(snap[LANE_PACK].invocations, 2);
+        assert_eq!(snap[FUSED_REDUCTION].invocations, 2);
         assert_eq!(snap.len(), STAGE_COUNT);
         assert_eq!(snap[SWEEP_CHUNK].stage, "sweep_chunk");
         // The outer stage's self time excludes the nested span's ≥2 ms.

@@ -542,9 +542,9 @@ mod tests {
             let _t = begin(7, true);
             {
                 let _outer = span::span(span::SWEEP_CHUNK);
-                let _inner = span::span(span::LANE_PACK);
+                let _inner = span::span(span::FUSED_REDUCTION);
             }
-            let _sibling = span::span(span::LANE_PACK);
+            let _sibling = span::span(span::FUSED_REDUCTION);
         }
         let (events, dropped) = events_snapshot(None);
         assert_eq!(dropped, 0);
@@ -557,12 +557,12 @@ mod tests {
         assert_eq!(outer.parent_id, 0);
         let nested = events
             .iter()
-            .find(|e| e.name == "lane_pack" && e.parent_id == outer.span_id)
+            .find(|e| e.name == "fused_reduction" && e.parent_id == outer.span_id)
             .expect("nested span parents to outer");
         assert_eq!(nested.kind, EventKind::Span);
         assert!(events
             .iter()
-            .any(|e| e.name == "lane_pack" && e.parent_id == 0));
+            .any(|e| e.name == "fused_reduction" && e.parent_id == 0));
 
         // Folded rollup erases ids into canonical paths.
         let folded = folded_snapshot();
@@ -570,9 +570,9 @@ mod tests {
         assert_eq!(
             paths,
             vec![
-                ("lane_pack", 1),
+                ("fused_reduction", 1),
                 ("sweep_chunk", 1),
-                ("sweep_chunk;lane_pack", 1)
+                ("sweep_chunk;fused_reduction", 1)
             ]
         );
 

@@ -19,23 +19,23 @@
 //! aggregate cache is keyed on values (racing recomputes are
 //! bit-identical), chunk results merge in chunk order, and the top-N
 //! kept set is push-order-independent — so sweep reports are
-//! byte-identical at every thread count and chunk size, batched or
-//! scalar (`docs/CONCURRENCY.md`, enforced by `tests/batch.rs` and
-//! `./ci.sh batch-smoke`).
+//! byte-identical at every thread count and chunk size, and row-identical
+//! to evaluating each combination on its own (`docs/CONCURRENCY.md`,
+//! enforced by `tests/batch.rs` and `./ci.sh batch-smoke`).
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use rayon::prelude::*;
 use thirstyflops_catalog::{SystemId, SystemSpec};
-use thirstyflops_core::batch::{self as kernel, BatchContext, LaneRequest, TopN};
+use thirstyflops_core::batch::{BatchContext, LaneRequest, TopN};
 use thirstyflops_grid::RegionId;
 use thirstyflops_obs::span;
 use thirstyflops_obs::Counter;
 use thirstyflops_units::{Pue, WaterScarcityIndex};
 use thirstyflops_weather::ClimatePreset;
 
-use crate::engine::{self, AggregateInputs, ScenarioMetrics};
+use crate::engine::{self, ScenarioMetrics};
 use crate::spec::{Overrides, ScenarioError};
 use crate::sweep::{
     rank_key, SweepPlan, SweepReport, SweepRow, SweepSpec, Variants, DEFAULT_RANK_METRIC, SECTIONS,
@@ -44,8 +44,8 @@ use crate::sweep::{
 /// Combinations per chunk: small enough that a materialized chunk is
 /// noise next to the heap, large enough that per-chunk overhead (lock
 /// traffic, kernel launch) amortizes. Fixed — results must not depend
-/// on it, and `tests/batch.rs` checks they don't by comparing against
-/// the scalar path, which chunks identically but never batches.
+/// on it, and `tests/batch.rs` checks they don't by comparing a
+/// multi-chunk sweep against per-cell evaluation.
 const CHUNK: usize = 512;
 
 // Positions in `SECTIONS`.
@@ -229,20 +229,6 @@ fn evaluate_chunk(shared: &Shared<'_>, start: usize, end: usize) -> Result<Fold,
         Some(n) => Fold::Top(TopN::new(usize::try_from(n).expect("top_n fits usize"))),
         None => Fold::All(Vec::with_capacity(end - start)),
     };
-    if !kernel::enabled() {
-        // Scalar reference path (`--no-batch`): every cell rebuilt from
-        // its full spec and simulated on its own — independent of the
-        // compiled plan, so it stays an oracle for it.
-        let _topn = span::span(span::TOPN);
-        for index in start..end {
-            let spec = shared.sweep.combination(index)?;
-            let system = engine::apply_spec_overrides(&shared.base_spec, &spec.overrides)?;
-            let metrics = engine::metrics(&system, spec.seed, &spec.overrides)?;
-            fold.push(index, metrics, shared.rank_metric);
-        }
-        return Ok(fold);
-    }
-
     let mut spec = shared.base_spec.clone();
     let mut cells: Vec<(Cell<'_>, usize)> = Vec::with_capacity(end - start);
     let mut lanes: HashMap<LaneKey, usize> = HashMap::new();
@@ -284,23 +270,12 @@ fn evaluate_chunk(shared: &Shared<'_>, start: usize, end: usize) -> Result<Fold,
     let _topn = span::span(span::TOPN);
     for (index, (cell, lane)) in (start..end).zip(&cells) {
         patch(&mut spec, cell);
-        let agg = &aggregates[*lane];
-        let inputs = AggregateInputs {
-            energy_kwh: agg.energy_kwh,
-            direct: agg.direct_l,
-            indirect: agg.indirect_per_pue_l * spec.pue.value(),
-            carbon_g: agg.carbon_g,
-            mean_wue: agg.mean_wue,
-            mean_ewf: agg.mean_ewf,
-            mean_carbon: agg.mean_carbon,
-            monthly_direct: agg.monthly_direct_l,
-        };
         let metrics = engine::finish_metrics(
             &spec,
             cell[RECLAIMED].overrides.reclaimed.as_ref(),
             cell[WATER_PRICE].overrides.water_price.as_ref(),
             cell[FLEET_UPGRADE].overrides.fleet_upgrade.as_ref(),
-            &inputs,
+            &aggregates[*lane],
         );
         fold.push(index, metrics, shared.rank_metric);
     }
@@ -314,8 +289,8 @@ pub(crate) fn evaluate_sweep_streaming(sweep: &SweepSpec) -> Result<SweepReport,
         ScenarioError::Invalid(format!("{e} — `thirstyflops systems` lists the catalog"))
     })?;
     let base_spec = SystemSpec::reference(base_id);
-    // The shared baseline: the scalar path, exactly as `evaluate` would
-    // compute it (one row — batching buys nothing).
+    // The shared baseline: the single-scenario path, exactly as
+    // `evaluate` would compute it (one row — batching buys nothing).
     let baseline = engine::metrics(&base_spec, sweep.seed, &Overrides::default())?;
     let ctx = BatchContext::new();
     let (plan, compiled) = SweepPlan::compile(sweep);

@@ -13,9 +13,10 @@
 //! (`tests/scenario.rs`).
 
 use thirstyflops_catalog::SystemSpec;
+use thirstyflops_core::batch::LaneAggregates;
 use thirstyflops_core::embodied::EmbodiedBreakdown;
 use thirstyflops_core::lifecycle::gpu_upgrade_water;
-use thirstyflops_core::{OperationalBreakdown, SystemYear};
+use thirstyflops_core::SystemYear;
 use thirstyflops_grid::EnergyMix;
 use thirstyflops_timeseries::{HourlySeries, Month};
 use thirstyflops_units::Pue;
@@ -205,8 +206,8 @@ pub fn apply_spec_overrides(base: &SystemSpec, o: &Overrides) -> Result<SystemSp
 /// `docs/SCENARIOS.md` for the semantics: `mix` pins the annual mean to
 /// the replacement mix's factors, `mix_delta` shifts the simulated level
 /// by the ratio of shifted-to-base annual-mix factors). Takes the
-/// annual means of the *unscaled* region series — the scalar path reads
-/// them off the simulated year, the batched path off its per-region
+/// annual means of the *unscaled* region series — the single-scenario
+/// path reads them off the simulated year, the sweep path off its per-region
 /// mean cache; the grid sub-simulation is deterministic, so the bits
 /// agree either way.
 pub(crate) fn grid_factors(
@@ -246,44 +247,18 @@ fn parse_mix_pairs(
         .collect())
 }
 
-/// Every annual reduction a configuration's metrics derive from its
-/// hourly series. The scalar path fills this with the fused
-/// `HourlySeries` kernels over one simulated year; the batched path
-/// (`crate::batch`) fills it from a `core::batch` lane — bit-identical
-/// per the `tests/batch.rs` differential suite. Everything downstream
-/// ([`finish_metrics`]) is cheap scalar arithmetic shared verbatim.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct AggregateInputs {
-    /// `Σ energy`, kWh.
-    pub energy_kwh: f64,
-    /// `Σ energy·wue'`, liters (post WUE scaling).
-    pub direct: f64,
-    /// `Σ energy·ewf' · PUE`, liters (post mix scaling).
-    pub indirect: f64,
-    /// `Σ energy·carbon'`, grams.
-    pub carbon_g: f64,
-    /// Annual mean of the (scaled) WUE series, L/kWh.
-    pub mean_wue: f64,
-    /// Annual mean of the (scaled) EWF series, L/kWh.
-    pub mean_ewf: f64,
-    /// Annual mean of the (scaled) carbon series, gCO₂/kWh.
-    pub mean_carbon: f64,
-    /// Monthly `Σ energy·wue'` (January first), liters.
-    pub monthly_direct: [f64; 12],
-}
-
 /// Measures one configuration: simulate (memoized), post-process the
 /// series per the overrides, and aggregate. Pure — identical inputs
 /// produce identical bytes at any thread count, cached or not. This is
-/// the scalar reference path; sweeps route through the batched kernel
-/// unless `--no-batch` pins them here.
+/// the single-scenario path and every sweep's baseline; sweep cells
+/// take their aggregates from the batched kernel instead
+/// (`crate::batch`).
 pub(crate) fn metrics(
     sys: &SystemSpec,
     seed: u64,
     o: &Overrides,
 ) -> Result<ScenarioMetrics, ScenarioError> {
     let year = SystemYear::simulate_spec(sys.clone(), seed);
-    let pue = sys.pue;
 
     // Series reinterpretation: WUE scaling and grid-mix factors.
     let wue: HourlySeries = match o.climate.as_ref().and_then(|c| c.wue_scale) {
@@ -298,21 +273,16 @@ pub(crate) fn metrics(
         None => (year.ewf.clone(), year.carbon.clone()),
     };
 
-    let breakdown = OperationalBreakdown::from_series(&year.energy, &wue, pue, &ewf);
     let monthly = year.energy.mul(&wue).monthly_sum();
-    let mut monthly_direct = [0.0; 12];
-    for (i, month) in Month::ALL.iter().enumerate() {
-        monthly_direct[i] = monthly.get(*month);
-    }
-    let agg = AggregateInputs {
+    let agg = LaneAggregates {
         energy_kwh: year.energy.total(),
-        direct: breakdown.direct.value(),
-        indirect: breakdown.indirect.value(),
+        direct_l: year.energy.dot(&wue),
+        indirect_per_pue_l: year.energy.dot(&ewf),
         carbon_g: year.energy.dot(&carbon),
         mean_wue: wue.mean(),
         mean_ewf: ewf.mean(),
         mean_carbon: carbon.mean(),
-        monthly_direct,
+        monthly_direct_l: Month::ALL.map(|month| monthly.get(month)),
     };
     Ok(finish_metrics(
         sys,
@@ -323,20 +293,23 @@ pub(crate) fn metrics(
     ))
 }
 
-/// The shared metric arithmetic on top of the annual aggregates:
-/// scarcity weighting, seasonal pricing, the lifecycle projection — the
-/// three override sections read here are the only ones left once `sys`
-/// and the aggregates carry the rest. Scalar and batched evaluation both
-/// end here, so the two paths cannot diverge downstream of the kernels.
+/// The shared metric arithmetic on top of the annual aggregates: the
+/// PUE factor on indirect water, scarcity weighting, seasonal pricing,
+/// the lifecycle projection — the three override sections read here are
+/// the only ones left once `sys` and the aggregates carry the rest.
+/// Single-scenario and sweep evaluation both end here, so the two paths
+/// cannot diverge downstream of the reductions.
 pub(crate) fn finish_metrics(
     sys: &SystemSpec,
     reclaimed: Option<&ReclaimedOverride>,
     water_price: Option<&WaterPriceOverride>,
     fleet_upgrade: Option<&FleetUpgradeOverride>,
-    a: &AggregateInputs,
+    a: &LaneAggregates,
 ) -> ScenarioMetrics {
-    let direct = a.direct;
-    let indirect = a.indirect;
+    let direct = a.direct_l;
+    // The expression `OperationalBreakdown::from_series` evaluates, so
+    // `indirect_water_l` keeps its bits.
+    let indirect = a.indirect_per_pue_l * sys.pue.value();
     let operational = direct + indirect;
     let energy_kwh = a.energy_kwh;
     let carbon_kg = a.carbon_g / 1000.0;
@@ -361,7 +334,7 @@ pub(crate) fn finish_metrics(
         .and_then(|r| r.usd_per_kl)
         .unwrap_or(DEFAULT_RECLAIMED_USD_PER_KL);
     let mut cost = 0.0;
-    for (i, monthly_l) in a.monthly_direct.iter().enumerate() {
+    for (i, monthly_l) in a.monthly_direct_l.iter().enumerate() {
         let multiplier = water_price
             .and_then(|wp| wp.monthly_multiplier.as_ref())
             .map_or(1.0, |m| m[i]);

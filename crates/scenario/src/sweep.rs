@@ -342,8 +342,8 @@ impl SweepSpec {
     /// pure mixed-radix arithmetic (first axis slowest, matching
     /// [`SweepSpec::expand`] order). Evaluation itself never rebuilds a
     /// valid cell this way — it picks compiled sections — but the
-    /// scalar reference path does, and an invalid cell's error is this
-    /// function's.
+    /// per-cell oracle in `tests/batch.rs` does, and an invalid cell's
+    /// error is this function's.
     ///
     /// # Panics
     /// Panics if `index >= combination_count()`.
@@ -673,9 +673,8 @@ impl SweepPlan {
 }
 
 /// Evaluates a sweep: chunked streaming evaluation through the batched
-/// K-lane kernel (or the scalar reference path under `--no-batch`),
-/// rows merged back in expansion order — bit-identical at every thread
-/// count and chunk size (`docs/CONCURRENCY.md`).
+/// K-lane kernel, rows merged back in expansion order — bit-identical at
+/// every thread count and chunk size (`docs/CONCURRENCY.md`).
 ///
 /// The expansion ceiling is enforced *here as well as* in
 /// [`SweepSpec::from_json`]: code-built sweeps (and any future caller

@@ -1,299 +1,30 @@
-//! K-lane structure-of-arrays kernels: the fused [`HourlySeries`](crate::hourly::HourlySeries)
-//! kernels generalized to K series evaluated in one pass over the hour
+//! The K-lane annual reduction: every annual sum the scenario engine and
+//! the fig06–08 statistics need, for K lanes, in one pass over the hour
 //! axis.
 //!
-//! A [`LaneBuffer`] packs K year-long series **hour-major** — sample
-//! `(hour, lane)` lives at `values[hour * lanes + lane]` — so one sweep
-//! over the 8760 hours touches every lane's sample for that hour in one
-//! cache line group. The batched evaluation kernel (`core::batch`)
-//! builds on these to score K sweep cells per pass instead of one.
+//! Each lane reads its own series slices in place ([`LaneSource`]).
+//! Sweeps share a handful of unique series across thousands of lanes
+//! (energy per system, WUE per climate, EWF/carbon per region), so the
+//! working set stays at the *unique*-series size rather than K copies of
+//! it.
 //!
-//! **Bit-identity contract.** Every scalar reduction these kernels
-//! replace is a left-to-right fold over the hour axis
+//! **Bit-identity contract.** Every scalar reduction the kernel replaces
+//! is a left-to-right fold over the hour axis
 //! ([`HourlySeries::dot`](crate::hourly::HourlySeries::dot), [`HourlySeries::total`](crate::hourly::HourlySeries::total),
-//! [`HourlySeries::monthly_sum`](crate::hourly::HourlySeries::monthly_sum), `stats::mean`). The K-lane kernels
-//! keep one accumulator per lane and visit hours in the same ascending
+//! [`HourlySeries::monthly_sum`](crate::hourly::HourlySeries::monthly_sum), `stats::mean`). The kernel keeps
+//! one accumulator per lane and visits hours in the same ascending
 //! order, so each lane performs the exact scalar operation sequence —
 //! the batched result is bit-identical to the scalar one, not merely
 //! close. `tests/batch.rs` enforces this differentially.
 
 use crate::calendar::{Month, SimCalendar, HOURS_PER_YEAR, MONTHS_PER_YEAR};
 
-/// K year-long series packed hour-major for single-pass K-lane kernels.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneBuffer {
-    lanes: usize,
-    values: Vec<f64>,
-}
-
-impl LaneBuffer {
-    /// A zeroed buffer with `lanes` lanes.
-    ///
-    /// # Panics
-    /// Panics if `lanes == 0` — an empty batch is a caller bug.
-    pub fn new(lanes: usize) -> Self {
-        assert!(lanes > 0, "a lane buffer needs at least one lane");
-        Self {
-            lanes,
-            values: vec![0.0; lanes * HOURS_PER_YEAR],
-        }
-    }
-
-    /// Number of lanes.
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Sample at `(hour, lane)`.
-    #[inline]
-    pub fn get(&self, hour: usize, lane: usize) -> f64 {
-        self.values[hour * self.lanes + lane]
-    }
-
-    /// Fills one lane from a year-long slice.
-    ///
-    /// # Panics
-    /// Panics if `src` is not exactly one year long.
-    pub fn set_lane(&mut self, lane: usize, src: &[f64]) {
-        assert_eq!(src.len(), HOURS_PER_YEAR, "lanes hold whole years");
-        for (h, &v) in src.iter().enumerate() {
-            self.values[h * self.lanes + lane] = v;
-        }
-    }
-
-    /// Fills one lane from a year-long slice, scaled by `k` when given.
-    ///
-    /// `Some(k)` materializes `v * k` per sample — the exact expression
-    /// [`HourlySeries::scale`](crate::hourly::HourlySeries::scale) materializes — and `None` copies the raw
-    /// samples, mirroring the scalar no-override branch (identity is
-    /// decided by the *presence* of a scale, never by its value, so a
-    /// literal `Some(1.0)` still multiplies).
-    pub fn set_lane_scaled(&mut self, lane: usize, src: &[f64], k: Option<f64>) {
-        assert_eq!(src.len(), HOURS_PER_YEAR, "lanes hold whole years");
-        match k {
-            Some(k) => {
-                for (h, &v) in src.iter().enumerate() {
-                    self.values[h * self.lanes + lane] = v * k;
-                }
-            }
-            None => self.set_lane(lane, src),
-        }
-    }
-
-    /// Fills every lane in one hour-outer pass — the cache-friendly
-    /// transpose of calling [`Self::set_lane_scaled`] per lane. The
-    /// per-lane writes stride by the lane count (a cache miss per sample
-    /// once K lanes span more than a line); packing hour-outer instead
-    /// streams the buffer sequentially while each source advances as its
-    /// own sequential read stream. Per sample the materialized value is
-    /// the identical expression (`v * k` when scaled, `v` raw), so the
-    /// write order cannot affect bit-identity.
-    ///
-    /// # Panics
-    /// Panics if the source count differs from the lane count or any
-    /// source is not exactly one year long.
-    pub fn pack_scaled(&mut self, sources: &[(&[f64], Option<f64>)]) {
-        assert_eq!(sources.len(), self.lanes, "one source per lane");
-        for (src, _) in sources {
-            assert_eq!(src.len(), HOURS_PER_YEAR, "lanes hold whole years");
-        }
-        for h in 0..HOURS_PER_YEAR {
-            let row = &mut self.values[h * self.lanes..(h + 1) * self.lanes];
-            for (slot, (src, k)) in row.iter_mut().zip(sources) {
-                *slot = match k {
-                    Some(k) => src[h] * k,
-                    None => src[h],
-                };
-            }
-        }
-    }
-
-    /// Copies one lane back out as a year-long vector (strided gather).
-    pub fn lane_values(&self, lane: usize) -> Vec<f64> {
-        (0..HOURS_PER_YEAR).map(|h| self.get(h, lane)).collect()
-    }
-}
-
-/// K-lane dot product: `acc[l] = Σ_h a[h,l]·b[h,l]`, one pass over the
-/// hour axis. Per lane this is bit-identical to [`HourlySeries::dot`](crate::hourly::HourlySeries::dot) —
-/// products accumulate from 0.0 in ascending hour order.
-///
-/// # Panics
-/// Panics if the buffers or `acc` disagree on the lane count.
-pub fn dot_k(a: &LaneBuffer, b: &LaneBuffer, acc: &mut [f64]) {
-    let lanes = a.lanes;
-    assert_eq!(b.lanes, lanes, "lane counts must match");
-    assert_eq!(acc.len(), lanes, "one accumulator per lane");
-    acc.fill(0.0);
-    for h in 0..HOURS_PER_YEAR {
-        let row_a = &a.values[h * lanes..(h + 1) * lanes];
-        let row_b = &b.values[h * lanes..(h + 1) * lanes];
-        for l in 0..lanes {
-            acc[l] += row_a[l] * row_b[l];
-        }
-    }
-}
-
-/// K-lane total: `acc[l] = Σ_h a[h,l]` — per lane bit-identical to
-/// [`HourlySeries::total`](crate::hourly::HourlySeries::total).
-pub fn sum_k(a: &LaneBuffer, acc: &mut [f64]) {
-    let lanes = a.lanes;
-    assert_eq!(acc.len(), lanes, "one accumulator per lane");
-    acc.fill(0.0);
-    for h in 0..HOURS_PER_YEAR {
-        let row = &a.values[h * lanes..(h + 1) * lanes];
-        for l in 0..lanes {
-            acc[l] += row[l];
-        }
-    }
-}
-
-/// K-lane annual mean: `acc[l] = (Σ_h a[h,l]) / 8760` — per lane
-/// bit-identical to [`HourlySeries::mean`](crate::hourly::HourlySeries::mean) (`stats::mean` is the same
-/// ordered sum divided by the length).
-pub fn mean_k(a: &LaneBuffer, acc: &mut [f64]) {
-    sum_k(a, acc);
-    for v in acc.iter_mut() {
-        *v /= HOURS_PER_YEAR as f64;
-    }
-}
-
-/// K-lane fused `out[h,l] = a[h,l] + b[h,l]·k[l]` — the
-/// `WI = WUE + PUE·EWF` kernel ([`HourlySeries::add_scaled`](crate::hourly::HourlySeries::add_scaled)) with a
-/// per-lane scale factor.
-///
-/// # Panics
-/// Panics if any buffer or `k` disagrees on the lane count.
-pub fn add_scaled_k(a: &LaneBuffer, b: &LaneBuffer, k: &[f64], out: &mut LaneBuffer) {
-    let lanes = a.lanes;
-    assert_eq!(b.lanes, lanes, "lane counts must match");
-    assert_eq!(out.lanes, lanes, "lane counts must match");
-    assert_eq!(k.len(), lanes, "one scale per lane");
-    for h in 0..HOURS_PER_YEAR {
-        let row_a = &a.values[h * lanes..(h + 1) * lanes];
-        let row_b = &b.values[h * lanes..(h + 1) * lanes];
-        let row_o = &mut out.values[h * lanes..(h + 1) * lanes];
-        for l in 0..lanes {
-            row_o[l] = row_a[l] + row_b[l] * k[l];
-        }
-    }
-}
-
-/// K-lane monthly product sums: `out[l * 12 + m] = Σ_{h∈month m}
-/// a[h,l]·b[h,l]`, lane-major. Months are contiguous hour ranges, so per
-/// `(lane, month)` the products accumulate from 0.0 in ascending hour
-/// order — bit-identical to `a.mul(&b).monthly_sum()` on that lane.
-///
-/// # Panics
-/// Panics if the buffers disagree on lanes or `out` is not
-/// `lanes * 12` long.
-pub fn monthly_dot_k(a: &LaneBuffer, b: &LaneBuffer, out: &mut [f64]) {
-    let lanes = a.lanes;
-    assert_eq!(b.lanes, lanes, "lane counts must match");
-    assert_eq!(out.len(), lanes * MONTHS_PER_YEAR, "12 slots per lane");
-    out.fill(0.0);
-    let cal = SimCalendar;
-    for (m, &month) in Month::ALL.iter().enumerate() {
-        for h in cal.month_hours(month) {
-            let row_a = &a.values[h * lanes..(h + 1) * lanes];
-            let row_b = &b.values[h * lanes..(h + 1) * lanes];
-            for l in 0..lanes {
-                out[l * MONTHS_PER_YEAR + m] += row_a[l] * row_b[l];
-            }
-        }
-    }
-}
-
-/// Every annual reduction the batched scenario evaluator needs, for K
-/// lanes, produced by [`annual_reductions_k`] in a single pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnnualLaneReductions {
-    /// `Σ_h e[h,l]` per lane.
-    pub energy_total: Vec<f64>,
-    /// `Σ_h e[h,l]·w[h,l]` per lane.
-    pub direct: Vec<f64>,
-    /// `Σ_h e[h,l]·f[h,l]` per lane.
-    pub indirect: Vec<f64>,
-    /// `Σ_h e[h,l]·c[h,l]` per lane.
-    pub carbon: Vec<f64>,
-    /// `mean_h w[h,l]` per lane.
-    pub wue_mean: Vec<f64>,
-    /// `mean_h f[h,l]` per lane.
-    pub ewf_mean: Vec<f64>,
-    /// `mean_h c[h,l]` per lane.
-    pub carbon_mean: Vec<f64>,
-    /// Monthly `Σ e·w`, lane-major (`[l * 12 + m]`).
-    pub monthly_direct: Vec<f64>,
-}
-
-/// The fused K-lane reduction: every accumulator of
-/// [`AnnualLaneReductions`] filled in one pass over the hour axis,
-/// reading each buffer once instead of once per reduction.
-///
-/// **Bit-identity.** Each accumulator is an independent left-to-right
-/// fold; months are contiguous ascending hour ranges partitioning the
-/// year, so iterating months-outer/hours-inner visits hours 0..8760 in
-/// exactly the scalar order. Per step the expressions are the scalar
-/// ones (`acc += e`, `acc += e*w`, …), so every output is bit-identical
-/// to the corresponding single-purpose kernel ([`sum_k`], [`dot_k`],
-/// [`mean_k`], [`monthly_dot_k`]) — the fusion only removes redundant
-/// memory traffic.
-///
-/// # Panics
-/// Panics if the buffers disagree on the lane count.
-pub fn annual_reductions_k(
-    e: &LaneBuffer,
-    w: &LaneBuffer,
-    f: &LaneBuffer,
-    c: &LaneBuffer,
-) -> AnnualLaneReductions {
-    let lanes = e.lanes;
-    assert_eq!(w.lanes, lanes, "lane counts must match");
-    assert_eq!(f.lanes, lanes, "lane counts must match");
-    assert_eq!(c.lanes, lanes, "lane counts must match");
-    let mut out = AnnualLaneReductions {
-        energy_total: vec![0.0; lanes],
-        direct: vec![0.0; lanes],
-        indirect: vec![0.0; lanes],
-        carbon: vec![0.0; lanes],
-        wue_mean: vec![0.0; lanes],
-        ewf_mean: vec![0.0; lanes],
-        carbon_mean: vec![0.0; lanes],
-        monthly_direct: vec![0.0; lanes * MONTHS_PER_YEAR],
-    };
-    let cal = SimCalendar;
-    for (m, &month) in Month::ALL.iter().enumerate() {
-        for h in cal.month_hours(month) {
-            let row_e = &e.values[h * lanes..(h + 1) * lanes];
-            let row_w = &w.values[h * lanes..(h + 1) * lanes];
-            let row_f = &f.values[h * lanes..(h + 1) * lanes];
-            let row_c = &c.values[h * lanes..(h + 1) * lanes];
-            for l in 0..lanes {
-                let ew = row_e[l] * row_w[l];
-                out.energy_total[l] += row_e[l];
-                out.direct[l] += ew;
-                out.indirect[l] += row_e[l] * row_f[l];
-                out.carbon[l] += row_e[l] * row_c[l];
-                out.wue_mean[l] += row_w[l];
-                out.ewf_mean[l] += row_f[l];
-                out.carbon_mean[l] += row_c[l];
-                out.monthly_direct[l * MONTHS_PER_YEAR + m] += ew;
-            }
-        }
-    }
-    for l in 0..lanes {
-        out.wue_mean[l] /= HOURS_PER_YEAR as f64;
-        out.ewf_mean[l] /= HOURS_PER_YEAR as f64;
-        out.carbon_mean[l] /= HOURS_PER_YEAR as f64;
-    }
-    out
-}
-
-/// One lane's source series plus the post-simulation scales, for the
-/// zero-copy [`annual_reductions_scaled`] kernel. Scales follow the
-/// [`LaneBuffer::set_lane_scaled`] contract: identity is decided by the
-/// *presence* of a scale, never by its value.
+/// One lane's source series plus the post-simulation scales, for
+/// [`annual_reductions_scaled`]. Identity is decided by the *presence*
+/// of a scale, never by its value: `Some(k)` evaluates `v * k` per
+/// sample — the exact expression
+/// [`HourlySeries::scale`](crate::hourly::HourlySeries::scale) materializes — so a literal `Some(1.0)`
+/// still multiplies, and `None` reads the raw samples.
 #[derive(Debug, Clone, Copy)]
 pub struct LaneSource<'a> {
     /// Hourly IT energy, kWh.
@@ -312,45 +43,59 @@ pub struct LaneSource<'a> {
     pub carbon_scale: Option<f64>,
 }
 
-/// [`annual_reductions_k`] computed straight from the source slices —
-/// no lane buffers materialized. Sweeps share a handful of unique
-/// series across thousands of lanes (energy per system, WUE per
-/// climate, EWF/carbon per region); packing copies each of them once
-/// per lane, inflating a cache-resident working set by the lane count.
-/// Reading the shared slices in place keeps the working set at the
-/// *unique*-series size.
+/// Every annual reduction the scenario engine derives from one lane's
+/// hourly series (`w`, `f`, `c` are the scaled WUE, EWF and carbon
+/// series). The remaining metric arithmetic (PUE application, scarcity
+/// weights, pricing, lifecycle) is cheap scalar post-processing on these.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LaneAggregates {
+    /// `Σ energy` — annual IT energy, kWh.
+    pub energy_kwh: f64,
+    /// `Σ energy·w` — annual direct water, liters.
+    pub direct_l: f64,
+    /// `Σ energy·f` — annual indirect water *before* the PUE factor
+    /// (the scalar path multiplies the dot by `pue` afterwards).
+    pub indirect_per_pue_l: f64,
+    /// `Σ energy·c` — annual operational carbon, grams.
+    pub carbon_g: f64,
+    /// Annual mean of `w`, L/kWh.
+    pub mean_wue: f64,
+    /// Annual mean of `f`, L/kWh.
+    pub mean_ewf: f64,
+    /// Annual mean of `c`, gCO₂/kWh.
+    pub mean_carbon: f64,
+    /// Monthly `Σ energy·w` (January first), liters.
+    pub monthly_direct_l: [f64; MONTHS_PER_YEAR],
+}
+
+/// The fused K-lane reduction: every field of [`LaneAggregates`] for
+/// each lane, in one pass over the hour axis, straight from the source
+/// slices.
 ///
-/// **Bit-identity.** Per hour and lane the evaluated expressions are
-/// exactly the pack-then-reduce ones — the scaled sample is `v * k`
-/// (or `v` raw), then the same fold steps in the same ascending hour
-/// order. `lanes::tests` pins equality against
-/// [`LaneBuffer::pack_scaled`] + [`annual_reductions_k`] bit for bit.
+/// **Bit-identity.** Each accumulator is an independent left-to-right
+/// fold from 0.0; months are contiguous ascending hour ranges
+/// partitioning the year, so iterating months-outer/hours-inner visits
+/// hours 0..8760 in exactly the scalar order. Per step the expressions
+/// are the scalar ones (`v * k` for a scaled sample, then `acc += e`,
+/// `acc += e*w`, …), and a mean is its ordered sum divided by 8760, as
+/// `stats::mean` computes it. `lanes::tests` pins every field against
+/// the scalar [`HourlySeries`](crate::hourly::HourlySeries) expressions bit for bit.
 ///
 /// # Panics
 /// Panics if `sources` is empty or any slice is not a whole year.
-pub fn annual_reductions_scaled(sources: &[LaneSource<'_>]) -> AnnualLaneReductions {
-    let lanes = sources.len();
-    assert!(lanes > 0, "a lane batch needs at least one lane");
+pub fn annual_reductions_scaled(sources: &[LaneSource<'_>]) -> Vec<LaneAggregates> {
+    assert!(!sources.is_empty(), "a lane batch needs at least one lane");
     for s in sources {
         assert_eq!(s.energy.len(), HOURS_PER_YEAR, "lanes hold whole years");
         assert_eq!(s.wue.len(), HOURS_PER_YEAR, "lanes hold whole years");
         assert_eq!(s.ewf.len(), HOURS_PER_YEAR, "lanes hold whole years");
         assert_eq!(s.carbon.len(), HOURS_PER_YEAR, "lanes hold whole years");
     }
-    let mut out = AnnualLaneReductions {
-        energy_total: vec![0.0; lanes],
-        direct: vec![0.0; lanes],
-        indirect: vec![0.0; lanes],
-        carbon: vec![0.0; lanes],
-        wue_mean: vec![0.0; lanes],
-        ewf_mean: vec![0.0; lanes],
-        carbon_mean: vec![0.0; lanes],
-        monthly_direct: vec![0.0; lanes * MONTHS_PER_YEAR],
-    };
+    let mut out = vec![LaneAggregates::default(); sources.len()];
     let cal = SimCalendar;
     for (m, &month) in Month::ALL.iter().enumerate() {
         for h in cal.month_hours(month) {
-            for (l, s) in sources.iter().enumerate() {
+            for (acc, s) in out.iter_mut().zip(sources) {
                 let e = s.energy[h];
                 let w = match s.wue_scale {
                     Some(k) => s.wue[h] * k,
@@ -365,21 +110,21 @@ pub fn annual_reductions_scaled(sources: &[LaneSource<'_>]) -> AnnualLaneReducti
                     None => s.carbon[h],
                 };
                 let ew = e * w;
-                out.energy_total[l] += e;
-                out.direct[l] += ew;
-                out.indirect[l] += e * f;
-                out.carbon[l] += e * c;
-                out.wue_mean[l] += w;
-                out.ewf_mean[l] += f;
-                out.carbon_mean[l] += c;
-                out.monthly_direct[l * MONTHS_PER_YEAR + m] += ew;
+                acc.energy_kwh += e;
+                acc.direct_l += ew;
+                acc.indirect_per_pue_l += e * f;
+                acc.carbon_g += e * c;
+                acc.mean_wue += w;
+                acc.mean_ewf += f;
+                acc.mean_carbon += c;
+                acc.monthly_direct_l[m] += ew;
             }
         }
     }
-    for l in 0..lanes {
-        out.wue_mean[l] /= HOURS_PER_YEAR as f64;
-        out.ewf_mean[l] /= HOURS_PER_YEAR as f64;
-        out.carbon_mean[l] /= HOURS_PER_YEAR as f64;
+    for acc in &mut out {
+        acc.mean_wue /= HOURS_PER_YEAR as f64;
+        acc.mean_ewf /= HOURS_PER_YEAR as f64;
+        acc.mean_carbon /= HOURS_PER_YEAR as f64;
     }
     out
 }
@@ -393,57 +138,49 @@ mod tests {
         HourlySeries::from_fn(|h| ((h * (13 + phase)) % 29) as f64 * 0.37 + phase as f64 * 0.01)
     }
 
-    #[test]
-    fn lane_round_trip_and_scaling() {
-        let a = series(0);
-        let mut buf = LaneBuffer::new(3);
-        buf.set_lane(0, a.values());
-        buf.set_lane_scaled(1, a.values(), Some(1.75));
-        buf.set_lane_scaled(2, a.values(), None);
-        assert_eq!(buf.lane_values(0), a.values());
-        assert_eq!(buf.lane_values(1), a.scale(1.75).values());
-        assert_eq!(buf.lane_values(2), a.values());
-        // Some(1.0) multiplies — presence decides, not the value.
-        let mut one = LaneBuffer::new(1);
-        one.set_lane_scaled(0, a.values(), Some(1.0));
-        assert_eq!(one.lane_values(0), a.scale(1.0).values());
+    fn scaled(s: &HourlySeries, k: Option<f64>) -> HourlySeries {
+        match k {
+            Some(k) => s.scale(k),
+            None => s.clone(),
+        }
     }
 
     #[test]
     fn k_lane_kernels_match_their_scalar_pairs_bit_for_bit() {
-        let series_a: Vec<HourlySeries> = (0..4).map(series).collect();
-        let series_b: Vec<HourlySeries> = (4..8).map(series).collect();
-        let scales = [1.618_033_988_7, 0.5, 2.25, 1.0];
-        let mut a = LaneBuffer::new(4);
-        let mut b = LaneBuffer::new(4);
-        for l in 0..4 {
-            a.set_lane(l, series_a[l].values());
-            b.set_lane(l, series_b[l].values());
-        }
-        let mut dots = [0.0; 4];
-        dot_k(&a, &b, &mut dots);
-        let mut sums = [0.0; 4];
-        sum_k(&a, &mut sums);
-        let mut means = [0.0; 4];
-        mean_k(&a, &mut means);
-        let mut fused = LaneBuffer::new(4);
-        add_scaled_k(&a, &b, &scales, &mut fused);
-        let mut monthly = vec![0.0; 4 * MONTHS_PER_YEAR];
-        monthly_dot_k(&a, &b, &mut monthly);
-        for l in 0..4 {
-            assert_eq!(dots[l], series_a[l].dot(&series_b[l]), "dot lane {l}");
-            assert_eq!(sums[l], series_a[l].total(), "total lane {l}");
-            assert_eq!(means[l], series_a[l].mean(), "mean lane {l}");
-            assert_eq!(
-                fused.lane_values(l),
-                series_a[l].add_scaled(&series_b[l], scales[l]).values(),
-                "add_scaled lane {l}"
-            );
-            let scalar_monthly = series_a[l].mul(&series_b[l]).monthly_sum();
+        let srcs: Vec<HourlySeries> = (0..16).map(series).collect();
+        // `Some(1.0)` multiplies like any other scale — presence decides.
+        let scales = [None, Some(1.618_033_988_7), Some(1.0), Some(0.25)];
+        let lanes = 4;
+        let sources: Vec<LaneSource> = (0..lanes)
+            .map(|l| LaneSource {
+                energy: srcs[l].values(),
+                wue: srcs[l + 4].values(),
+                ewf: srcs[l + 8].values(),
+                carbon: srcs[l + 12].values(),
+                wue_scale: scales[l],
+                ewf_scale: scales[(l + 1) % 4],
+                carbon_scale: scales[(l + 2) % 4],
+            })
+            .collect();
+        let got = annual_reductions_scaled(&sources);
+        assert_eq!(got.len(), lanes);
+        for (l, (agg, s)) in got.iter().zip(&sources).enumerate() {
+            let energy = &srcs[l];
+            let w = scaled(&srcs[l + 4], s.wue_scale);
+            let f = scaled(&srcs[l + 8], s.ewf_scale);
+            let c = scaled(&srcs[l + 12], s.carbon_scale);
+            assert_eq!(agg.energy_kwh, energy.total(), "total lane {l}");
+            assert_eq!(agg.direct_l, energy.dot(&w), "direct lane {l}");
+            assert_eq!(agg.indirect_per_pue_l, energy.dot(&f), "indirect lane {l}");
+            assert_eq!(agg.carbon_g, energy.dot(&c), "carbon lane {l}");
+            assert_eq!(agg.mean_wue, w.mean(), "wue mean lane {l}");
+            assert_eq!(agg.mean_ewf, f.mean(), "ewf mean lane {l}");
+            assert_eq!(agg.mean_carbon, c.mean(), "carbon mean lane {l}");
+            let monthly = energy.mul(&w).monthly_sum();
             for (m, &month) in Month::ALL.iter().enumerate() {
                 assert_eq!(
-                    monthly[l * MONTHS_PER_YEAR + m],
-                    scalar_monthly.get(month),
+                    agg.monthly_direct_l[m],
+                    monthly.get(month),
                     "monthly lane {l} month {m}"
                 );
             }
@@ -452,95 +189,137 @@ mod tests {
 
     #[test]
     fn fused_reductions_match_the_single_purpose_kernels_bit_for_bit() {
-        let mk = |phase: usize| -> LaneBuffer {
-            let mut buf = LaneBuffer::new(3);
-            for l in 0..3 {
-                buf.set_lane(l, series(phase + l).values());
+        // Unscaled lanes, an odd lane count: every fused field equals the
+        // single-purpose scalar reduction it replaces.
+        let srcs: Vec<HourlySeries> = (0..28).map(series).collect();
+        let lanes = 7;
+        let sources: Vec<LaneSource> = (0..lanes)
+            .map(|l| LaneSource {
+                energy: srcs[l].values(),
+                wue: srcs[l + 7].values(),
+                ewf: srcs[l + 14].values(),
+                carbon: srcs[l + 21].values(),
+                wue_scale: None,
+                ewf_scale: None,
+                carbon_scale: None,
+            })
+            .collect();
+        let got = annual_reductions_scaled(&sources);
+        for (l, agg) in got.iter().enumerate() {
+            let (e, w, f, c) = (&srcs[l], &srcs[l + 7], &srcs[l + 14], &srcs[l + 21]);
+            assert_eq!(agg.energy_kwh, e.total(), "sum lane {l}");
+            assert_eq!(agg.direct_l, e.dot(w), "dot(e,w) lane {l}");
+            assert_eq!(agg.indirect_per_pue_l, e.dot(f), "dot(e,f) lane {l}");
+            assert_eq!(agg.carbon_g, e.dot(c), "dot(e,c) lane {l}");
+            assert_eq!(agg.mean_wue, w.mean(), "mean w lane {l}");
+            assert_eq!(agg.mean_ewf, f.mean(), "mean f lane {l}");
+            assert_eq!(agg.mean_carbon, c.mean(), "mean c lane {l}");
+            let monthly = e.mul(w).monthly_sum();
+            for (m, &month) in Month::ALL.iter().enumerate() {
+                assert_eq!(
+                    agg.monthly_direct_l[m],
+                    monthly.get(month),
+                    "lane {l} month {m}"
+                );
             }
-            buf
-        };
-        let (e, w, f, c) = (mk(0), mk(3), mk(6), mk(9));
-        let fused = annual_reductions_k(&e, &w, &f, &c);
-        let mut expect = vec![0.0; 3];
-        sum_k(&e, &mut expect);
-        assert_eq!(fused.energy_total, expect);
-        dot_k(&e, &w, &mut expect);
-        assert_eq!(fused.direct, expect);
-        dot_k(&e, &f, &mut expect);
-        assert_eq!(fused.indirect, expect);
-        dot_k(&e, &c, &mut expect);
-        assert_eq!(fused.carbon, expect);
-        mean_k(&w, &mut expect);
-        assert_eq!(fused.wue_mean, expect);
-        mean_k(&f, &mut expect);
-        assert_eq!(fused.ewf_mean, expect);
-        mean_k(&c, &mut expect);
-        assert_eq!(fused.carbon_mean, expect);
-        let mut monthly = vec![0.0; 3 * MONTHS_PER_YEAR];
-        monthly_dot_k(&e, &w, &mut monthly);
-        assert_eq!(fused.monthly_direct, monthly);
+        }
     }
 
     #[test]
     fn zero_copy_reductions_match_pack_then_reduce_bit_for_bit() {
-        let srcs: Vec<HourlySeries> = (0..12).map(series).collect();
-        let scales = [None, Some(1.3), Some(1.0)];
-        let sources: Vec<LaneSource> = (0..3)
+        // Many lanes share the same few slices in place, as sweeps do.
+        // Reference: materialize every scaled series first, then reduce
+        // the copies unscaled — the result must not move by a bit.
+        let srcs: Vec<HourlySeries> = (0..4).map(series).collect();
+        let scales = [None, Some(1.618_033_988_7), Some(1.0), Some(0.25)];
+        let lanes = 9;
+        let sources: Vec<LaneSource> = (0..lanes)
             .map(|l| LaneSource {
-                energy: srcs[l].values(),
-                wue: srcs[l + 3].values(),
-                ewf: srcs[l + 6].values(),
-                carbon: srcs[l + 9].values(),
-                wue_scale: scales[l],
-                ewf_scale: scales[(l + 1) % 3],
-                carbon_scale: scales[(l + 2) % 3],
+                energy: srcs[l % 2].values(),
+                wue: srcs[(l + 1) % 4].values(),
+                ewf: srcs[2].values(),
+                carbon: srcs[3].values(),
+                wue_scale: scales[l % 4],
+                ewf_scale: scales[(l + 1) % 4],
+                carbon_scale: scales[(l + 3) % 4],
             })
             .collect();
-        let direct = annual_reductions_scaled(&sources);
-        let pack =
-            |pick: for<'a> fn(&'a LaneSource<'a>) -> (&'a [f64], Option<f64>)| -> LaneBuffer {
-                let mut buf = LaneBuffer::new(3);
-                let picked: Vec<(&[f64], Option<f64>)> = sources.iter().map(pick).collect();
-                buf.pack_scaled(&picked);
-                buf
-            };
-        let e = pack(|s| (s.energy, None));
-        let w = pack(|s| (s.wue, s.wue_scale));
-        let f = pack(|s| (s.ewf, s.ewf_scale));
-        let c = pack(|s| (s.carbon, s.carbon_scale));
-        assert_eq!(direct, annual_reductions_k(&e, &w, &f, &c));
+        let packed: Vec<[HourlySeries; 3]> = (0..lanes)
+            .map(|l| {
+                [
+                    scaled(&srcs[(l + 1) % 4], scales[l % 4]),
+                    scaled(&srcs[2], scales[(l + 1) % 4]),
+                    scaled(&srcs[3], scales[(l + 3) % 4]),
+                ]
+            })
+            .collect();
+        let reference: Vec<LaneSource> = (0..lanes)
+            .map(|l| LaneSource {
+                energy: srcs[l % 2].values(),
+                wue: packed[l][0].values(),
+                ewf: packed[l][1].values(),
+                carbon: packed[l][2].values(),
+                wue_scale: None,
+                ewf_scale: None,
+                carbon_scale: None,
+            })
+            .collect();
+        assert_eq!(
+            annual_reductions_scaled(&sources),
+            annual_reductions_scaled(&reference)
+        );
     }
 
     #[test]
-    fn pack_scaled_is_the_exact_transpose_of_per_lane_packing() {
-        let srcs: Vec<HourlySeries> = (0..5).map(series).collect();
-        let scales = [None, Some(1.75), Some(1.0), None, Some(0.25)];
-        let mut per_lane = LaneBuffer::new(5);
-        for (l, src) in srcs.iter().enumerate() {
-            per_lane.set_lane_scaled(l, src.values(), scales[l]);
+    fn lane_round_trip_and_scaling() {
+        let year = series(3);
+        let lane = |k: Option<f64>| LaneSource {
+            energy: year.values(),
+            wue: year.values(),
+            ewf: year.values(),
+            carbon: year.values(),
+            wue_scale: k,
+            ewf_scale: k,
+            carbon_scale: k,
+        };
+        let k = 2.375_117;
+        let got = annual_reductions_scaled(&[lane(None), lane(Some(k)), lane(Some(1.0))]);
+        // `None` reads the raw samples.
+        assert_eq!(got[0].mean_wue, year.mean());
+        assert_eq!(got[0].direct_l, year.dot(&year));
+        // `Some(k)` is exactly `HourlySeries::scale(k)`.
+        let s = year.scale(k);
+        assert_eq!(got[1].mean_wue, s.mean());
+        assert_eq!(got[1].mean_ewf, s.mean());
+        assert_eq!(got[1].mean_carbon, s.mean());
+        assert_eq!(got[1].direct_l, year.dot(&s));
+        // `Some(1.0)` still multiplies; `v * 1.0 == v`, so it lands on the raw lane.
+        assert_eq!(got[2], got[0]);
+        // Each lane is independent of its batch: alone it gives the same bits.
+        for (i, k) in [None, Some(k), Some(1.0)].into_iter().enumerate() {
+            assert_eq!(annual_reductions_scaled(&[lane(k)])[0], got[i], "lane {i}");
         }
-        let mut packed = LaneBuffer::new(5);
-        let sources: Vec<(&[f64], Option<f64>)> = srcs
-            .iter()
-            .zip(scales)
-            .map(|(s, k)| (s.values(), k))
-            .collect();
-        packed.pack_scaled(&sources);
-        assert_eq!(packed, per_lane);
     }
 
     #[test]
     #[should_panic(expected = "at least one lane")]
     fn zero_lanes_is_a_bug() {
-        LaneBuffer::new(0);
+        annual_reductions_scaled(&[]);
     }
 
     #[test]
-    #[should_panic(expected = "lane counts must match")]
+    #[should_panic(expected = "lanes hold whole years")]
     fn mismatched_lanes_panic() {
-        let a = LaneBuffer::new(2);
-        let b = LaneBuffer::new(3);
-        let mut acc = [0.0; 2];
-        dot_k(&a, &b, &mut acc);
+        let year = series(0);
+        let short = &year.values()[..HOURS_PER_YEAR - 1];
+        annual_reductions_scaled(&[LaneSource {
+            energy: year.values(),
+            wue: year.values(),
+            ewf: short,
+            carbon: year.values(),
+            wue_scale: None,
+            ewf_scale: None,
+            carbon_scale: None,
+        }]);
     }
 }

@@ -14,9 +14,9 @@
 //! * [`MonthlySeries`] — one value per month, produced by resampling;
 //! * [`stats`] — mean/median/quantile/std/extremes, min-max normalization,
 //!   Pearson and Spearman correlation, distribution summaries;
-//! * [`lanes`] — K-lane structure-of-arrays buffers and the fused kernels
-//!   generalized to K series per pass (`dot_k`, `add_scaled_k`, …),
-//!   bit-identical per lane to the scalar kernels;
+//! * [`lanes`] — the fused K-lane annual reduction: every annual sum of
+//!   K lanes in one pass over the hour axis, bit-identical per lane to
+//!   the scalar kernels;
 //! * [`Frame`] — a tiny named-column table with CSV export and group-by,
 //!   used by the experiment harness to emit figure/table rows.
 
@@ -33,6 +33,5 @@ pub mod stats;
 pub use calendar::{Month, SimCalendar, HOURS_PER_DAY, HOURS_PER_YEAR, MONTHS_PER_YEAR};
 pub use frame::{Column, Frame, FrameError};
 pub use hourly::HourlySeries;
-pub use lanes::LaneBuffer;
 pub use monthly::MonthlySeries;
 pub use stats::{DistributionSummary, StatsError};

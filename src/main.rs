@@ -42,8 +42,8 @@ fn main() {
 }
 
 fn run(raw_args: &[String]) -> i32 {
-    // `--threads N`, `--no-sim-cache`, `--no-batch`, `--profile`,
-    // `--trace-out FILE`, and `--trace-sample N` are global flags:
+    // `--threads N`, `--no-sim-cache`, `--profile`, `--trace-out FILE`,
+    // and `--trace-sample N` are global flags:
     // extract them wherever they appear (before or after the
     // subcommand) so positional parsing below never sees them.
     let (args, profile, trace_out) = match extract_global_flags(raw_args) {
@@ -61,12 +61,6 @@ fn run(raw_args: &[String]) -> i32 {
                 // simulation recomputes from scratch. Output is
                 // byte-identical either way (tests/simcache.rs).
                 thirstyflops::core::simcache::set_enabled(false);
-            }
-            if global.no_batch {
-                // Pin sweeps to the scalar reference path instead of the
-                // batched K-lane kernel. Output is byte-identical either
-                // way (tests/batch.rs, ./ci.sh batch-smoke).
-                thirstyflops::core::batch::set_enabled(false);
             }
             if global.profile {
                 // Span aggregation on the instrumented hot stages
@@ -187,18 +181,17 @@ fn usage() {
          Every command also accepts --threads N (worker threads for the\n\
          parallel sweeps; defaults to THIRSTYFLOPS_THREADS, then the CPU\n\
          count), --no-sim-cache (recompute every simulation instead of\n\
-         using the memoized substrate — docs/PERFORMANCE.md), --no-batch\n\
-         (evaluate sweeps on the scalar reference path instead of the\n\
-         batched K-lane kernel), --profile (print a per-stage span\n\
-         profile, the registered counters, and the folded-stack rollup\n\
-         to stderr afterwards — docs/OBSERVABILITY.md; as JSON when\n\
-         --json is set), --trace-out FILE (write the run's span tree as\n\
-         Chrome trace_event JSON, viewable in about://tracing or\n\
-         Perfetto), and --trace-sample N|1/N (record every N-th serve\n\
-         request, keyed off the deterministic request ordinal). Results\n\
-         are identical at every thread count, cached or not, batched or\n\
-         not, profiled or traced or not, and --json output is\n\
-         byte-identical to the HTTP API's (docs/SERVING.md).\n\n\
+         using the memoized substrate — docs/PERFORMANCE.md), --profile\n\
+         (print a per-stage span profile, the registered counters, and\n\
+         the folded-stack rollup to stderr afterwards —\n\
+         docs/OBSERVABILITY.md; as JSON when --json is set), --trace-out\n\
+         FILE (write the run's span tree as Chrome trace_event JSON,\n\
+         viewable in about://tracing or Perfetto), and --trace-sample\n\
+         N|1/N (record every N-th serve request, keyed off the\n\
+         deterministic request ordinal). Results are identical at every\n\
+         thread count, cached or not, profiled or traced or not, and\n\
+         --json output is byte-identical to the HTTP API's\n\
+         (docs/SERVING.md).\n\n\
          Systems: marconi, fugaku, polaris, frontier, aurora, elcapitan"
     );
 }
@@ -212,8 +205,6 @@ struct GlobalFlags {
     threads: Option<usize>,
     /// `--no-sim-cache`: disable the memoized simulation substrate.
     no_sim_cache: bool,
-    /// `--no-batch`: evaluate sweeps on the scalar reference path.
-    no_batch: bool,
     /// `--profile`: print the span/counter profile to stderr afterwards.
     profile: bool,
     /// `--trace-out FILE`: write the Chrome `trace_event` JSON export
@@ -224,14 +215,13 @@ struct GlobalFlags {
     trace_sample: Option<u64>,
 }
 
-/// Splits the global `--threads N` / `--no-sim-cache` / `--no-batch` /
-/// `--profile` / `--trace-out FILE` / `--trace-sample N` flags (any
-/// position) out of the argument list.
+/// Splits the global `--threads N` / `--no-sim-cache` / `--profile` /
+/// `--trace-out FILE` / `--trace-sample N` flags (any position) out of
+/// the argument list.
 fn extract_global_flags(args: &[String]) -> Result<GlobalFlags, String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut threads = None;
     let mut no_sim_cache = false;
-    let mut no_batch = false;
     let mut profile = false;
     let mut trace_out = None;
     let mut trace_sample = None;
@@ -239,10 +229,6 @@ fn extract_global_flags(args: &[String]) -> Result<GlobalFlags, String> {
     while let Some(arg) = iter.next() {
         if arg == "--no-sim-cache" {
             no_sim_cache = true;
-            continue;
-        }
-        if arg == "--no-batch" {
-            no_batch = true;
             continue;
         }
         if arg == "--profile" {
@@ -292,7 +278,6 @@ fn extract_global_flags(args: &[String]) -> Result<GlobalFlags, String> {
         args: rest,
         threads,
         no_sim_cache,
-        no_batch,
         profile,
         trace_out,
         trace_sample,

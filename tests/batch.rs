@@ -1,16 +1,18 @@
 //! The scalar-vs-batched differential suite (acceptance criteria).
 //!
 //! The batched K-lane kernel (`core::batch`) promises *bit identity*
-//! with the scalar path, not approximate agreement: every lane of a
-//! batch must reproduce, to the last IEEE bit, what the scalar oracle
-//! `SystemYear::simulate_uncached` plus the fused scalar reductions
-//! produce for the same spec and seed. These tests enforce that with
-//! `assert_eq!` on raw `f64`s — no tolerances anywhere — across
-//! proptest-random spec batches, thread counts, chunkings, and the
-//! simulation cache on or off. The streaming top-N aggregator gets the
-//! same treatment: its kept set must equal full-sort-then-truncate
-//! under the (key, index) total order, independent of push or merge
-//! order (docs/CONCURRENCY.md).
+//! with the scalar expressions, not approximate agreement: every lane
+//! of a batch must reproduce, to the last IEEE bit, what the scalar
+//! oracle `SystemYear::simulate_uncached` plus the fused scalar
+//! reductions produce for the same spec and seed, and every row of a
+//! compiled sweep must equal evaluating its combination on its own
+//! (`per_cell_oracle`). These tests enforce that with `assert_eq!` on
+//! raw `f64`s — no tolerances anywhere — across proptest-random spec
+//! batches, thread counts, chunkings, and the simulation cache on or
+//! off. The streaming top-N aggregator gets the same treatment: its
+//! kept set must equal full-sort-then-truncate under the (key, index)
+//! total order, independent of push or merge order
+//! (docs/CONCURRENCY.md).
 
 use std::collections::HashSet;
 use std::process::Command;
@@ -31,35 +33,6 @@ fn spec_for(pick: u64, nodes: u64, util: f64) -> SystemSpec {
     spec.nodes = 50 + (nodes % 2000) as u32;
     spec.mean_utilization = util;
     spec
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Tentpole acceptance: random batches through `simulate_batch`
-    /// reproduce the uncached scalar oracle series-for-series,
-    /// bit-for-bit.
-    #[test]
-    fn batched_simulation_matches_the_uncached_oracle(
-        lanes in collection::vec((0u64..4, 0u64..10_000, 0.30f64..0.95, 0u64..1_000_000), 1..6)
-    ) {
-        let ctx = BatchContext::new();
-        let requests: Vec<(SystemSpec, u64)> = lanes
-            .iter()
-            .map(|&(pick, nodes, util, seed)| (spec_for(pick, nodes, util), seed))
-            .collect();
-        let batched = ctx.simulate_batch(&requests);
-        prop_assert_eq!(batched.len(), requests.len());
-        for ((spec, seed), year) in requests.iter().zip(&batched) {
-            let oracle = SystemYear::simulate_uncached(spec.clone(), *seed);
-            prop_assert_eq!(&year.utilization, &oracle.utilization);
-            prop_assert_eq!(&year.energy, &oracle.energy);
-            prop_assert_eq!(&year.wue, &oracle.wue);
-            prop_assert_eq!(&year.ewf, &oracle.ewf);
-            prop_assert_eq!(&year.carbon, &oracle.carbon);
-        }
-    }
-
 }
 
 proptest! {
@@ -238,18 +211,15 @@ fn streaming_top_n_rows_equal_sort_then_truncate_of_the_full_report() {
 }
 
 /// CLI-level differential: `scenario sweep --json` emits byte-identical
-/// reports batched and scalar (`--no-batch`), at 1 and 8 threads, with
-/// the simulation cache on and off — every combination, one byte set.
+/// reports at 1 and 8 threads, with the simulation cache on and off —
+/// every combination, one byte set. Rows against the per-cell oracle
+/// are `compiled_sweep_rows_equal_the_per_cell_oracle`'s job.
 #[test]
 fn cli_sweep_bytes_identical_batched_vs_scalar_across_threads_and_cache() {
     let path = spec_path("sweep_siting.json");
     let mut bodies: Vec<Vec<u8>> = Vec::new();
     for threads in ["1", "8"] {
-        for extra in [
-            &[][..],
-            &["--no-batch"][..],
-            &["--no-batch", "--no-sim-cache"][..],
-        ] {
+        for extra in [&[][..], &["--no-sim-cache"][..]] {
             let mut args = vec!["scenario", "sweep", path.as_str(), "--json"];
             args.extend_from_slice(extra);
             let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
@@ -264,16 +234,16 @@ fn cli_sweep_bytes_identical_batched_vs_scalar_across_threads_and_cache() {
     for body in &bodies[1..] {
         assert_eq!(
             &bodies[0], body,
-            "sweep bytes must not depend on batching, threads, or the cache"
+            "sweep bytes must not depend on threads or the cache"
         );
     }
 }
 
 /// The same differential over a *streaming* (top-N) sweep: a 600-cell
 /// spec — more than one 512-row chunk, so chunked top-N merging runs —
-/// produces one byte set batched vs scalar at both thread counts. The
-/// scalar run is the expensive oracle; 600 cells keeps it tractable in
-/// a debug test (the 101,250-cell spec is `./ci.sh batch-smoke`'s job).
+/// produces one byte set at 1 and 8 threads (the 101,250-cell spec is
+/// `./ci.sh batch-smoke`'s job). The top-7 of a two-chunk sweep against
+/// the per-cell oracle is `compiled_sweep_rows_equal_the_per_cell_oracle`'s.
 #[test]
 fn cli_streaming_sweep_bytes_identical_batched_vs_scalar() {
     let spec = r#"{
@@ -289,44 +259,17 @@ fn cli_streaming_sweep_bytes_identical_batched_vs_scalar() {
     std::fs::write(&path, spec).expect("spec writes");
     let path = path.to_str().expect("temp path is UTF-8");
     let mut bodies: Vec<Vec<u8>> = Vec::new();
-    for (threads, extra) in [("1", None), ("8", None), ("1", Some("--no-batch"))] {
-        let mut args = vec!["scenario", "sweep", path, "--json"];
-        if let Some(flag) = extra {
-            args.push(flag);
-        }
+    for threads in ["1", "8"] {
         let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
-            .args(&args)
+            .args(["scenario", "sweep", path, "--json"])
             .env("THIRSTYFLOPS_THREADS", threads)
             .output()
             .expect("CLI binary runs");
-        assert!(out.status.success(), "{args:?} failed: {out:?}");
+        assert!(out.status.success(), "{threads} threads failed: {out:?}");
         bodies.push(out.stdout);
     }
     assert!(bodies[0].len() > 100, "report is non-trivial");
     assert_eq!(bodies[0], bodies[1], "thread count leaked into the bytes");
-    assert_eq!(bodies[0], bodies[2], "batching leaked into the bytes");
-}
-
-/// The batch toggle round-trips through the environment: under
-/// `THIRSTYFLOPS_NO_BATCH=1` the sweep still answers (scalar path) and
-/// `/v1/cache/stats`' batch section reports the kernel disabled.
-#[test]
-fn no_batch_env_var_disables_the_kernel() {
-    let path = spec_path("sweep_siting.json");
-    let flagged = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
-        .args(["scenario", "sweep", &path, "--json"])
-        .env("THIRSTYFLOPS_NO_BATCH", "1")
-        .output()
-        .expect("CLI binary runs");
-    assert!(flagged.status.success());
-    let plain = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
-        .args(["scenario", "sweep", &path, "--json"])
-        .output()
-        .expect("CLI binary runs");
-    assert_eq!(
-        flagged.stdout, plain.stdout,
-        "the oracle agrees with the kernel"
-    );
 }
 
 // ---------------------------------------- compiled sweeps vs the oracle

@@ -127,3 +127,30 @@ fn profile_counts_are_identical_across_cache_modes() {
         "non-cache counters depend on cache mode"
     );
 }
+
+/// The fig06–08 lane statistics (`core::batch::year_lane_stats`) run one
+/// fused kernel pass over the four paper years, and a `fig07` profile
+/// counts the same stages and counters at 1 and 8 threads.
+#[test]
+fn fig07_lane_stats_profile_is_thread_count_independent() {
+    const FIG07: [&str; 4] = ["experiments", "fig07", "--json", "--profile"];
+    let one = run(&[&FIG07[..], &["--threads", "1"]].concat());
+    let eight = run(&[&FIG07[..], &["--threads", "8"]].concat());
+    assert_eq!(one.stdout, eight.stdout, "fig07 output depends on threads");
+    let (stages_1, counters_1) = counts(&profile(&one));
+    let (stages_8, counters_8) = counts(&profile(&eight));
+    assert_eq!(stages_1, stages_8, "span counts depend on thread count");
+    assert_eq!(counters_1, counters_8, "counters depend on thread count");
+    let count = |list: &Counts, name: &str| {
+        list.iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("{name} missing from {list:?}"))
+    };
+    assert_eq!(count(&stages_1, "fused_reduction"), 1);
+    assert_eq!(count(&counters_1, "thirstyflops_batch_lanes_total"), 4);
+    assert_eq!(
+        count(&counters_1, "thirstyflops_batch_kernel_passes_total"),
+        1
+    );
+}
