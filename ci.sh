@@ -27,7 +27,9 @@
 #   ./ci.sh trace-smoke    # causal-tracing gate: --trace-out leaves
 #                          # stdout untouched and exports valid Chrome
 #                          # trace_event JSON, the folded span-tree
-#                          # shape is byte-identical at 1 and 8 threads,
+#                          # shape of the siting sweep and of
+#                          # experiments --all is byte-identical at 1
+#                          # and 8 threads,
 #                          # and GET /v1/trace answers over raw TCP with
 #                          # the client's X-Request-Id echoed and the
 #                          # request access-logged as strict JSON
@@ -46,6 +48,9 @@
 #                          # keep-alive loadgen run -> BENCH_serve.json
 #                          # (docs/PERFORMANCE.md, docs/SERVING.md;
 #                          # baselines are preserved)
+#   ./ci.sh fanout-check   # every rayon fan-out in crates/*/src and src/
+#                          # wraps its per-item closure in
+#                          # trace::propagate (part of every gate run)
 #   ./ci.sh regen-goldens  # regenerate the golden-pinned artifacts for a
 #                          # deliberate recalibration (see docs/GOLDENS.md)
 #
@@ -67,6 +72,43 @@ if [[ "$mode" == "regen-goldens" ]]; then
   step "golden-pinned sections (fig03 fig06 fig07 fig08) from $out"
   grep -A 12 -E '^## (fig03|fig06|fig07|fig08) ' "$out" || true
   printf '\nFull report: %s\nUpdate the constants in tests/golden.rs, then re-run ./ci.sh\n' "$out"
+  exit 0
+fi
+
+fanout_check() {
+  # Every rayon fan-out must go through thirstyflops_obs::trace::propagate
+  # so its workers' spans join the spawning trace (docs/OBSERVABILITY.md,
+  # docs/CONCURRENCY.md rule seven). A par_iter / into_par_iter /
+  # par_iter_mut / par_chunks / rayon::join in crates/*/src or src/
+  # fails unless `propagate(` follows on the same line or within the
+  # next three code lines. shims/ and crates/bench/benches are outside
+  # the searched trees; comment lines are skipped.
+  step "fan-out check (every rayon site goes through trace::propagate)"
+  local bare
+  bare=$(find src crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    function report() { if (pending != "") print pending; pending = "" }
+    FNR == 1 { report() }
+    /^[[:space:]]*\/\// { next }
+    {
+      if (pending != "" && ++seen > 3) report()
+      if (pending == "" && $0 ~ /(into_)?par_iter(_mut)?\(|par_chunks\(|rayon::join/) {
+        pending = FILENAME ":" FNR ":" $0
+        seen = 0
+      }
+      if (pending != "" && index($0, "propagate(")) pending = ""
+    }
+    END { report() }
+  ')
+  if [[ -n "$bare" ]]; then
+    echo "fan-out check: rayon sites not wrapped in trace::propagate:" >&2
+    printf '%s\n' "$bare" >&2
+    exit 1
+  fi
+  printf '  ok every rayon fan-out attaches the trace\n'
+}
+
+if [[ "$mode" == "fanout-check" ]]; then
+  fanout_check
   exit 0
 fi
 
@@ -314,6 +356,25 @@ PY
   fi
   printf '  ok folded span-tree shape byte-identical at 1 and 8 threads\n'
 
+  # The same contract across every fan-out of the paper artifacts: the
+  # folded section (the report's last key) of experiments --all.
+  for threads in 1 8; do
+    THIRSTYFLOPS_THREADS=$threads "$bin" experiments --all --json --profile \
+      > /dev/null 2> "target/trace_experiments_t$threads.json"
+    sed -n '/"folded"/,$p' "target/trace_experiments_t$threads.json" | grep -v '_ns"' \
+      > "target/trace_experiments_shape_t$threads.json"
+  done
+  if ! grep -q 'workload_sim;trace_gen' target/trace_experiments_shape_t1.json; then
+    echo "trace smoke: experiments --all folded stacks miss workload_sim;trace_gen" >&2
+    exit 1
+  fi
+  if ! cmp -s target/trace_experiments_shape_t1.json target/trace_experiments_shape_t8.json; then
+    echo "trace smoke: experiments --all span-tree shape differs at 1 vs 8 threads" >&2
+    diff target/trace_experiments_shape_t1.json target/trace_experiments_shape_t8.json >&2 || true
+    exit 1
+  fi
+  printf '  ok experiments --all folded shape byte-identical at 1 and 8 threads\n'
+
   # /v1/trace + X-Request-Id echo + --log-json over raw TCP.
   "$bin" serve --addr 127.0.0.1:0 --workers 1 --log-json     > target/trace_serve_banner.txt 2> target/trace_access_log.txt &
   local server_pid=$!
@@ -419,6 +480,8 @@ fi
 
 step "cargo fmt --check"
 cargo fmt --all --check
+
+fanout_check
 
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

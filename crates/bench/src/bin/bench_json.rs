@@ -78,11 +78,15 @@ fn main() {
     // where cold_simulate_ns actually goes, tracked across PRs like the
     // medians. Invocation counts are deterministic; self_ns shares are
     // wall-clock and move with the medians.
-    thirstyflops_obs::span::reset();
-    thirstyflops_obs::span::set_enabled(true);
-    std::hint::black_box(SystemYear::simulate_uncached(spec.clone(), 77));
-    thirstyflops_obs::span::set_enabled(false);
-    let cold_stages: String = thirstyflops_obs::span::snapshot()
+    thirstyflops_obs::trace::set_enabled(true);
+    thirstyflops_obs::trace::reset();
+    {
+        let _ctx = thirstyflops_obs::trace::begin(0, true);
+        std::hint::black_box(SystemYear::simulate_uncached(spec.clone(), 77));
+    }
+    thirstyflops_obs::trace::set_enabled(false);
+    let cold_stages: String = thirstyflops_obs::report::profile_report()
+        .stages
         .iter()
         .filter(|s| s.invocations > 0)
         .map(|s| {
@@ -93,7 +97,7 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(", ");
-    thirstyflops_obs::span::reset();
+    thirstyflops_obs::trace::reset();
 
     // Trace-recorder overhead on the identical cold workload: off (the
     // measurement above repeated, as the in-run control), on (spans

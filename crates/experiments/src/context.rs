@@ -8,6 +8,7 @@ use rayon::prelude::*;
 use thirstyflops_catalog::SystemId;
 use thirstyflops_core::batch::{year_lane_stats, YearLaneStats};
 use thirstyflops_core::SystemYear;
+use thirstyflops_obs::trace::propagate;
 
 use crate::SEED;
 
@@ -27,7 +28,7 @@ pub fn paper_years() -> &'static [Arc<SystemYear>] {
     YEARS.get_or_init(|| {
         SystemId::PAPER
             .par_iter()
-            .map(|&id| SystemYear::simulate(id, SEED))
+            .map(propagate(|&id: &SystemId| SystemYear::simulate(id, SEED)))
             .collect()
     })
 }

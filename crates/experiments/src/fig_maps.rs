@@ -1,7 +1,9 @@
 //! Fig. 1 (US panorama) and Fig. 10 (county-level WSI variation).
 
+use rayon::prelude::*;
 use thirstyflops_catalog::wsi::CountyWsiField;
 use thirstyflops_catalog::{usmap, wsi};
+use thirstyflops_obs::trace::propagate;
 use thirstyflops_timeseries::Frame;
 
 use crate::{Experiment, SEED};
@@ -55,10 +57,13 @@ pub fn fig01() -> Experiment {
 pub fn fig10() -> Experiment {
     // The two county fields are independent seeded generations; run them
     // on two workers when a pool is configured.
-    let (il, tn) = rayon::join(
-        || CountyWsiField::generate("IL", 102, SEED).expect("IL is cataloged"),
-        || CountyWsiField::generate("TN", 95, SEED).expect("TN is cataloged"),
-    );
+    let fields: Vec<CountyWsiField> = [("IL", 102), ("TN", 95)]
+        .par_iter()
+        .map(propagate(|&(state, counties): &(&str, usize)| {
+            CountyWsiField::generate(state, counties, SEED).expect("IL and TN are cataloged")
+        }))
+        .collect();
+    let (il, tn) = (&fields[0], &fields[1]);
 
     // US-wide state-level extremes for the third panel.
     let mut us_min = f64::INFINITY;

@@ -16,6 +16,7 @@ use rayon::prelude::*;
 use thirstyflops_catalog::SystemId;
 use thirstyflops_core::withdrawal::{withdrawal_report, WithdrawalParams};
 use thirstyflops_grid::Scenario;
+use thirstyflops_obs::trace::propagate;
 use thirstyflops_scenario::{GridOverride, ScenarioSpec};
 use thirstyflops_timeseries::Frame;
 use thirstyflops_units::{Fraction, Liters};
@@ -58,7 +59,7 @@ pub fn fig14() -> Experiment {
     // merged back in Table 1 order.
     let per_system: Vec<Vec<(String, String, f64, f64)>> = SystemId::PAPER
         .par_iter()
-        .map(|&id| {
+        .map(propagate(|&id: &SystemId| {
             scenarios
                 .iter()
                 .map(|&s| {
@@ -76,7 +77,7 @@ pub fn fig14() -> Experiment {
                     )
                 })
                 .collect()
-        })
+        }))
         .collect();
 
     let mut system_col = Vec::new();

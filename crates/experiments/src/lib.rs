@@ -23,6 +23,7 @@ mod fig_scheduling;
 mod fig_temporal;
 
 use rayon::prelude::*;
+use thirstyflops_obs::trace::propagate;
 use thirstyflops_timeseries::Frame;
 
 pub use fig_embodied::{fig03, fig04, table01, table02};
@@ -91,7 +92,7 @@ const REGENERATORS: [Regenerator; 21] = [
 /// by whichever worker touches it first, and the output order is always
 /// the paper order regardless of thread count.
 pub fn all() -> Vec<Experiment> {
-    REGENERATORS.par_iter().map(|(_, regen)| regen()).collect()
+    select(&ids())
 }
 
 /// Only the named experiments, paper order, in one parallel sweep —
@@ -103,7 +104,10 @@ pub fn select(ids: &[&str]) -> Vec<Experiment> {
         .filter(|(id, _)| ids.contains(id))
         .map(|&(_, regen)| regen)
         .collect();
-    picked.par_iter().map(|regen| regen()).collect()
+    picked
+        .par_iter()
+        .map(propagate(|regen: &fn() -> Experiment| regen()))
+        .collect()
 }
 
 /// The known artifact ids, paper order (cheap — regenerates nothing).

@@ -2,7 +2,7 @@
 //! shared log₂-bucket latency histogram, deterministic span profiling, and
 //! Prometheus text exposition.
 //!
-//! Three parts, all std-only and lock-free on the hot path:
+//! Four parts, all std-only; counter updates and span opens take no lock:
 //!
 //! - **[`registry`]** — named counters, gauges, and histograms registered
 //!   once and updated through cloneable atomic handles. Producers (the
@@ -10,17 +10,19 @@
 //!   simulator) register their counters here instead of keeping private
 //!   statics; consumers render everything in one stable-sorted Prometheus
 //!   text body.
-//! - **[`span`]** — scoped RAII spans over a fixed set of named hot
-//!   stages, aggregating `{invocations, total/self wall-time}` into flat
-//!   per-stage atomics. Invocation counts are bit-identical across thread
-//!   counts and cache modes (`docs/OBSERVABILITY.md`); durations are
-//!   wall-clock and explicitly exempt. Disabled spans cost one relaxed
-//!   atomic load and allocate nothing.
-//! - **[`trace`]** — a bounded causal trace recorder: per-request span
-//!   trees with parent links in a fixed-capacity ring, exported as
-//!   Chrome `trace_event` JSON, a folded-stacks rollup, and fault
-//!   annotations for structured access logs. Tree *shape* is
-//!   deterministic; timestamps are not.
+//! - **[`span`]** — the fixed set of named hot stages and the scoped
+//!   RAII span guard over them. The guard keeps no state of its own;
+//!   it opens and closes spans in [`trace`]. Disabled spans cost one
+//!   relaxed atomic load and allocate nothing.
+//! - **[`trace`]** — the one span sink: per-request span trees with
+//!   parent links, a fixed-capacity event ring exported as Chrome
+//!   `trace_event` JSON, a per-path rollup that `--profile` reads both
+//!   its stage table and its folded stacks from, the
+//!   [`trace::propagate`] fan-out helper every rayon site goes through,
+//!   and fault annotations for structured access logs. Span counts and
+//!   tree *shape* are bit-identical across thread counts and cache
+//!   modes (`docs/OBSERVABILITY.md`); durations are wall-clock and
+//!   explicitly exempt.
 //! - **[`prom`] / [`report`]** — the Prometheus text writer shared by the
 //!   registry and `serve`'s per-instance endpoint table, and the
 //!   `--profile` report (human table or JSON) the CLI prints to stderr.
@@ -42,8 +44,8 @@ pub mod trace;
 pub use hist::LatencyHistogram;
 pub use registry::Counter;
 
-/// Serializes the unit tests that flip the process-global span and
-/// trace switches. libtest runs tests on parallel threads, so without
+/// Serializes the unit tests that flip the process-global trace
+/// switch. libtest runs tests on parallel threads, so without
 /// it a test that turns profiling on would also count the spans another
 /// test opens at the same moment.
 #[cfg(test)]

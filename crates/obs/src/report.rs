@@ -1,5 +1,5 @@
-//! The `--profile` report: the span snapshot plus the registry's
-//! counters, rendered as a human table or JSON.
+//! The `--profile` report: the trace rollup (per stage and per path)
+//! plus the registry's counters, rendered as a human table or JSON.
 //!
 //! The CLI prints this to **stderr** after the command finishes, so
 //! stdout (the actual command output) stays byte-identical with
@@ -8,8 +8,7 @@
 //! the `*_ns` fields before comparing; they are wall-clock.
 
 use crate::registry;
-use crate::span::{self, StageProfile};
-use crate::trace::{self, FoldedStack};
+use crate::trace::{self, FoldedStack, StageProfile};
 
 /// One registered counter's value at report time.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -23,26 +22,27 @@ pub struct CounterSample {
 /// The full profile: every span stage plus every registered counter.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ProfileReport {
-    /// Per-stage span aggregates, in fixed stage order.
+    /// Per-stage span aggregates, in fixed stage order: the rollup
+    /// summed by leaf stage.
     pub stages: Vec<StageProfile>,
     /// Registered counters in exposition order (gauges and histograms
     /// excluded — counts are what the determinism contract covers).
     pub counters: Vec<CounterSample>,
-    /// Flamegraph-style folded stacks from the trace recorder, sorted
-    /// by path. Empty unless tracing was on (`--trace-out`); `count`
-    /// is deterministic, `self_ns` is wall-clock.
+    /// Flamegraph-style folded stacks from the trace rollup, sorted by
+    /// path. `count` is deterministic, `self_ns` is wall-clock.
     pub folded: Vec<FoldedStack>,
 }
 
 /// Captures the current profile.
 pub fn profile_report() -> ProfileReport {
+    let rollup = trace::rollup();
     ProfileReport {
-        stages: span::snapshot(),
+        stages: rollup.stages(),
         counters: registry::counters_snapshot()
             .into_iter()
             .map(|(name, value)| CounterSample { name, value })
             .collect(),
-        folded: trace::folded_snapshot(),
+        folded: rollup.folded(),
     }
 }
 

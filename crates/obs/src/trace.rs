@@ -1,45 +1,89 @@
-//! Bounded causal trace recorder: span trees with parent links.
+//! The one span sink: causal span trees with parent links, a bounded
+//! event ring, and a per-path rollup.
 //!
-//! The span profiler ([`crate::span`]) aggregates stages into flat
-//! atomics; this module records *individual* span events — each with a
-//! trace id, a span id, and a parent link — into one process-wide
-//! fixed-capacity ring, so a request's (or a whole CLI run's) causal
-//! tree can be exported as Chrome `trace_event` JSON or folded into a
-//! flamegraph-style self-time rollup.
+//! Every span ([`crate::span::span`]) lands here. Closing a span
+//! pushes its event — trace id, span id, parent link — into one
+//! process-wide fixed-capacity ring (exported as Chrome `trace_event`
+//! JSON), and adds its duration to the [`Rollup`] entry of its
+//! ancestor path. The rollup is what `--profile` reports: the folded
+//! stacks are its paths, the stage table is the same rollup summed by
+//! leaf stage. It is not bounded by the ring, so an overwritten event
+//! never skews either view.
 //!
 //! **Contexts.** Recording is request-scoped: a thread opens a trace
 //! context with [`begin`] (the CLI root, or `serve` per request) and
-//! every span that opens while the context is active lands in the ring
-//! with its parent set to the innermost open span. Fan-out sites
-//! (`scenario::batch`) capture a [`TraceHandle`] before spawning and
-//! [`TraceHandle::attach`] it on each worker, so worker spans join the
-//! spawning trace with a deterministic parent (the span open at the
-//! capture site), not whatever the worker happens to be doing.
-//! Injected faults [`mark`] the active trace and are also collected
-//! per-context for structured access logs.
+//! every span that opens while the context is active is recorded with
+//! its parent set to the innermost open span. Every rayon fan-out
+//! wraps its per-item closure in [`propagate`], so worker spans join
+//! the spawning trace under the span open at the fan-out. Spans opened
+//! outside any context record nothing. Injected faults [`mark`] the
+//! active trace and are also collected per-context for structured
+//! access logs.
 //!
 //! **Determinism** (`docs/OBSERVABILITY.md`, `docs/CONCURRENCY.md` rule
-//! seven): the tree *shape* — stage names, parent edges, counts — is a
-//! pure function of the input while the ring is within capacity;
-//! timestamps, durations, and event *order* in the ring are wall-clock
-//! and exempt. Span ids are per-trace sequential and allocation order
-//! is scheduling-dependent, which is why shape comparisons go through
-//! the canonical [`folded_snapshot`] rollup, never raw ids. Sampling
-//! ([`sampled`]) keys off the deterministic request ordinal, never
-//! wall-clock or RNG.
+//! seven): the tree *shape* — stage paths and their counts — is a pure
+//! function of the input; timestamps, durations, and event *order* in
+//! the ring are wall-clock and exempt. Span ids are per-trace
+//! sequential and allocation order is scheduling-dependent, which is
+//! why shape comparisons go through the [`Rollup`], never raw ids.
+//! Sampling ([`sampled`]) keys off the deterministic request ordinal,
+//! never wall-clock or RNG.
 //!
 //! **Cost.** Disabled (the default), the hook in [`crate::span::span`]
 //! is one relaxed load. Enabled, span open is thread-local work plus
-//! one relaxed `fetch_add`; the ring mutex is taken only at span close
-//! and only on threads inside a recording context — "lock-minimal",
-//! not lock-free, which is fine off the disabled path.
+//! two atomic increments (the span id and the trace's reference count)
+//! — no lock and no allocation, because the path key is a packed
+//! `u64`. The sink mutex is taken only at span
+//! close and only on threads inside a recording context, for the ring
+//! push and the rollup update together.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use crate::span::STAGE_NAMES;
+use crate::span::{STAGE_COUNT, STAGE_NAMES};
+
+const _: () = assert!(STAGE_COUNT < 16, "path keys pack stages 4 bits per level");
+
+/// A span's ancestor path, packed: each level holds `stage + 1` in 4
+/// bits, the root stage in the most significant non-zero nibble and
+/// the span's own stage (the leaf) in the lowest. `Copy`, so opening a
+/// span extends its parent's path without allocating. Paths nest at
+/// most 16 levels deep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+struct PathKey(u64);
+
+impl PathKey {
+    /// The empty path: the parent of every trace root span.
+    const ROOT: PathKey = PathKey(0);
+
+    fn child(self, stage: usize) -> PathKey {
+        debug_assert!(self.0 >> 60 == 0, "span paths nest at most 16 deep");
+        PathKey(self.0 << 4 | (stage as u64 + 1))
+    }
+
+    fn parent(self) -> PathKey {
+        PathKey(self.0 >> 4)
+    }
+
+    fn leaf(self) -> usize {
+        (self.0 & 0xF) as usize - 1
+    }
+
+    /// `root;…;leaf` stage names.
+    fn render(self) -> String {
+        let mut names = Vec::new();
+        let mut key = self;
+        while key != PathKey::ROOT {
+            names.push(STAGE_NAMES[key.leaf()]);
+            key = key.parent();
+        }
+        names.reverse();
+        names.join(";")
+    }
+}
 
 /// Default ring capacity, in events. Bounds recorder memory to a few
 /// MiB regardless of how long a server runs; at capacity the oldest
@@ -76,21 +120,26 @@ pub struct TraceEvent {
     pub dur_ns: u64,
 }
 
-struct Ring {
+/// The sink: the bounded event ring and the per-path rollup, behind
+/// one mutex so a span close updates both under one lock.
+struct Sink {
     buf: Vec<TraceEvent>,
     capacity: usize,
     /// Index of the oldest event once the ring has wrapped.
     head: usize,
     dropped: u64,
+    /// `(count, total_ns)` of the spans closed on each path.
+    paths: BTreeMap<PathKey, (u64, u64)>,
 }
 
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        Ring {
+impl Sink {
+    fn new(capacity: usize) -> Sink {
+        Sink {
             buf: Vec::new(),
             capacity: capacity.max(1),
             head: 0,
             dropped: 0,
+            paths: BTreeMap::new(),
         }
     }
 
@@ -117,9 +166,11 @@ impl Ring {
     }
 }
 
-fn ring() -> &'static Mutex<Ring> {
-    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(Ring::new(DEFAULT_CAPACITY)))
+fn sink() -> MutexGuard<'static, Sink> {
+    static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
+    SINK.get_or_init(|| Mutex::new(Sink::new(DEFAULT_CAPACITY)))
+        .lock()
+        .expect("trace sink lock")
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -127,9 +178,9 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// `o % divisor == 0`. 1 (the default) records everything.
 static SAMPLE: AtomicU64 = AtomicU64::new(1);
 
-/// Turns the trace recorder on or off process-wide. Off is the
-/// default; while off, span open sees one relaxed load and no
-/// thread-local access.
+/// Turns the recorder on or off process-wide — the one switch for
+/// `--profile`, `--trace-out` and `serve`. Off is the default; while
+/// off, span open sees one relaxed load and no thread-local access.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
@@ -145,35 +196,26 @@ pub fn set_sample(divisor: u64) {
     SAMPLE.store(divisor.max(1), Ordering::SeqCst);
 }
 
-/// The current sampling divisor.
-pub fn sample() -> u64 {
-    SAMPLE.load(Ordering::Relaxed)
-}
-
 /// The deterministic sampling rule: trace `ordinal` records iff
 /// `ordinal % divisor == 0`. Never wall-clock, never RNG, so which
 /// requests are traced is reproducible from the request sequence
 /// alone (the CLI root is ordinal 0 and therefore always sampled).
 pub fn sampled(ordinal: u64) -> bool {
-    ordinal % sample() == 0
+    ordinal % SAMPLE.load(Ordering::Relaxed) == 0
 }
 
-/// Resizes the ring (dropping recorded events). Test/config use.
+/// Resizes the ring, dropping recorded events and the rollup.
+/// Test/config use.
 pub fn set_capacity(capacity: usize) {
-    let mut r = ring().lock().expect("trace ring lock");
-    *r = Ring::new(capacity);
+    *sink() = Sink::new(capacity);
 }
 
-/// Clears the ring and the dropped counter; capacity is kept.
+/// Clears the ring, the dropped counter and the rollup; capacity is
+/// kept.
 pub fn reset() {
-    let mut r = ring().lock().expect("trace ring lock");
-    let capacity = r.capacity;
-    *r = Ring::new(capacity);
-}
-
-/// Events overwritten since the last [`reset`].
-pub fn dropped() -> u64 {
-    ring().lock().expect("trace ring lock").dropped
+    let mut sink = sink();
+    let capacity = sink.capacity;
+    *sink = Sink::new(capacity);
 }
 
 /// State shared by every thread participating in one trace.
@@ -191,24 +233,50 @@ struct TraceShared {
     marks: Mutex<Vec<&'static str>>,
 }
 
-/// One thread's view of a trace: the shared state plus the stack of
-/// open span ids (the base element is the attach parent and is never
-/// popped, so the stack is always non-empty).
+/// The innermost open span of one thread's view of a trace: its id
+/// and its path, both 0 (the default) for none. A new span's parent.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frame {
+    span_id: u32,
+    path: PathKey,
+}
+
+/// One thread's view of a trace: the shared state plus the innermost
+/// open span. Each open span remembers the frame it replaced and
+/// restores it at close, so no per-thread stack is kept.
 struct LocalCtx {
     shared: Arc<TraceShared>,
-    stack: Vec<u32>,
+    top: Frame,
 }
 
 thread_local! {
-    /// Innermost-last stack of active contexts on this thread (begin
-    /// and attach push; their guards pop).
+    /// Innermost-last stack of active contexts on this thread
+    /// ([`begin`] and [`propagate`]d calls push; their guards pop).
     static CTX: RefCell<Vec<LocalCtx>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Pushes a context on this thread; the returned guard pops it.
+fn push_ctx(shared: Arc<TraceShared>, top: Frame) -> PopCtx {
+    CTX.with(|c| c.borrow_mut().push(LocalCtx { shared, top }));
+    PopCtx
+}
+
+/// Pops this thread's innermost context on drop.
+#[derive(Debug)]
+struct PopCtx;
+
+impl Drop for PopCtx {
+    fn drop(&mut self) {
+        CTX.with(|c| {
+            c.borrow_mut().pop();
+        });
+    }
+}
+
 /// Opens a trace context on the current thread. `record` decides
-/// whether events reach the ring (pass the sampling verdict); fault
-/// marks are collected either way so access logs stay complete for
-/// sampled-out requests. The guard closes the context on drop.
+/// whether spans and marks reach the sink (pass the sampling verdict);
+/// fault marks are collected either way so access logs stay complete
+/// for sampled-out requests. The guard closes the context on drop.
 #[must_use]
 pub fn begin(trace_id: u64, record: bool) -> TraceGuard {
     let shared = Arc::new(TraceShared {
@@ -218,19 +286,15 @@ pub fn begin(trace_id: u64, record: bool) -> TraceGuard {
         record,
         marks: Mutex::new(Vec::new()),
     });
-    CTX.with(|c| {
-        c.borrow_mut().push(LocalCtx {
-            shared: Arc::clone(&shared),
-            stack: vec![0],
-        })
-    });
-    TraceGuard { shared }
+    let _pop = push_ctx(Arc::clone(&shared), Frame::default());
+    TraceGuard { shared, _pop }
 }
 
 /// RAII guard from [`begin`]; dropping it closes the context.
 #[derive(Debug)]
 pub struct TraceGuard {
     shared: Arc<TraceShared>,
+    _pop: PopCtx,
 }
 
 impl TraceGuard {
@@ -241,61 +305,26 @@ impl TraceGuard {
     }
 }
 
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        CTX.with(|c| {
-            c.borrow_mut().pop();
-        });
+/// The fan-out helper every parallel site goes through: captures this
+/// thread's active trace once, with its innermost open span pinned as
+/// the parent, and attaches it around each call of `f`, wherever the
+/// call runs. Worker spans therefore parent under the span open at the
+/// fan-out, so the span-tree shape does not depend on the thread count
+/// (`docs/CONCURRENCY.md` rule seven). Sampled-out traces are captured
+/// too, so fault marks on workers still reach the access log.
+///
+/// A rayon site reads `items.par_iter().map(propagate(|item| …))`.
+pub fn propagate<A, R>(f: impl Fn(A) -> R + Sync) -> impl Fn(A) -> R + Sync {
+    let captured = CTX.with(|c| {
+        let ctxs = c.borrow();
+        ctxs.last().map(|ctx| (Arc::clone(&ctx.shared), ctx.top))
+    });
+    move |item| {
+        let _attached = captured
+            .as_ref()
+            .map(|(shared, top)| push_ctx(Arc::clone(shared), *top));
+        f(item)
     }
-}
-
-/// A capturable reference to the active trace, for handing to fan-out
-/// workers. The parent is pinned at capture time, so every worker
-/// span attaches under the same deterministic edge regardless of
-/// scheduling.
-#[derive(Debug, Clone)]
-pub struct TraceHandle {
-    shared: Arc<TraceShared>,
-    parent: u32,
-}
-
-impl TraceHandle {
-    /// Joins the captured trace on the current thread. Spans opened
-    /// while the guard lives record with the captured parent edge.
-    #[must_use]
-    pub fn attach(&self) -> AttachGuard {
-        CTX.with(|c| {
-            c.borrow_mut().push(LocalCtx {
-                shared: Arc::clone(&self.shared),
-                stack: vec![self.parent],
-            })
-        });
-        AttachGuard
-    }
-}
-
-/// RAII guard from [`TraceHandle::attach`]; detaches on drop.
-#[derive(Debug)]
-pub struct AttachGuard;
-
-impl Drop for AttachGuard {
-    fn drop(&mut self) {
-        CTX.with(|c| {
-            c.borrow_mut().pop();
-        });
-    }
-}
-
-/// The active trace on this thread, if any, with the innermost open
-/// span pinned as the parent for attached work. `Some` even for
-/// sampled-out traces so fault marks keep propagating.
-pub fn handle() -> Option<TraceHandle> {
-    CTX.with(|c| {
-        c.borrow().last().map(|ctx| TraceHandle {
-            shared: Arc::clone(&ctx.shared),
-            parent: *ctx.stack.last().expect("trace stack is never empty"),
-        })
-    })
 }
 
 /// A span admitted to the active trace at open; closed by
@@ -303,15 +332,16 @@ pub fn handle() -> Option<TraceHandle> {
 #[derive(Debug)]
 pub struct OpenSpan {
     shared: Arc<TraceShared>,
-    span_id: u32,
-    parent_id: u32,
+    frame: Frame,
+    parent: Frame,
     start_ns: u64,
 }
 
 /// Hook for [`crate::span::span`]: admits the opening span to the
 /// active trace, if the recorder is on and this thread is inside a
-/// recording context. Cheap `None` otherwise.
-pub(crate) fn open_span() -> Option<OpenSpan> {
+/// recording context. Cheap `None` otherwise. Takes no lock and
+/// allocates nothing.
+pub(crate) fn open_span(stage: usize) -> Option<OpenSpan> {
     if !ENABLED.load(Ordering::Relaxed) {
         return None;
     }
@@ -321,34 +351,41 @@ pub(crate) fn open_span() -> Option<OpenSpan> {
         if !ctx.shared.record {
             return None;
         }
-        let span_id = ctx.shared.next_span.fetch_add(1, Ordering::Relaxed);
-        let parent_id = *ctx.stack.last().expect("trace stack is never empty");
-        ctx.stack.push(span_id);
+        let parent = ctx.top;
+        ctx.top = Frame {
+            span_id: ctx.shared.next_span.fetch_add(1, Ordering::Relaxed),
+            path: parent.path.child(stage),
+        };
         Some(OpenSpan {
             shared: Arc::clone(&ctx.shared),
-            span_id,
-            parent_id,
+            frame: ctx.top,
+            parent,
             start_ns: elapsed_ns(&ctx.shared.started),
         })
     })
 }
 
-/// Hook for the span guard's drop: pops the context stack and pushes
-/// the completed span event to the ring.
-pub(crate) fn close_span(open: OpenSpan, stage: usize, dur_ns: u64) {
+/// Hook for the span guard's drop: restores the parent as this
+/// thread's innermost span, then pushes the completed span to the ring
+/// and adds it to its path's rollup, under one lock.
+pub(crate) fn close_span(open: OpenSpan) {
+    let dur_ns = elapsed_ns(&open.shared.started).saturating_sub(open.start_ns);
     CTX.with(|c| {
-        let mut ctxs = c.borrow_mut();
-        if let Some(ctx) = ctxs.last_mut() {
-            if Arc::ptr_eq(&ctx.shared, &open.shared) && ctx.stack.last() == Some(&open.span_id) {
-                ctx.stack.pop();
+        if let Some(ctx) = c.borrow_mut().last_mut() {
+            if Arc::ptr_eq(&ctx.shared, &open.shared) && ctx.top.span_id == open.frame.span_id {
+                ctx.top = open.parent;
             }
         }
     });
-    ring().lock().expect("trace ring lock").push(TraceEvent {
+    let mut sink = sink();
+    let totals = sink.paths.entry(open.frame.path).or_insert((0, 0));
+    totals.0 += 1;
+    totals.1 += dur_ns;
+    sink.push(TraceEvent {
         trace_id: open.shared.trace_id,
-        span_id: open.span_id,
-        parent_id: open.parent_id,
-        name: STAGE_NAMES[stage],
+        span_id: open.frame.span_id,
+        parent_id: open.parent.span_id,
+        name: STAGE_NAMES[open.frame.path.leaf()],
         kind: EventKind::Span,
         start_ns: open.start_ns,
         dur_ns,
@@ -371,11 +408,10 @@ pub fn mark(site: &'static str) {
             return;
         }
         let span_id = ctx.shared.next_span.fetch_add(1, Ordering::Relaxed);
-        let parent_id = *ctx.stack.last().expect("trace stack is never empty");
-        ring().lock().expect("trace ring lock").push(TraceEvent {
+        sink().push(TraceEvent {
             trace_id: ctx.shared.trace_id,
             span_id,
-            parent_id,
+            parent_id: ctx.top.span_id,
             name: site,
             kind: EventKind::Mark,
             start_ns: elapsed_ns(&ctx.shared.started),
@@ -391,8 +427,8 @@ fn elapsed_ns(started: &Instant) -> u64 {
 /// The ring's events, oldest first (optionally only the last `n`),
 /// plus how many older events were overwritten.
 pub fn events_snapshot(last: Option<usize>) -> (Vec<TraceEvent>, u64) {
-    let r = ring().lock().expect("trace ring lock");
-    (r.snapshot(last), r.dropped)
+    let sink = sink();
+    (sink.snapshot(last), sink.dropped)
 }
 
 /// Formats nanoseconds as Chrome's microsecond timestamps.
@@ -444,77 +480,98 @@ pub struct FoldedStack {
     /// `parent;child;…;stage` path of stage names.
     pub stack: String,
     /// Spans closed on this path — deterministic (the tree-shape
-    /// contract) while the ring stays within capacity.
+    /// contract).
     pub count: u64,
     /// Summed `dur − direct children's dur` — wall-clock, exempt.
     pub self_ns: u64,
 }
 
-/// Folds span events into per-path `(count, self-time)` rollups,
-/// sorted by path. This is the canonical tree *shape*: ids and
-/// timestamps are erased, so the output is comparable across thread
-/// counts and cache modes.
-pub fn folded(events: &[TraceEvent]) -> Vec<FoldedStack> {
-    use std::collections::{BTreeMap, HashMap};
-    let mut spans: HashMap<(u64, u32), usize> = HashMap::new();
-    for (i, e) in events.iter().enumerate() {
-        if e.kind == EventKind::Span {
-            spans.insert((e.trace_id, e.span_id), i);
-        }
-    }
-    let mut child_ns: Vec<u64> = vec![0; events.len()];
-    for e in events {
-        if e.kind != EventKind::Span || e.parent_id == 0 {
-            continue;
-        }
-        if let Some(&pi) = spans.get(&(e.trace_id, e.parent_id)) {
-            child_ns[pi] = child_ns[pi].saturating_add(e.dur_ns);
-        }
-    }
-    let mut acc: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for (i, e) in events.iter().enumerate() {
-        if e.kind != EventKind::Span {
-            continue;
-        }
-        let mut names = vec![e.name];
-        let mut parent = e.parent_id;
-        // Parent chains are acyclic (ids only grow), but cap the walk
-        // so a ring that overwrote an ancestor cannot loop forever.
-        for _ in 0..64 {
-            if parent == 0 {
-                break;
-            }
-            match spans.get(&(e.trace_id, parent)) {
-                Some(&pi) => {
-                    names.push(events[pi].name);
-                    parent = events[pi].parent_id;
-                }
-                None => {
-                    // Ancestor evicted at capacity — flag the orphan
-                    // rather than silently promoting it to a root.
-                    names.push("…");
-                    break;
-                }
-            }
-        }
-        names.reverse();
-        let path = names.join(";");
-        let slot = acc.entry(path).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 = slot.1.saturating_add(e.dur_ns.saturating_sub(child_ns[i]));
-    }
-    acc.into_iter()
-        .map(|(stack, (count, self_ns))| FoldedStack {
-            stack,
-            count,
-            self_ns,
-        })
-        .collect()
+/// One stage's aggregated profile: the rollup summed over every path
+/// that ends in the stage.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct StageProfile {
+    /// Stage name (one of [`STAGE_NAMES`]).
+    pub stage: String,
+    /// How many spans closed over this stage — deterministic.
+    pub invocations: u64,
+    /// Total wall-clock nanoseconds inside the stage — *not*
+    /// deterministic.
+    pub total_ns: u64,
+    /// `total_ns` minus the time of directly nested spans (including
+    /// fan-out workers attached under it) — *not* deterministic.
+    pub self_ns: u64,
 }
 
-/// [`folded`] over the whole ring.
-pub fn folded_snapshot() -> Vec<FoldedStack> {
-    folded(&events_snapshot(None).0)
+/// A copy of the per-path rollup: `(count, total_ns)` for every span
+/// path that closed since the last [`reset`]. Both `--profile` views
+/// read it — [`Rollup::folded`] per path, [`Rollup::stages`] per leaf
+/// stage — so they always agree.
+#[derive(Debug, Clone, Default)]
+pub struct Rollup {
+    paths: BTreeMap<PathKey, (u64, u64)>,
+}
+
+/// The current rollup (one lock, one copy of a few dozen entries).
+pub fn rollup() -> Rollup {
+    Rollup {
+        paths: sink().paths.clone(),
+    }
+}
+
+impl Rollup {
+    /// Each path with its count, total and self time. Self time is the
+    /// total minus the totals of the path's direct children, which
+    /// includes fan-out workers attached under it, so it saturates at
+    /// zero when parallel children overlap.
+    fn with_self_ns(&self) -> impl Iterator<Item = (PathKey, u64, u64, u64)> + '_ {
+        let mut child_ns: BTreeMap<PathKey, u64> = BTreeMap::new();
+        for (&path, &(_, total)) in &self.paths {
+            *child_ns.entry(path.parent()).or_default() += total;
+        }
+        self.paths.iter().map(move |(&path, &(count, total))| {
+            let children = child_ns.get(&path).copied().unwrap_or(0);
+            (path, count, total, total.saturating_sub(children))
+        })
+    }
+
+    /// Flamegraph-style folded stacks, sorted by rendered path. This is
+    /// the canonical tree *shape*: ids and timestamps are erased, so
+    /// the output is comparable across thread counts and cache modes.
+    pub fn folded(&self) -> Vec<FoldedStack> {
+        let mut out: Vec<FoldedStack> = self
+            .with_self_ns()
+            .map(|(path, count, _, self_ns)| FoldedStack {
+                stack: path.render(),
+                count,
+                self_ns,
+            })
+            .collect();
+        out.sort_by(|a, b| a.stack.cmp(&b.stack));
+        out
+    }
+
+    /// The same rollup summed by leaf stage, in stage-constant order.
+    /// Every stage appears, including never-entered ones, so schemas
+    /// are fixed.
+    pub fn stages(&self) -> Vec<StageProfile> {
+        let mut sums = [(0u64, 0u64, 0u64); STAGE_COUNT];
+        for (path, count, total, self_ns) in self.with_self_ns() {
+            let sum = &mut sums[path.leaf()];
+            sum.0 += count;
+            sum.1 += total;
+            sum.2 += self_ns;
+        }
+        STAGE_NAMES
+            .iter()
+            .zip(sums)
+            .map(|(name, (invocations, total_ns, self_ns))| StageProfile {
+                stage: (*name).to_string(),
+                invocations,
+                total_ns,
+                self_ns,
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -522,22 +579,20 @@ mod tests {
     use super::*;
     use crate::span;
 
-    // Recorder state is process-global, so everything runs as one test
-    // body, serialized with the span tests that read the flat counts.
+    /// `path count` lines of the current rollup.
+    fn shape() -> Vec<String> {
+        let folded = rollup().folded().into_iter();
+        folded.map(|f| format!("{} {}", f.stack, f.count)).collect()
+    }
+
+    // Recorder state is process-global, so each test body holds the
+    // crate's test lock and restores the defaults before returning.
     #[test]
     fn recorder_contexts_ring_and_folded() {
         let _serial = crate::test_lock();
-        // Disabled recorder: spans record nothing even in a context.
-        set_enabled(false);
-        reset();
-        {
-            let _t = begin(1, true);
-            let _s = span::span(span::GRID_KERNEL);
-        }
-        assert!(events_snapshot(None).0.is_empty());
-
         // Enabled + context: nested spans land with parent links.
         set_enabled(true);
+        reset();
         {
             let _t = begin(7, true);
             {
@@ -564,26 +619,30 @@ mod tests {
             .iter()
             .any(|e| e.name == "fused_reduction" && e.parent_id == 0));
 
-        // Folded rollup erases ids into canonical paths.
-        let folded = folded_snapshot();
-        let paths: Vec<(&str, u64)> = folded.iter().map(|f| (f.stack.as_str(), f.count)).collect();
-        assert_eq!(
-            paths,
-            vec![
-                ("fused_reduction", 1),
-                ("sweep_chunk", 1),
-                ("sweep_chunk;fused_reduction", 1)
-            ]
-        );
+        // The rollup erases ids into canonical paths, and the stage
+        // table is the same rollup summed by leaf.
+        let expected = [
+            "fused_reduction 1",
+            "sweep_chunk 1",
+            "sweep_chunk;fused_reduction 1",
+        ];
+        assert_eq!(shape(), expected);
+        let stages = rollup().stages();
+        assert_eq!(stages.len(), span::STAGE_COUNT);
+        assert_eq!(stages[span::SWEEP_CHUNK].stage, "sweep_chunk");
+        assert_eq!(stages[span::SWEEP_CHUNK].invocations, 1);
+        assert_eq!(stages[span::FUSED_REDUCTION].invocations, 2);
+        assert_eq!(stages[span::GRID_KERNEL].invocations, 0);
 
-        // Spans without a context stay out of the ring.
+        // Spans without a context stay out of the sink.
         reset();
         {
             let _s = span::span(span::GRID_KERNEL);
         }
         assert!(events_snapshot(None).0.is_empty());
+        assert!(shape().is_empty());
 
-        // Sampled-out contexts record no events but still collect
+        // Sampled-out contexts record no spans but still collect
         // fault marks for the access log.
         {
             let t = begin(3, false);
@@ -592,19 +651,19 @@ mod tests {
             assert_eq!(t.fault_marks(), vec!["handler_panic"]);
         }
         assert!(events_snapshot(None).0.is_empty());
+        assert!(shape().is_empty());
 
         // Recording contexts get the mark as an instant event, and
-        // attached handles join with the captured parent edge.
+        // propagated workers join with the captured parent edge.
         {
             let t = begin(9, true);
             let root = span::span(span::SWEEP_CHUNK);
-            let handle = handle().expect("context active");
+            let worker = propagate(|()| {
+                let _w = span::span(span::WORKLOAD_SIM);
+                mark("simcache_poison");
+            });
             std::thread::scope(|s| {
-                s.spawn(|| {
-                    let _a = handle.attach();
-                    let _w = span::span(span::WORKLOAD_SIM);
-                    mark("simcache_poison");
-                });
+                s.spawn(|| worker(()));
             });
             drop(root);
             assert_eq!(t.fault_marks(), vec!["simcache_poison"]);
@@ -619,6 +678,7 @@ mod tests {
             .expect("mark recorded");
         assert_eq!(fault.name, "simcache_poison");
         assert_eq!(fault.dur_ns, 0);
+        assert_eq!(shape(), ["sweep_chunk 1", "sweep_chunk;workload_sim 1"]);
 
         // Chrome export is well-formed and carries both event kinds.
         let json = chrome_trace_json(None);
@@ -629,7 +689,8 @@ mod tests {
         assert!(json.contains("\"name\":\"workload_sim\""));
 
         // The ring is bounded: at capacity it overwrites the oldest
-        // events and counts the drops instead of growing.
+        // events and counts the drops instead of growing. The rollup
+        // is not bounded by the ring, so it still counts every span.
         set_capacity(4);
         {
             let _t = begin(11, true);
@@ -640,7 +701,7 @@ mod tests {
         let (events, dropped) = events_snapshot(None);
         assert_eq!(events.len(), 4);
         assert_eq!(dropped, 6);
-        assert_eq!(self::dropped(), 6);
+        assert_eq!(shape(), ["grid_kernel 10"]);
         // `last=N` trims from the oldest side.
         assert_eq!(events_snapshot(Some(2)).0.len(), 2);
 
@@ -650,9 +711,95 @@ mod tests {
         assert!(!sampled(3));
         assert!(sampled(8));
         set_sample(0);
-        assert_eq!(sample(), 1);
+        assert!(sampled(3), "divisor 0 records every trace");
 
         set_enabled(false);
         set_capacity(DEFAULT_CAPACITY);
+    }
+
+    /// Rollup self time excludes nested spans, and the enable switch
+    /// is read once, at span open.
+    #[test]
+    fn spans_record_nest_and_disable() {
+        let _serial = crate::test_lock();
+        // A disabled span records nothing.
+        set_enabled(false);
+        reset();
+        {
+            let _t = begin(1, true);
+            let _s = span::span(span::GRID_KERNEL);
+        }
+        assert!(shape().is_empty());
+        set_enabled(true);
+
+        // A nested span's time is its parent's child time: the outer
+        // stage's self time excludes the inner span's ≥ 2 ms.
+        {
+            let _t = begin(1, true);
+            let _outer = span::span(span::SWEEP_CHUNK);
+            let _inner = span::span(span::FUSED_REDUCTION);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let outer = rollup().stages()[span::SWEEP_CHUNK].clone();
+        assert_eq!(outer.invocations, 1);
+        assert!(outer.self_ns <= outer.total_ns);
+        let child_ns = outer.total_ns - outer.self_ns;
+        assert!(child_ns >= 2_000_000, "child time {child_ns}ns < sleep");
+
+        // A span opened while disabled stays silent even if the
+        // recorder is enabled before it drops.
+        reset();
+        set_enabled(false);
+        {
+            let _t = begin(2, true);
+            let pending = span::span(span::WUE_SERIES);
+            set_enabled(true);
+            drop(pending);
+        }
+        assert!(shape().is_empty());
+
+        set_enabled(false);
+        reset();
+    }
+
+    /// `propagate` across two scoped threads gives the same rollup as
+    /// the same calls made inline: each call's spans parent under the
+    /// span open where the helper was created.
+    #[test]
+    fn propagate_across_threads_matches_the_inline_rollup() {
+        let _serial = crate::test_lock();
+        set_enabled(true);
+        let work = |_: usize| {
+            let _w = span::span(span::WORKLOAD_SIM);
+            let _g = span::span(span::TRACE_GEN);
+        };
+        let run = |threaded: bool| {
+            reset();
+            {
+                let _t = begin(3, true);
+                let _root = span::span(span::CACHE_LOOKUP);
+                let call = propagate(work);
+                if threaded {
+                    std::thread::scope(|s| {
+                        s.spawn(|| (0..3).for_each(&call));
+                        s.spawn(|| (3..5).for_each(&call));
+                    });
+                } else {
+                    (0..5).for_each(&call);
+                }
+            }
+            shape()
+        };
+        let inline = run(false);
+        let expected = [
+            "cache_lookup 1",
+            "cache_lookup;workload_sim 5",
+            "cache_lookup;workload_sim;trace_gen 5",
+        ];
+        assert_eq!(inline, expected);
+        assert_eq!(run(true), inline);
+
+        set_enabled(false);
+        reset();
     }
 }

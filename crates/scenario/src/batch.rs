@@ -31,6 +31,7 @@ use thirstyflops_catalog::{SystemId, SystemSpec};
 use thirstyflops_core::batch::{BatchContext, LaneRequest, TopN};
 use thirstyflops_grid::RegionId;
 use thirstyflops_obs::span;
+use thirstyflops_obs::trace::propagate;
 use thirstyflops_obs::Counter;
 use thirstyflops_units::{Pue, WaterScarcityIndex};
 use thirstyflops_weather::ClimatePreset;
@@ -313,19 +314,11 @@ pub(crate) fn evaluate_sweep_streaming(sweep: &SweepSpec) -> Result<SweepReport,
     };
     let total = sweep.combination_count();
     let starts: Vec<usize> = (0..total).step_by(CHUNK).collect();
-    // Capture the active trace (if any) before fanning out: worker
-    // threads have no trace context of their own, so each chunk
-    // re-attaches under the span open at this capture point. The
-    // parent edge is fixed here, not by scheduling, which is what
-    // keeps the span-tree shape thread-count-independent
-    // (`docs/CONCURRENCY.md` rule seven).
-    let trace_handle = thirstyflops_obs::trace::handle();
     let outputs: Vec<Result<Fold, ScenarioError>> = starts
         .par_iter()
-        .map(|&start| {
-            let _trace = trace_handle.as_ref().map(|h| h.attach());
+        .map(propagate(|&start| {
             evaluate_chunk(&shared, start, (start + CHUNK).min(total))
-        })
+        }))
         .collect();
 
     // Merge in chunk (= expansion) order; the first error in expansion

@@ -56,8 +56,6 @@ pub struct AppState {
     pub cache: ResultCache,
     /// Per-endpoint request/latency counters (`/v1/cache/stats`).
     pub metrics: Metrics,
-    /// `serve --log`: one stderr line per request.
-    pub log_requests: bool,
     /// `serve --log-json`: one structured JSON object per request on
     /// stderr (see [`access_log_line`] for the stable key order).
     pub log_json: bool,
@@ -85,7 +83,6 @@ impl Default for AppState {
         AppState {
             cache: ResultCache::default(),
             metrics: Metrics::default(),
-            log_requests: false,
             log_json: false,
             ordinal: std::sync::atomic::AtomicU64::new(0),
             limits: Limits::default(),
@@ -96,7 +93,7 @@ impl Default for AppState {
     }
 }
 
-/// What one dispatch did, for metrics and the `--log` line.
+/// What one dispatch did, for metrics and the `--log-json` line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trace {
     /// The metrics family that absorbed the request.
@@ -422,9 +419,7 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
         // off the deterministic ordinal so sampling never consults a
         // clock or RNG (`docs/OBSERVABILITY.md`).
         let mut trace_ctx: Option<thirstyflops_obs::trace::TraceGuard> = None;
-        let (mut response, request_line, mut trace, mut close, request_id) = match reader
-            .read_request()
-        {
+        let (mut response, mut trace, mut close, request_id) = match reader.read_request() {
             Ok(req) => {
                 let ordinal = state.ordinal.fetch_add(1, Ordering::Relaxed);
                 let request_id = req
@@ -435,7 +430,6 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
                     ordinal,
                     thirstyflops_obs::trace::enabled() && thirstyflops_obs::trace::sampled(ordinal),
                 ));
-                let line = format!("{} {}", req.method, req.path);
                 // Shutdown mid-connection: answer the request in flight,
                 // then close instead of waiting for another.
                 let close = req.close || state.stop.load(Ordering::SeqCst);
@@ -448,7 +442,7 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
                     handle_traced(&req, state)
                 }));
                 match outcome {
-                    Ok((response, trace)) => (response, line, trace, close, request_id),
+                    Ok((response, trace)) => (response, trace, close, request_id),
                     Err(_) => {
                         // The handler (or the injector) panicked: the
                         // client still gets a well-formed JSON 500, and
@@ -468,7 +462,7 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
                                     .into(),
                             }),
                         );
-                        (response, line, trace, true, request_id)
+                        (response, trace, true, request_id)
                     }
                 }
             }
@@ -498,13 +492,7 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
                     // the ordinal still advances so ids stay unique.
                     let ordinal = state.ordinal.fetch_add(1, Ordering::Relaxed);
                     let request_id = format!("tf-{ordinal:016x}");
-                    (
-                        resp,
-                        "??? (unparsable request)".to_string(),
-                        trace,
-                        true,
-                        request_id,
-                    )
+                    (resp, trace, true, request_id)
                 }
                 None => return, // nothing arrived; likely a probe
             },
@@ -560,16 +548,6 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
             .record(trace.endpoint, trace.cache_hit, micros);
         if let Some(reason) = shed_reason {
             state.metrics.record_shed(reason);
-        }
-        if state.log_requests {
-            // One parseable line per request: method+path, status, body
-            // bytes, wall-clock, cache verdict.
-            eprintln!(
-                "{request_line} {} {}B {micros}us {}",
-                response.status,
-                response.body.len(),
-                if trace.cache_hit { "hit" } else { "miss" }
-            );
         }
         if state.log_json {
             let faults = trace_ctx

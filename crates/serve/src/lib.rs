@@ -81,9 +81,6 @@ pub struct ServerConfig {
     /// Optional body-cache TTL (`serve --cache-ttl SECS`; `None` =
     /// entries never expire).
     pub cache_ttl: Option<std::time::Duration>,
-    /// `serve --log`: one stderr line per request (method, path,
-    /// status, bytes, µs, cache hit/miss).
-    pub log_requests: bool,
     /// `serve --log-json`: one structured JSON access-log object per
     /// request on stderr (trace id, endpoint family, status, bytes, µs,
     /// cache verdict, shed reason, injected-fault sites — see
@@ -110,7 +107,6 @@ impl Default for ServerConfig {
                 .unwrap_or(1),
             cache_entries: 4096,
             cache_ttl: None,
-            log_requests: false,
             log_json: false,
             max_connections: 256,
             limits: Limits::default(),
@@ -185,7 +181,6 @@ impl Server {
         let state = Arc::new(AppState {
             cache: cache::ResultCache::with_limits(8, config.cache_entries, config.cache_ttl),
             metrics: metrics::Metrics::default(),
-            log_requests: config.log_requests,
             log_json: config.log_json,
             ordinal: std::sync::atomic::AtomicU64::new(0),
             limits: config.limits,

@@ -7,7 +7,7 @@
 //! re-exported here so `loadgen` and the server report quantiles on
 //! identical bucket edges — so `GET /v1/cache/stats` can serve
 //! p50/p90/p99 tail latencies without ever taking a lock or storing
-//! individual samples. `serve --log` prints one line per request from
+//! individual samples. `serve --log-json` prints one line per request from
 //! the same measurements, and `GET /v1/metrics` renders the table as
 //! Prometheus text via [`Metrics::render_prometheus`].
 //!

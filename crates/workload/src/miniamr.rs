@@ -17,6 +17,7 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 use thirstyflops_catalog::NodeConfig;
+use thirstyflops_obs::trace::propagate;
 use thirstyflops_units::{Hours, KilowattHours, Kilowatts};
 
 /// Kernel configuration.
@@ -300,7 +301,7 @@ impl MiniAmr {
         let ghosts: Vec<[Vec<f64>; 6]> = self
             .blocks
             .par_iter()
-            .map(|b| self.gather_ghost_faces(b))
+            .map(propagate(|b: &Block| self.gather_ghost_faces(b)))
             .collect();
 
         // Phase 2 (parallel over blocks): diffusion update from the old
@@ -309,7 +310,7 @@ impl MiniAmr {
             .blocks
             .par_iter()
             .zip(ghosts.par_iter())
-            .map(|(b, ghost)| {
+            .map(propagate(|(b, ghost): (&Block, &[Vec<f64>; 6])| {
                 let old = &b.cells;
                 let mut new = vec![0.0; old.len()];
                 for x in 0..n {
@@ -352,7 +353,7 @@ impl MiniAmr {
                     }
                 }
                 new
-            })
+            }))
             .collect();
 
         for (b, cells) in self.blocks.iter_mut().zip(new_cells) {

@@ -62,17 +62,11 @@ fn run(raw_args: &[String]) -> i32 {
                 // byte-identical either way (tests/simcache.rs).
                 thirstyflops::core::simcache::set_enabled(false);
             }
-            if global.profile {
-                // Span aggregation on the instrumented hot stages
-                // (docs/OBSERVABILITY.md). Stdout stays byte-identical
-                // either way; the report goes to stderr afterwards.
-                thirstyflops::obs::span::set_enabled(true);
-            }
             if global.profile || global.trace_out.is_some() {
-                // The causal trace recorder rides along with either
-                // sink: `--profile` wants the folded self-time rollup,
-                // `--trace-out` the Chrome trace_event export. Stdout
-                // stays byte-identical either way.
+                // The one span sink (docs/OBSERVABILITY.md): `--profile`
+                // reads its per-path rollup, `--trace-out` its Chrome
+                // trace_event export. Stdout stays byte-identical
+                // either way; the report goes to stderr afterwards.
                 thirstyflops::obs::trace::set_enabled(true);
             }
             if let Some(divisor) = global.trace_sample {
@@ -170,7 +164,7 @@ fn usage() {
          thirstyflops experiments [id ...] [--all] [--json]\n  \
          thirstyflops systems [--json]\n  \
          thirstyflops serve [--addr HOST:PORT] [--workers N]\n  \
-         \u{20}                  [--cache-entries N] [--cache-ttl SECS] [--log]\n  \
+         \u{20}                  [--cache-entries N] [--cache-ttl SECS]\n  \
          \u{20}                  [--log-json] [--max-connections N]\n  \
          \u{20}                  [--request-timeout MS] [--drain-timeout SECS]\n  \
          \u{20}                  [--fault-plan FILE]\n  \
@@ -803,9 +797,6 @@ fn cmd_serve(args: &[String]) -> i32 {
             }
         }
     }
-    if args.iter().any(|a| a == "--log") {
-        config.log_requests = true;
-    }
     if args.iter().any(|a| a == "--log-json") {
         config.log_json = true;
     }
@@ -862,12 +853,11 @@ fn cmd_serve(args: &[String]) -> i32 {
             Some(injector)
         }
     };
-    const SERVE_FLAGS: [&str; 10] = [
+    const SERVE_FLAGS: [&str; 9] = [
         "--addr",
         "--workers",
         "--cache-entries",
         "--cache-ttl",
-        "--log",
         "--log-json",
         "--max-connections",
         "--request-timeout",

@@ -265,6 +265,10 @@ fn serve_rejects_bad_flags_without_binding() {
     let (code, _, err) = run(&["serve", "--port", "80"]);
     assert_eq!(code, 2);
     assert!(err.contains("unknown serve flag"));
+    // `--log-json` is the one access-log format; `--log` is not a flag.
+    let (code, _, err) = run(&["serve", "--log"]);
+    assert_eq!(code, 2);
+    assert!(err.contains("unknown serve flag \"--log\""), "{err}");
 }
 
 #[test]

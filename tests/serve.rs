@@ -556,13 +556,21 @@ fn top_n_sweep_post_streams_and_batch_stats_surface() {
     server.shutdown();
 }
 
-/// `serve --log` writes one line per request (method, path, status,
-/// bytes, µs, cache verdict) to stderr.
+/// `serve --log-json` writes one strict-JSON line per request to
+/// stderr, keys in documented order, with the echoed `X-Request-Id`
+/// first and the cache verdict.
 #[test]
 fn serve_log_flag_emits_request_lines() {
     use std::io::BufRead;
     let mut child = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1", "--log"])
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--log-json",
+        ])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -579,8 +587,15 @@ fn serve_log_flag_emits_request_lines() {
         .expect("banner names the address")
         .parse()
         .expect("address parses");
-    let (status, _) = http_get(addr, "/healthz");
-    assert_eq!(status, 200);
+    let mut stream = TcpStream::connect(addr).expect("server is listening");
+    write!(
+        stream,
+        "GET /healthz HTTP/1.1\r\nHost: test\r\nX-Request-Id: e2e-log-1\r\nConnection: close\r\n\r\n"
+    )
+    .expect("request writes");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("response reads");
+    assert!(raw.contains("\r\nX-Request-Id: e2e-log-1\r\n"), "{raw}");
     let (status, _) = http_get(addr, "/v1/systems");
     assert_eq!(status, 200);
     let (status, _) = http_get(addr, "/v1/systems");
@@ -594,21 +609,36 @@ fn serve_log_flag_emits_request_lines() {
         .expect("stderr piped")
         .read_to_string(&mut log)
         .expect("stderr reads");
+    let lines: Vec<&str> = log.lines().collect();
+    assert_eq!(lines.len(), 3, "one line per request: {log:?}");
+    for line in &lines {
+        let value: serde::Value =
+            serde_json::from_str(line).expect("access log line is strict JSON");
+        let keys: Vec<&str> = value
+            .as_object()
+            .expect("access log line is an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["trace", "endpoint", "status", "bytes", "micros", "cache", "shed", "faults"],
+            "{line}"
+        );
+        assert!(line.contains("\"status\":200"), "{line}");
+    }
     assert!(
-        log.contains("GET /healthz 200"),
-        "log line for healthz: {log:?}"
+        lines[0].starts_with("{\"trace\":\"e2e-log-1\",\"endpoint\":\"healthz\""),
+        "{log:?}"
     );
-    let systems_lines: Vec<&str> = log
-        .lines()
-        .filter(|l| l.contains("GET /v1/systems 200"))
+    let systems_lines: Vec<&str> = lines
+        .iter()
+        .copied()
+        .filter(|l| l.contains("\"endpoint\":\"systems\""))
         .collect();
     assert_eq!(systems_lines.len(), 2, "{log:?}");
-    assert!(systems_lines[0].contains("miss"), "{log:?}");
-    assert!(systems_lines[1].contains("hit"), "{log:?}");
-    for line in log.lines().filter(|l| l.starts_with("GET ")) {
-        assert!(line.contains("us "), "latency field present: {line:?}");
-        assert!(line.contains('B'), "byte count present: {line:?}");
-    }
+    assert!(systems_lines[0].contains("\"cache\":\"miss\""), "{log:?}");
+    assert!(systems_lines[1].contains("\"cache\":\"hit\""), "{log:?}");
 }
 
 /// `serve` on the CLI prints the bound ephemeral address and serves.

@@ -9,11 +9,12 @@
 //! events, and the serving layer must echo `X-Request-Id` and answer
 //! `GET /v1/trace` with parseable JSON under concurrent load.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::process::{Command, Output, Stdio};
+use std::process::{Command, Output};
 
 use thirstyflops::obs::report::ProfileReport;
+use thirstyflops::obs::trace::FoldedStack;
 use thirstyflops::serve::{Server, ServerConfig};
 
 const SWEEP: [&str; 3] = ["scenario", "sweep", "examples/scenarios/sweep_siting.json"];
@@ -53,30 +54,56 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 
 /// Tree-shape contract, thread axis: the folded stacks — every span's
 /// ancestor path and the number of spans closed on it — are identical
-/// at 1 and 8 threads, because chunk workers attach to the trace
-/// context captured before the fan-out (docs/CONCURRENCY.md, rule 7).
+/// at 1, 2 and 8 threads and across repeated runs, for every fan-out
+/// (sweep chunks, the experiments regenerators, the paper years,
+/// fig14's per-system scenarios, the year simulations behind `rank`),
+/// because each worker attaches to the trace context captured before
+/// its fan-out (docs/CONCURRENCY.md, rule 7). The stage table is the
+/// same rollup summed by leaf.
 #[test]
 fn folded_shape_is_identical_across_thread_counts() {
-    let one = run(&[&SWEEP[..], &["--json", "--profile", "--threads", "1"]].concat());
-    let eight = run(&[&SWEEP[..], &["--json", "--profile", "--threads", "8"]].concat());
-    assert_eq!(one.stdout, eight.stdout, "sweep output depends on threads");
-    let shape_1 = shape(&profile(&one));
-    let shape_8 = shape(&profile(&eight));
-    assert_eq!(shape_1, shape_8, "span-tree shape depends on thread count");
-    // The rollup actually attributed the workload sub-stages, with
-    // their causal parents in the path.
-    assert!(
-        shape_1
+    let commands: [&[&str]; 3] = [&SWEEP, &["experiments", "fig06", "fig14"], &["rank"]];
+    for command in commands {
+        let runs: Vec<(Output, ProfileReport)> = ["1", "2", "8", "8"]
             .iter()
-            .any(|(path, n)| path.ends_with("trace_gen") && path.contains(';') && *n > 0),
-        "{shape_1:?}"
-    );
-    assert!(
-        shape_1
-            .iter()
-            .any(|(path, n)| path.ends_with("cluster_sim") && *n > 0),
-        "{shape_1:?}"
-    );
+            .map(|threads| {
+                let out = run(&[command, &["--json", "--profile", "--threads", threads]].concat());
+                let report = profile(&out);
+                (out, report)
+            })
+            .collect();
+        let (first, first_report) = &runs[0];
+        let first_shape = shape(first_report);
+        for (out, report) in &runs {
+            assert_eq!(
+                first.stdout, out.stdout,
+                "{command:?} output depends on threads"
+            );
+            assert_eq!(
+                shape(report),
+                first_shape,
+                "{command:?}: span-tree shape depends on thread count or run"
+            );
+            for stage in &report.stages {
+                let leaf = |f: &&FoldedStack| f.stack.rsplit(';').next() == Some(&stage.stage);
+                let folded: u64 = report.folded.iter().filter(leaf).map(|f| f.count).sum();
+                assert_eq!(
+                    stage.invocations, folded,
+                    "{command:?}: {} by leaf",
+                    stage.stage
+                );
+            }
+        }
+        // The rollup actually attributed the workload sub-stages, with
+        // their causal parents in the path.
+        for leaf in ["workload_sim;trace_gen", "workload_sim;cluster_sim"] {
+            let attributed = first_shape.iter().any(|(path, _)| path.ends_with(leaf));
+            assert!(
+                attributed,
+                "{command:?}: {leaf} missing from {first_shape:?}"
+            );
+        }
+    }
 }
 
 /// Tree-shape contract, cache axis: memoization elides repeated
@@ -262,64 +289,9 @@ fn ring_stays_bounded_at_capacity() {
         "ring grew past capacity: {}",
         events.len()
     );
-    assert!(trace::dropped() > 0, "overwritten events are counted");
-    trace::set_capacity(trace::DEFAULT_CAPACITY);
-}
-
-/// End-to-end access log: `serve --log-json` emits one strict-JSON
-/// line per request on stderr, keys in documented order, with the
-/// echoed trace id first.
-#[test]
-fn serve_log_json_emits_strict_json_access_log() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--log-json",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("serve subprocess starts");
-    let mut banner = String::new();
-    BufReader::new(child.stdout.take().expect("stdout piped"))
-        .read_line(&mut banner)
-        .expect("banner line reads");
-    let addr: SocketAddr = banner
-        .strip_prefix("listening on http://")
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|hostport| hostport.parse().ok())
-        .unwrap_or_else(|| panic!("banner names an address: {banner:?}"));
-
-    let (head, _) = http_get(addr, "/healthz", Some("e2e-log-1"));
-    assert_eq!(echoed_id(&head).as_deref(), Some("e2e-log-1"), "{head}");
-
-    child.kill().expect("serve subprocess stops");
-    child.wait().expect("serve subprocess reaps");
-    let mut stderr = String::new();
-    child
-        .stderr
-        .take()
-        .expect("stderr piped")
-        .read_to_string(&mut stderr)
-        .expect("stderr reads");
-    let line = stderr
-        .lines()
-        .find(|l| l.contains("\"trace\":\"e2e-log-1\""))
-        .unwrap_or_else(|| panic!("access log line for the request: {stderr:?}"));
-    let value: serde::Value = serde_json::from_str(line).expect("access log line is strict JSON");
-    let keys: Vec<&str> = value
-        .as_object()
-        .expect("access log line is an object")
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .collect();
-    assert_eq!(
-        keys,
-        ["trace", "endpoint", "status", "bytes", "micros", "cache", "shed", "faults"],
-        "{line}"
+    assert!(
+        trace::events_snapshot(None).1 > 0,
+        "overwritten events are counted"
     );
+    trace::set_capacity(trace::DEFAULT_CAPACITY);
 }
