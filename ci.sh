@@ -66,9 +66,10 @@ if [[ "$mode" == "regen-goldens" ]]; then
   # tests/golden.rs pins (plus the full set for context) and leave the
   # report under target/ for comparison against the pinned constants.
   out="target/golden-report.md"
-  step "cargo run --release -p thirstyflops_experiments --bin report"
+  step "thirstyflops experiments --all (release build)"
   mkdir -p target
-  cargo run --release -p thirstyflops_experiments --bin report > "$out"
+  cargo build --release -q
+  target/release/thirstyflops experiments --all > "$out"
   step "golden-pinned sections (fig03 fig06 fig07 fig08) from $out"
   grep -A 12 -E '^## (fig03|fig06|fig07|fig08) ' "$out" || true
   printf '\nFull report: %s\nUpdate the constants in tests/golden.rs, then re-run ./ci.sh\n' "$out"

@@ -9,7 +9,9 @@
 //!   which produces the same shortest representations);
 //! * integers print without a decimal point, so `u64` round-trips exactly;
 //! * object entries keep insertion order (deterministic output);
-//! * non-finite floats serialize as `null` (serde_json's lossy default).
+//! * non-finite floats serialize as `null` (serde_json's lossy default);
+//! * parsing refuses nesting deeper than 128 levels (serde_json's default
+//!   recursion limit), so hostile input cannot exhaust the stack.
 
 use std::fmt::Write as _;
 
@@ -35,6 +37,7 @@ pub fn from_str<T: serde::de::DeserializeOwned>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -157,9 +160,14 @@ fn write_string(out: &mut String, s: &str) {
 
 // ---------------------------------------------------------------- parsing
 
+/// How many values deep [`Parser::parse_value`] may recurse.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Values currently open on the recursion stack.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -212,6 +220,18 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "JSON nested more than {MAX_DEPTH} levels deep"
+            )));
+        }
+        self.depth += 1;
+        let value = self.parse_unnested();
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_unnested(&mut self) -> Result<Value, Error> {
         match self
             .peek()
             .ok_or_else(|| Error::custom("unexpected end of JSON"))?
@@ -311,13 +331,16 @@ impl<'a> Parser<'a> {
                     b'f' => out.push('\u{0c}'),
                     b'u' => {
                         let code = self.parse_hex4()?;
-                        // Surrogate pairs.
+                        // Surrogate pairs; a high surrogate must be
+                        // followed by a low one.
                         let c = if (0xD800..0xDC00).contains(&code) {
                             self.expect(b'\\')?;
                             self.expect(b'u')?;
                             let low = self.parse_hex4()?;
-                            let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                            char::from_u32(combined)
+                            (0xDC00..0xE000)
+                                .contains(&low)
+                                .then(|| 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                                .and_then(char::from_u32)
                         } else {
                             char::from_u32(code)
                         };

@@ -1,19 +1,32 @@
 //! `thirstyflops` — the command-line water-footprint estimation tool.
 //!
 //! ```text
-//! thirstyflops footprint <system> [--seed N] [--json]   full annual footprint report
-//! thirstyflops compare <a> <b> [--seed N] [--json]      two systems side by side (+ uncertainty overlap)
-//! thirstyflops rank [--adjusted] [--seed N] [--json]    Water500-style ranking of all systems
-//! thirstyflops scenario <system> [--seed N] [--json]    Fig. 14 energy-source what-ifs
-//! thirstyflops scenario run <file> [--json]             evaluate a scenario spec (docs/SCENARIOS.md)
-//! thirstyflops scenario sweep <file> [--top N] [--json] evaluate a cartesian sweep (batched; --top streams the best N rows)
-//! thirstyflops sensitivity <system> [--seed N]          which parameters move the answer
-//! thirstyflops lifecycle <system> --years N             break-even & amortized intensity
-//! thirstyflops experiments [id ...] [--all] [--json]    regenerate paper tables/figures
-//! thirstyflops systems [--json]                         list cataloged systems
-//! thirstyflops serve [--addr HOST:PORT] [--workers N]   HTTP/JSON API (docs/SERVING.md)
-//! thirstyflops loadgen --mix FILE [--requests N]        deterministic load replay + latency table
+//! thirstyflops footprint <system> [--seed N] [--json]
+//! thirstyflops compare <a> <b> [--seed N] [--json]
+//! thirstyflops rank [--adjusted] [--seed N] [--json]
+//! thirstyflops scenario <system> [--seed N] [--json]
+//! thirstyflops scenario run <file> [--json]
+//! thirstyflops scenario sweep <file> [--top N] [--json]
+//! thirstyflops sensitivity <system> [--seed N]
+//! thirstyflops lifecycle <system> [--years N] [--seed N]
+//! thirstyflops experiments [<id> ...] [--all] [--json]
+//! thirstyflops systems [--json]
+//! thirstyflops serve [--addr HOST:PORT] [--workers N] [--cache-entries N]
+//!                    [--cache-ttl SECS] [--log-json] [--max-connections N]
+//!                    [--request-timeout MS] [--drain-timeout SECS]
+//!                    [--fault-plan FILE]
+//! thirstyflops loadgen [--mix FILE] [--requests N] [--rate R] [--duration S]
+//!                      [--connections N] [--workers N] [--addr HOST:PORT]
+//!                      [--one-shot] [--bench-json] [--json] [--chaos PLAN]
+//!                      [--retries N] [--request-timeout MS]
+//! thirstyflops help
 //! ```
+//!
+//! The list above is rendered from [`COMMANDS`], the one flag table the
+//! parser, the checks and `thirstyflops help` all read; a unit test
+//! keeps it in step. An unknown flag, a value flag without a value, a
+//! repeated flag, or a wrong number of positionals exits 2 before the
+//! command does anything.
 //!
 //! Every command accepts a global `--threads N` flag; without it the
 //! worker count comes from `THIRSTYFLOPS_THREADS`, then
@@ -28,9 +41,14 @@
 //! module the HTTP server renders through — so a CLI invocation and the
 //! corresponding `GET /v1/...` response are byte-identical.
 
+use std::str::FromStr;
+use std::sync::Arc;
+use std::time::Duration;
+
 use thirstyflops::catalog::{SystemId, SystemSpec};
 use thirstyflops::core::sensitivity::{embodied_elasticities, operational_elasticities};
 use thirstyflops::core::{AnnualReport, FootprintModel, LifecycleModel};
+use thirstyflops::faults::{FaultInjector, FaultPlan};
 use thirstyflops::loadgen;
 use thirstyflops::serve::api;
 use thirstyflops::serve::{Server, ServerConfig};
@@ -41,91 +59,387 @@ fn main() {
     std::process::exit(code);
 }
 
-fn run(raw_args: &[String]) -> i32 {
-    // `--threads N`, `--no-sim-cache`, `--profile`, `--trace-out FILE`,
-    // and `--trace-sample N` are global flags:
-    // extract them wherever they appear (before or after the
-    // subcommand) so positional parsing below never sees them.
-    let (args, profile, trace_out) = match extract_global_flags(raw_args) {
-        Ok(global) => {
-            if let Some(n) = global.threads {
-                // First-wins like rayon: the CLI flag runs before any
-                // parallel work, so it takes precedence over the
-                // environment defaults.
-                let _ = rayon::ThreadPoolBuilder::new()
-                    .num_threads(n)
-                    .build_global();
-            }
-            if global.no_sim_cache {
-                // The escape hatch around core::simcache — every
-                // simulation recomputes from scratch. Output is
-                // byte-identical either way (tests/simcache.rs).
-                thirstyflops::core::simcache::set_enabled(false);
-            }
-            if global.profile || global.trace_out.is_some() {
-                // The one span sink (docs/OBSERVABILITY.md): `--profile`
-                // reads its per-path rollup, `--trace-out` its Chrome
-                // trace_event export. Stdout stays byte-identical
-                // either way; the report goes to stderr afterwards.
-                thirstyflops::obs::trace::set_enabled(true);
-            }
-            if let Some(divisor) = global.trace_sample {
-                thirstyflops::obs::trace::set_sample(divisor);
-            }
-            (global.args, global.profile, global.trace_out)
+/// One flag: its `--name`, the placeholder of its value (`None` for a
+/// switch), and its help line.
+struct Flag {
+    name: &'static str,
+    metavar: Option<&'static str>,
+    help: &'static str,
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        metavar: None,
+        help,
+    }
+}
+
+const fn value(name: &'static str, metavar: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        metavar: Some(metavar),
+        help,
+    }
+}
+
+impl Flag {
+    /// `--name META` or `--name`.
+    fn spelling(&self) -> String {
+        match self.metavar {
+            Some(meta) => format!("{} {meta}", self.name),
+            None => self.name.to_string(),
         }
+    }
+}
+
+/// One command: its name (two words for `scenario run`/`sweep`), its
+/// positionals as the synopsis spells them (`<system>`, `<a> <b>`, or
+/// `[<id> ...]` for any number), its flags, and the function that runs it.
+struct Command {
+    name: &'static str,
+    args: &'static str,
+    flags: &'static [Flag],
+    about: &'static str,
+    run: fn(&Invocation) -> Result<i32, String>,
+}
+
+impl Command {
+    /// The positionals that must be present: `<name>` words.
+    fn required(&self) -> impl Iterator<Item = &'static str> {
+        self.args.split_whitespace().filter(|w| w.starts_with('<'))
+    }
+
+    /// Whether any number of further positionals may follow.
+    fn variadic(&self) -> bool {
+        self.args.ends_with("...]")
+    }
+}
+
+/// Flags every command accepts, anywhere on the command line.
+#[rustfmt::skip]
+const GLOBAL_FLAGS: &[Flag] = &[
+    value("--threads", "N", "worker threads (default THIRSTYFLOPS_THREADS, then the CPU count)"),
+    switch("--no-sim-cache", "recompute every simulation (docs/PERFORMANCE.md)"),
+    switch("--profile", "span profile, counters and folded stacks on stderr afterwards"),
+    value("--trace-out", "FILE", "write the span tree as Chrome trace_event JSON"),
+    value("--trace-sample", "N|1/N", "record every N-th serve request (by request ordinal)"),
+];
+
+const SEED: Flag = value("--seed", "N", "simulation seed (default 2023)");
+const JSON: Flag = switch("--json", "print JSON instead of text");
+
+/// The command table: what the parser accepts and what `help` prints.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "footprint", args: "<system>", flags: &[SEED, JSON],
+        about: "full annual footprint report", run: cmd_footprint },
+    Command { name: "compare", args: "<a> <b>", flags: &[SEED, JSON],
+        about: "two systems side by side (+ uncertainty overlap)", run: cmd_compare },
+    Command { name: "rank", args: "", flags: &[
+            switch("--adjusted", "rank by scarcity-adjusted water intensity"), SEED, JSON],
+        about: "Water500-style ranking of all systems", run: cmd_rank },
+    Command { name: "scenario", args: "<system>", flags: &[SEED, JSON],
+        about: "Fig. 14 energy-source what-ifs", run: cmd_scenario },
+    Command { name: "scenario run", args: "<file>", flags: &[JSON],
+        about: "evaluate a scenario spec (docs/SCENARIOS.md)", run: cmd_scenario_run },
+    Command { name: "scenario sweep", args: "<file>", flags: &[
+            value("--top", "N", "stream the sweep, keeping the best N rows"), JSON],
+        about: "evaluate a cartesian sweep (batched kernel)", run: cmd_scenario_sweep },
+    Command { name: "sensitivity", args: "<system>", flags: &[SEED],
+        about: "which parameters move the answer", run: cmd_sensitivity },
+    Command { name: "lifecycle", args: "<system>", flags: &[
+            value("--years", "N", "service lifetime (default 5)"), SEED],
+        about: "break-even & amortized intensity", run: cmd_lifecycle },
+    Command { name: "experiments", args: "[<id> ...]", flags: &[
+            switch("--all", "every artifact (the default without ids)"), JSON],
+        about: "regenerate paper tables/figures", run: cmd_experiments },
+    Command { name: "systems", args: "", flags: &[JSON],
+        about: "list cataloged systems", run: cmd_systems },
+    Command { name: "serve", args: "", flags: &[
+            value("--addr", "HOST:PORT", "listen address (default 127.0.0.1:7979)"),
+            value("--workers", "N", "request worker threads (default CPU count)"),
+            value("--cache-entries", "N", "body-cache LRU bound (0 = unbounded)"),
+            value("--cache-ttl", "SECS", "expire cached bodies (0 = never)"),
+            switch("--log-json", "one strict-JSON access-log line per request"),
+            value("--max-connections", "N", "shed connections past N (0 = unlimited)"),
+            value("--request-timeout", "MS", "answer 504 past MS (0 = no deadline)"),
+            value("--drain-timeout", "SECS", "drain on stdin EOF within SECS"),
+            value("--fault-plan", "FILE", "inject seeded faults (docs/ROBUSTNESS.md)"),
+        ],
+        about: "HTTP/JSON API (docs/SERVING.md)", run: cmd_serve },
+    Command { name: "loadgen", args: "", flags: &[
+            value("--mix", "FILE", "request mix to replay (required)"),
+            value("--requests", "N", "requests to replay (default 1000)"),
+            value("--rate", "R", "pace to R requests/second"),
+            value("--duration", "S", "with --rate: replay R×S requests"),
+            value("--connections", "N", "client connections (default 4)"),
+            value("--workers", "N", "in-process server workers (default 2)"),
+            value("--addr", "HOST:PORT", "replay against a running server"),
+            switch("--one-shot", "one request per connection"),
+            switch("--bench-json", "replay both disciplines into BENCH_serve.json"),
+            JSON,
+            value("--chaos", "PLAN", "replay under a fault plan, fail closed"),
+            value("--retries", "N", "client retries per request (default 0)"),
+            value("--request-timeout", "MS", "client deadline (0 = none)"),
+        ],
+        about: "deterministic load replay + latency table", run: cmd_loadgen },
+    Command { name: "help", args: "", flags: &[],
+        about: "print every command with its flags", run: cmd_help },
+];
+
+/// A parsed, structurally valid command line: every flag is declared by
+/// its command (or is global), every value flag has its value, no flag
+/// repeats, and the positional count fits.
+struct Invocation {
+    command: &'static Command,
+    args: Vec<String>,
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Invocation {
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The value of `name` parsed as `T`; `expects` names what a
+    /// malformed value should have been.
+    fn get<T: FromStr>(&self, name: &str, expects: &str) -> Result<Option<T>, String> {
+        self.get_if(name, expects, |_| true)
+    }
+
+    /// Like [`get`](Self::get), also rejecting values `ok` refuses.
+    fn get_if<T: FromStr>(
+        &self,
+        name: &str,
+        expects: &str,
+        ok: impl FnOnce(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|raw| {
+                raw.parse()
+                    .ok()
+                    .filter(ok)
+                    .ok_or_else(|| format!("{name} expects {expects}, got {raw:?}"))
+            })
+            .transpose()
+    }
+}
+
+/// Parses the whole command line against [`COMMANDS`] and
+/// [`GLOBAL_FLAGS`]. Global flags may appear anywhere; the command's
+/// words come first among the rest.
+fn parse(argv: &[String]) -> Result<Invocation, String> {
+    let mut flags = Vec::new();
+    let mut rest = Vec::new();
+    let mut tokens = argv.iter();
+    while let Some(token) = tokens.next() {
+        match GLOBAL_FLAGS.iter().find(|f| f.name == token) {
+            Some(flag) => take_flag(flag, &mut tokens, &mut flags)?,
+            None => rest.push(token),
+        }
+    }
+    let Some(first) = rest.first() else {
+        return Err(usage());
+    };
+    let first = match first.as_str() {
+        "--help" | "-h" => "help",
+        name => name,
+    };
+    let two_words = rest.get(1).map(|second| format!("{first} {second}"));
+    let (command, words) = match COMMANDS
+        .iter()
+        .find(|c| Some(c.name) == two_words.as_deref())
+    {
+        Some(command) => (command, 2),
+        None => match COMMANDS.iter().find(|c| c.name == first) {
+            Some(command) => (command, 1),
+            None => return Err(format!("unknown command {first:?}\n\n{}", usage())),
+        },
+    };
+    let mut args = Vec::new();
+    let mut tokens = rest.into_iter().skip(words);
+    while let Some(token) = tokens.next() {
+        if !token.starts_with("--") {
+            args.push(token.clone());
+            continue;
+        }
+        let Some(flag) = command.flags.iter().find(|f| f.name == token) else {
+            return Err(format!(
+                "unknown {} flag {token:?} (`thirstyflops help` lists every flag)",
+                command.name
+            ));
+        };
+        take_flag(flag, &mut tokens, &mut flags)?;
+    }
+    let usage = || synopsis(command);
+    if let Some(missing) = command.required().nth(args.len()) {
+        return Err(format!("missing {missing} argument — usage: {}", usage()));
+    }
+    if !command.variadic() {
+        if let Some(extra) = args.get(command.required().count()) {
+            return Err(format!(
+                "unexpected argument {extra:?} — usage: {}",
+                usage()
+            ));
+        }
+    }
+    Ok(Invocation {
+        command,
+        args,
+        flags,
+    })
+}
+
+/// Records one occurrence of `flag`, taking its value from `tokens`.
+fn take_flag<'a>(
+    flag: &'static Flag,
+    tokens: &mut impl Iterator<Item = &'a String>,
+    flags: &mut Vec<(&'static str, Option<String>)>,
+) -> Result<(), String> {
+    if flags.iter().any(|(name, _)| *name == flag.name) {
+        return Err(format!("{} given more than once", flag.name));
+    }
+    let value = match flag.metavar {
+        None => None,
+        Some(meta) => match tokens.next() {
+            Some(v) if !v.starts_with("--") => Some(v.clone()),
+            _ => return Err(format!("{} needs a value: {} {meta}", flag.name, flag.name)),
+        },
+    };
+    flags.push((flag.name, value));
+    Ok(())
+}
+
+/// `thirstyflops <name> <args> [--flag META] ...`, wrapped at 78
+/// columns under the first argument.
+fn synopsis(command: &Command) -> String {
+    let head = format!("thirstyflops {}", command.name);
+    let indent = head.len() + 1;
+    let flags = command.flags.iter().map(|f| format!("[{}]", f.spelling()));
+    let mut lines = vec![head];
+    for word in command
+        .args
+        .split_whitespace()
+        .map(str::to_string)
+        .chain(flags)
+    {
+        let line = lines.last_mut().expect("at least the head");
+        if line.len() + 1 + word.len() > 78 {
+            lines.push(format!("{:indent$}{word}", ""));
+        } else {
+            *line += &format!(" {word}");
+        }
+    }
+    lines.join("\n")
+}
+
+fn flag_lines(flags: &[Flag]) -> String {
+    flags
+        .iter()
+        .map(|f| format!("      {:<22} {}\n", f.spelling(), f.help))
+        .collect()
+}
+
+/// The help text, rendered from the command table.
+fn usage() -> String {
+    let mut out = String::from(
+        "thirstyflops — water footprint modeling for HPC systems (SC'25 reproduction)\n\nUSAGE:\n",
+    );
+    for command in COMMANDS {
+        for line in synopsis(command).lines() {
+            out += &format!("  {line}\n");
+        }
+        out += &format!("      {}\n{}", command.about, flag_lines(command.flags));
+    }
+    out += "\nGLOBAL FLAGS (any command, any position):\n";
+    out += &flag_lines(GLOBAL_FLAGS);
+    out += "\nResults are identical at every thread count, cached or not, profiled or\n\
+            traced or not; --json output is byte-identical to the HTTP API's.\n\n\
+            Systems: marconi, fugaku, polaris, frontier, aurora, elcapitan";
+    out
+}
+
+fn run(argv: &[String]) -> i32 {
+    match parse(argv).and_then(|inv| execute(&inv)) {
+        Ok(code) => code,
         Err(msg) => {
             eprintln!("{msg}");
-            return 2;
+            2
         }
+    }
+}
+
+/// Applies the global flags, runs the command, then writes the profile
+/// and trace reports.
+fn execute(inv: &Invocation) -> Result<i32, String> {
+    let threads = inv.get_if("--threads", "a positive integer", |&n: &usize| n > 0)?;
+    // `1/8` and `8` both mean "every 8th request".
+    let trace_sample = match inv.value("--trace-sample") {
+        None => None,
+        Some(raw) => Some(
+            raw.strip_prefix("1/")
+                .unwrap_or(raw)
+                .parse::<u64>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| {
+                    format!("--trace-sample expects N or 1/N with positive N, got {raw:?}")
+                })?,
+        ),
     };
+    if let Some(n) = threads {
+        // First-wins like rayon: the CLI flag runs before any parallel
+        // work, so it takes precedence over the environment defaults.
+        let _ = rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build_global();
+    }
+    if inv.has("--no-sim-cache") {
+        // The escape hatch around core::simcache — every simulation
+        // recomputes from scratch. Output is byte-identical either way
+        // (tests/simcache.rs).
+        thirstyflops::core::simcache::set_enabled(false);
+    }
+    let profile = inv.has("--profile");
+    let trace_out = inv.value("--trace-out");
+    if profile || trace_out.is_some() {
+        // The one span sink (docs/OBSERVABILITY.md): `--profile` reads
+        // its per-path rollup, `--trace-out` its Chrome trace_event
+        // export. Stdout stays byte-identical either way; the report goes
+        // to stderr afterwards.
+        thirstyflops::obs::trace::set_enabled(true);
+    }
+    if let Some(divisor) = trace_sample {
+        thirstyflops::obs::trace::set_sample(divisor);
+    }
+    // `THIRSTYFLOPS_FAULTS=<plan.json|inline JSON>` arms the seeded
+    // fault-injection sites in any command (a no-op when unset — the
+    // sites cost one relaxed atomic load). `serve --fault-plan` and
+    // `loadgen --chaos` are the explicit spellings (docs/ROBUSTNESS.md).
+    thirstyflops::faults::install_from_env()
+        .map_err(|msg| format!("THIRSTYFLOPS_FAULTS: {msg}"))?;
     // The CLI root trace context (trace id 0). Ordinal 0 always
     // satisfies the sampling rule (0 % N == 0), so `--trace-sample`
     // thins only `serve`'s per-request recording, never a CLI run's
     // own trace.
     let root_trace =
         thirstyflops::obs::trace::enabled().then(|| thirstyflops::obs::trace::begin(0, true));
-    // `THIRSTYFLOPS_FAULTS=<plan.json|inline JSON>` arms the seeded
-    // fault-injection sites in any command (a no-op when unset — the
-    // sites cost one relaxed atomic load). `serve --fault-plan` and
-    // `loadgen --chaos` are the explicit spellings (docs/ROBUSTNESS.md).
-    if let Err(msg) = thirstyflops::faults::install_from_env() {
-        eprintln!("THIRSTYFLOPS_FAULTS: {msg}");
-        return 2;
-    }
-    let args = args.as_slice();
-    let Some(cmd) = args.first() else {
-        usage();
-        return 2;
-    };
-    let code = match cmd.as_str() {
-        "footprint" => cmd_footprint(args),
-        "compare" => cmd_compare(args),
-        "rank" => cmd_rank(args),
-        "scenario" => cmd_scenario(args),
-        "sensitivity" => cmd_sensitivity(args),
-        "lifecycle" => cmd_lifecycle(args),
-        "experiments" => cmd_experiments(args),
-        "systems" => cmd_systems(args),
-        "serve" => cmd_serve(args),
-        "loadgen" => cmd_loadgen(args),
-        "help" | "--help" | "-h" => {
-            usage();
-            0
-        }
-        other => {
-            eprintln!("unknown command {other:?}\n");
-            usage();
-            2
-        }
-    };
+    let code = (inv.command.run)(inv)?;
     // Close the root context before snapshotting so its stack is not
     // live while the report/export reads the ring.
     drop(root_trace);
     if profile {
         // Stderr, after the command's own output: `--profile --json`
         // pipelines can parse stdout and the profile independently.
-        if json_flag(args) {
+        if inv.has("--json") {
             eprint!("{}", thirstyflops::obs::report::profile_json());
         } else {
             eprint!("{}", thirstyflops::obs::report::profile_table());
@@ -136,203 +450,59 @@ fn run(raw_args: &[String]) -> i32 {
         // tracing on or off (the determinism contract,
         // docs/OBSERVABILITY.md).
         let json = thirstyflops::obs::trace::chrome_trace_json(None);
-        match std::fs::write(&path, json) {
+        match std::fs::write(path, json) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => {
                 eprintln!("--trace-out {path}: {e}");
                 if code == 0 {
-                    return 1;
+                    return Ok(1);
                 }
             }
         }
     }
-    code
+    Ok(code)
 }
 
-fn usage() {
-    eprintln!(
-        "thirstyflops — water footprint modeling for HPC systems (SC'25 reproduction)\n\n\
-         USAGE:\n  \
-         thirstyflops footprint <system> [--seed N] [--json]\n  \
-         thirstyflops compare <a> <b> [--seed N] [--json]\n  \
-         thirstyflops rank [--adjusted] [--seed N] [--json]\n  \
-         thirstyflops scenario <system> [--seed N] [--json]\n  \
-         thirstyflops scenario run <file> [--json]\n  \
-         thirstyflops scenario sweep <file> [--top N] [--json]\n  \
-         thirstyflops sensitivity <system> [--seed N]\n  \
-         thirstyflops lifecycle <system> --years N [--seed N]\n  \
-         thirstyflops experiments [id ...] [--all] [--json]\n  \
-         thirstyflops systems [--json]\n  \
-         thirstyflops serve [--addr HOST:PORT] [--workers N]\n  \
-         \u{20}                  [--cache-entries N] [--cache-ttl SECS]\n  \
-         \u{20}                  [--log-json] [--max-connections N]\n  \
-         \u{20}                  [--request-timeout MS] [--drain-timeout SECS]\n  \
-         \u{20}                  [--fault-plan FILE]\n  \
-         thirstyflops loadgen --mix FILE [--requests N | --rate R --duration S]\n  \
-         \u{20}                  [--connections N] [--workers N] [--addr HOST:PORT]\n  \
-         \u{20}                  [--one-shot] [--bench-json] [--json]\n  \
-         \u{20}                  [--retries N] [--request-timeout MS] [--chaos PLAN]\n\n\
-         Every command also accepts --threads N (worker threads for the\n\
-         parallel sweeps; defaults to THIRSTYFLOPS_THREADS, then the CPU\n\
-         count), --no-sim-cache (recompute every simulation instead of\n\
-         using the memoized substrate — docs/PERFORMANCE.md), --profile\n\
-         (print a per-stage span profile, the registered counters, and\n\
-         the folded-stack rollup to stderr afterwards —\n\
-         docs/OBSERVABILITY.md; as JSON when --json is set), --trace-out\n\
-         FILE (write the run's span tree as Chrome trace_event JSON,\n\
-         viewable in about://tracing or Perfetto), and --trace-sample\n\
-         N|1/N (record every N-th serve request, keyed off the\n\
-         deterministic request ordinal). Results are identical at every\n\
-         thread count, cached or not, profiled or traced or not, and\n\
-         --json output is byte-identical to the HTTP API's\n\
-         (docs/SERVING.md).\n\n\
-         Systems: marconi, fugaku, polaris, frontier, aurora, elcapitan"
-    );
+fn cmd_help(_: &Invocation) -> Result<i32, String> {
+    eprintln!("{}", usage());
+    Ok(0)
 }
 
-/// The global flags every subcommand accepts, split out of the raw
-/// argument list.
-struct GlobalFlags {
-    /// Arguments with the global flags removed.
-    args: Vec<String>,
-    /// `--threads N` worker-count override.
-    threads: Option<usize>,
-    /// `--no-sim-cache`: disable the memoized simulation substrate.
-    no_sim_cache: bool,
-    /// `--profile`: print the span/counter profile to stderr afterwards.
-    profile: bool,
-    /// `--trace-out FILE`: write the Chrome `trace_event` JSON export
-    /// of the run's span tree to `FILE` afterwards.
-    trace_out: Option<String>,
-    /// `--trace-sample N` (or `1/N`): record every N-th request's spans
-    /// in `serve`, keyed off the deterministic request ordinal.
-    trace_sample: Option<u64>,
-}
-
-/// Splits the global `--threads N` / `--no-sim-cache` / `--profile` /
-/// `--trace-out FILE` / `--trace-sample N` flags (any position) out of
-/// the argument list.
-fn extract_global_flags(args: &[String]) -> Result<GlobalFlags, String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut threads = None;
-    let mut no_sim_cache = false;
-    let mut profile = false;
-    let mut trace_out = None;
-    let mut trace_sample = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--no-sim-cache" {
-            no_sim_cache = true;
-            continue;
-        }
-        if arg == "--profile" {
-            profile = true;
-            continue;
-        }
-        if arg == "--trace-out" {
-            let Some(value) = iter.next() else {
-                return Err("--trace-out needs a file path, e.g. --trace-out trace.json".into());
-            };
-            trace_out = Some(value.clone());
-            continue;
-        }
-        if arg == "--trace-sample" {
-            let Some(value) = iter.next() else {
-                return Err("--trace-sample needs a value, e.g. --trace-sample 1/8".into());
-            };
-            // `1/8` and `8` both mean "every 8th request".
-            let divisor = value.strip_prefix("1/").unwrap_or(value);
-            match divisor.parse::<u64>() {
-                Ok(n) if n > 0 => trace_sample = Some(n),
-                _ => {
-                    return Err(format!(
-                        "--trace-sample expects N or 1/N with positive N, got {value:?}"
-                    ))
-                }
-            }
-            continue;
-        }
-        if arg != "--threads" {
-            rest.push(arg.clone());
-            continue;
-        }
-        let Some(value) = iter.next() else {
-            return Err("--threads needs a value, e.g. --threads 4".into());
-        };
-        match value.parse::<usize>() {
-            Ok(n) if n > 0 => threads = Some(n),
-            _ => {
-                return Err(format!(
-                    "--threads expects a positive integer, got {value:?}"
-                ))
-            }
-        }
-    }
-    Ok(GlobalFlags {
-        args: rest,
-        threads,
-        no_sim_cache,
-        profile,
-        trace_out,
-        trace_sample,
-    })
-}
-
-fn require_system(args: &[String], idx: usize) -> Result<SystemId, i32> {
-    let Some(name) = args.get(idx) else {
-        eprintln!("missing <system> argument");
-        return Err(2);
-    };
+fn system(name: &str) -> Result<SystemId, String> {
     // One alias table for CLI and server: SystemId::from_str in
     // crates/catalog.
-    name.parse().map_err(|e| {
-        eprintln!("{e} — try `thirstyflops systems`");
-        2
-    })
+    name.parse()
+        .map_err(|e| format!("{e} — try `thirstyflops systems`"))
 }
 
-fn json_flag(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--json")
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn seed_of(args: &[String]) -> Result<u64, i32> {
+fn seed(inv: &Invocation) -> Result<u64, String> {
     // Strict like the HTTP API's `?seed=` (router::Query::seed): a typo
     // must fail loudly, not silently serve the default year.
-    match flag_value(args, "--seed") {
-        None => Ok(2023),
-        Some(raw) => raw.parse().map_err(|_| {
-            eprintln!("--seed expects a non-negative integer, got {raw:?}");
-            2
-        }),
-    }
+    Ok(inv.get("--seed", "a non-negative integer")?.unwrap_or(2023))
+}
+
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))
+}
+
+fn read_fault_plan(path: &str) -> Result<FaultPlan, String> {
+    FaultPlan::from_json(&read_file(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
 fn ml(l: thirstyflops::units::Liters) -> f64 {
     l.value() / 1e6
 }
 
-fn cmd_footprint(args: &[String]) -> i32 {
-    let id = match require_system(args, 1) {
-        Ok(id) => id,
-        Err(c) => return c,
-    };
-    let seed = match seed_of(args) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
-    if json_flag(args) {
+fn cmd_footprint(inv: &Invocation) -> Result<i32, String> {
+    let id = system(&inv.args[0])?;
+    let seed = seed(inv)?;
+    if inv.has("--json") {
         print!("{}", api::to_json(&api::footprint_payload(id, seed)));
-        return 0;
+        return Ok(0);
     }
     let report = FootprintModel::reference(id).annual_report(seed);
     print_report(&report);
-    0
+    Ok(0)
 }
 
 fn print_report(r: &AnnualReport) {
@@ -361,22 +531,13 @@ fn print_report(r: &AnnualReport) {
     );
 }
 
-fn cmd_compare(args: &[String]) -> i32 {
-    let a = match require_system(args, 1) {
-        Ok(id) => id,
-        Err(c) => return c,
-    };
-    let b = match require_system(args, 2) {
-        Ok(id) => id,
-        Err(c) => return c,
-    };
-    let seed = match seed_of(args) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
-    if json_flag(args) {
+fn cmd_compare(inv: &Invocation) -> Result<i32, String> {
+    let a = system(&inv.args[0])?;
+    let b = system(&inv.args[1])?;
+    let seed = seed(inv)?;
+    if inv.has("--json") {
         print!("{}", api::to_json(&api::compare_payload(a, b, seed)));
-        return 0;
+        return Ok(0);
     }
     let ra = FootprintModel::reference(a).annual_report(seed);
     let rb = FootprintModel::reference(b).annual_report(seed);
@@ -403,20 +564,16 @@ fn cmd_compare(args: &[String]) -> i32 {
     } else {
         println!("bands are disjoint — the ranking survives the factor uncertainty");
     }
-    0
+    Ok(0)
 }
 
-fn cmd_rank(args: &[String]) -> i32 {
-    let adjusted = args.iter().any(|a| a == "--adjusted");
-    let seed = match seed_of(args) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
+fn cmd_rank(inv: &Invocation) -> Result<i32, String> {
+    let adjusted = inv.has("--adjusted");
     // Text and JSON render the same payload — one ranking logic.
-    let payload = api::rank_payload(adjusted, seed);
-    if json_flag(args) {
+    let payload = api::rank_payload(adjusted, seed(inv)?);
+    if inv.has("--json") {
         print!("{}", api::to_json(&payload));
-        return 0;
+        return Ok(0);
     }
     if adjusted {
         println!("rank by scarcity-adjusted water intensity:");
@@ -435,31 +592,18 @@ fn cmd_rank(args: &[String]) -> i32 {
             );
         }
     }
-    0
+    Ok(0)
 }
 
-fn cmd_scenario(args: &[String]) -> i32 {
-    // `scenario run <file>` / `scenario sweep <file>` drive the
-    // declarative engine; any other first argument is the original
-    // positional form — the built-in Fig. 14 what-if spec.
-    match args.get(1).map(String::as_str) {
-        Some("run") => return cmd_scenario_run(args),
-        Some("sweep") => return cmd_scenario_sweep(args),
-        _ => {}
-    }
-    let id = match require_system(args, 1) {
-        Ok(id) => id,
-        Err(c) => return c,
-    };
-    let seed = match seed_of(args) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
+/// The built-in Fig. 14 what-if spec; `scenario run`/`scenario sweep`
+/// drive the declarative engine.
+fn cmd_scenario(inv: &Invocation) -> Result<i32, String> {
+    let id = system(&inv.args[0])?;
     // Text and JSON render the same payload — one what-if computation.
-    let payload = api::scenario_payload(id, seed);
-    if json_flag(args) {
+    let payload = api::scenario_payload(id, seed(inv)?);
+    if inv.has("--json") {
         print!("{}", api::to_json(&payload));
-        return 0;
+        return Ok(0);
     }
     println!("{id}: energy-source what-ifs vs current mix");
     for row in &payload.scenarios {
@@ -468,44 +612,17 @@ fn cmd_scenario(args: &[String]) -> i32 {
             row.scenario, row.carbon_delta_percent, row.water_delta_percent
         );
     }
-    0
+    Ok(0)
 }
 
-/// Reads the spec file of `scenario run <file>` / `scenario sweep <file>`.
-fn read_spec_file(args: &[String]) -> Result<String, i32> {
-    let Some(path) = args.get(2).filter(|a| !a.starts_with("--")) else {
-        eprintln!("missing <file> argument — a scenario spec JSON (docs/SCENARIOS.md)");
-        return Err(2);
-    };
-    std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("cannot read {path:?}: {e}");
-        2
-    })
-}
-
-fn cmd_scenario_run(args: &[String]) -> i32 {
-    let text = match read_spec_file(args) {
-        Ok(t) => t,
-        Err(c) => return c,
-    };
-    let spec = match thirstyflops::scenario::ScenarioSpec::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let outcome = match api::scenario_run_payload(&spec) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    if json_flag(args) {
+fn cmd_scenario_run(inv: &Invocation) -> Result<i32, String> {
+    let text = read_file(&inv.args[0])?;
+    let spec = thirstyflops::scenario::ScenarioSpec::from_json(&text).map_err(|e| e.to_string())?;
+    let outcome = api::scenario_run_payload(&spec).map_err(|e| e.to_string())?;
+    if inv.has("--json") {
         // Byte-identical to POST /v1/scenarios/run with this spec.
         print!("{}", api::to_json(&outcome));
-        return 0;
+        return Ok(0);
     }
     println!(
         "{} — base {} (seed {}, spec {})",
@@ -523,7 +640,7 @@ fn cmd_scenario_run(args: &[String]) -> i32 {
             lc.amortized_wi_l_per_kwh
         );
     }
-    0
+    Ok(0)
 }
 
 fn print_deltas(
@@ -552,43 +669,20 @@ fn print_deltas(
     );
 }
 
-fn cmd_scenario_sweep(args: &[String]) -> i32 {
-    let text = match read_spec_file(args) {
-        Ok(t) => t,
-        Err(c) => return c,
-    };
+fn cmd_scenario_sweep(inv: &Invocation) -> Result<i32, String> {
     // `--top N` streams the sweep: only the best N rows (by the spec's
     // `rank_by`, default operational water) are kept, and the expansion
     // ceiling rises to the streaming limit. Applied before the ceiling
     // check, exactly like an in-file `"top_n"`.
-    let top = match flag_value(args, "--top") {
-        None => None,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                eprintln!("--top expects a positive integer, got {raw:?}");
-                return 2;
-            }
-        },
-    };
-    let sweep = match thirstyflops::scenario::SweepSpec::from_json_with_top(&text, top) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let report = match api::scenario_sweep_payload(&sweep) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    if json_flag(args) {
+    let top = inv.get_if("--top", "a positive integer", |&n: &u64| n > 0)?;
+    let text = read_file(&inv.args[0])?;
+    let sweep = thirstyflops::scenario::SweepSpec::from_json_with_top(&text, top)
+        .map_err(|e| e.to_string())?;
+    let report = api::scenario_sweep_payload(&sweep).map_err(|e| e.to_string())?;
+    if inv.has("--json") {
         // Byte-identical to POST /v1/scenarios/sweep with this spec.
         print!("{}", api::to_json(&report));
-        return 0;
+        return Ok(0);
     }
     println!(
         "{} — base {} (seed {}, {} scenarios, spec {})",
@@ -618,19 +712,12 @@ fn cmd_scenario_sweep(args: &[String]) -> i32 {
             row.deltas.water_cost_pct
         );
     }
-    0
+    Ok(0)
 }
 
-fn cmd_sensitivity(args: &[String]) -> i32 {
-    let id = match require_system(args, 1) {
-        Ok(id) => id,
-        Err(c) => return c,
-    };
-    let seed = match seed_of(args) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
-    let report = FootprintModel::reference(id).annual_report(seed);
+fn cmd_sensitivity(inv: &Invocation) -> Result<i32, String> {
+    let id = system(&inv.args[0])?;
+    let report = FootprintModel::reference(id).annual_report(seed(inv)?);
     println!("{id}: a 1% change in each parameter moves the total by…");
     println!("  operational water:");
     for e in operational_elasticities(&report) {
@@ -640,29 +727,14 @@ fn cmd_sensitivity(args: &[String]) -> i32 {
     for e in embodied_elasticities(&report.embodied) {
         println!("    {:<22} {:>+6.2}%", e.parameter, e.elasticity);
     }
-    0
+    Ok(0)
 }
 
-fn cmd_lifecycle(args: &[String]) -> i32 {
-    let id = match require_system(args, 1) {
-        Ok(id) => id,
-        Err(c) => return c,
-    };
-    let years: f64 = flag_value(args, "--years")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5.0);
-    let seed = match seed_of(args) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
-    let model = LifecycleModel::new(FootprintModel::reference(id).annual_report(seed));
-    let report = match model.project(years) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+fn cmd_lifecycle(inv: &Invocation) -> Result<i32, String> {
+    let id = system(&inv.args[0])?;
+    let years: f64 = inv.get("--years", "a number of years")?.unwrap_or(5.0);
+    let model = LifecycleModel::new(FootprintModel::reference(id).annual_report(seed(inv)?));
+    let report = model.project(years).map_err(|e| e.to_string())?;
     println!("{id}: {years}-year lifecycle");
     println!("  embodied            {:>10.2} ML", ml(report.embodied));
     println!("  operational (total) {:>10.2} ML", ml(report.operational));
@@ -678,48 +750,34 @@ fn cmd_lifecycle(args: &[String]) -> i32 {
         "  break-even          {:>10.2} years of operation",
         model.break_even_years()
     );
-    0
+    Ok(0)
 }
 
-fn cmd_experiments(args: &[String]) -> i32 {
-    let mut json = false;
-    let mut all_flag = false;
-    let mut ids: Vec<&str> = Vec::new();
-    for arg in &args[1..] {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--all" => all_flag = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown experiments flag {flag:?}");
-                return 2;
-            }
-            id => ids.push(id),
-        }
-    }
-
-    if all_flag && !ids.is_empty() {
-        eprintln!("pass either experiment ids or --all, not both");
-        return 2;
+fn cmd_experiments(inv: &Invocation) -> Result<i32, String> {
+    let ids: Vec<&str> = inv.args.iter().map(String::as_str).collect();
+    if inv.has("--all") && !ids.is_empty() {
+        return Err("pass either experiment ids or --all, not both".into());
     }
     let known = thirstyflops::experiments::ids();
     let unknown: Vec<&&str> = ids.iter().filter(|id| !known.contains(id)).collect();
     if !unknown.is_empty() {
-        eprintln!("no matching experiment id: {unknown:?} (try one of {known:?})");
-        return 2;
+        return Err(format!(
+            "no matching experiment id: {unknown:?} (try one of {known:?})"
+        ));
     }
 
     // One parallel sweep either way: the full batch for `--all` (or no
     // filter), or only the named artifacts — unselected figures are
     // never regenerated.
-    let selected = if all_flag || ids.is_empty() {
+    let selected = if ids.is_empty() {
         thirstyflops::experiments::all()
     } else {
         thirstyflops::experiments::select(&ids)
     };
-    if json {
+    if inv.has("--json") {
         // Same canonical rendering as `GET /v1/experiments/{id}`.
         print!("{}", api::to_json(&selected));
-        return 0;
+        return Ok(0);
     }
     for e in &selected {
         println!("## {} — {}\n", e.id, e.title);
@@ -729,13 +787,13 @@ fn cmd_experiments(args: &[String]) -> i32 {
         }
         println!();
     }
-    0
+    Ok(0)
 }
 
-fn cmd_systems(args: &[String]) -> i32 {
-    if json_flag(args) {
+fn cmd_systems(inv: &Invocation) -> Result<i32, String> {
+    if inv.has("--json") {
         print!("{}", api::to_json(&api::systems_payload()));
-        return 0;
+        return Ok(0);
     }
     println!("cataloged systems:");
     for id in SystemId::ALL {
@@ -749,132 +807,64 @@ fn cmd_systems(args: &[String]) -> i32 {
             if s.has_gpus() { "GPU" } else { "CPU-only" }
         );
     }
-    0
+    Ok(0)
 }
 
-fn cmd_serve(args: &[String]) -> i32 {
+fn cmd_serve(inv: &Invocation) -> Result<i32, String> {
     let mut config = ServerConfig::default();
-    if let Some(addr) = flag_value(args, "--addr") {
-        config.addr = addr;
+    if let Some(addr) = inv.value("--addr") {
+        config.addr = addr.to_string();
     }
-    if let Some(raw) = flag_value(args, "--workers") {
-        match raw.parse::<usize>() {
-            Ok(n) if n > 0 => config.workers = n,
-            _ => {
-                eprintln!("--workers expects a positive integer, got {raw:?}");
-                return 2;
-            }
+    if let Some(n) = inv.get_if("--workers", "a positive integer", |&n: &usize| n > 0)? {
+        config.workers = n;
+    }
+    // 0 = unbounded, any positive N = LRU bound.
+    if let Some(n) = inv.get("--cache-entries", "a non-negative integer")? {
+        config.cache_entries = n;
+    }
+    if let Some(secs) = inv.get("--cache-ttl", "a whole number of seconds")? {
+        config.cache_ttl = (secs > 0).then(|| Duration::from_secs(secs));
+    }
+    // 0 = unlimited, any positive N sheds the (N+1)-th concurrent
+    // connection with a JSON 503.
+    if let Some(n) = inv.get("--max-connections", "a non-negative integer")? {
+        config.max_connections = n;
+    }
+    config.log_json = inv.has("--log-json");
+    // 0 = no deadline (the default): a request may compute as long as it
+    // needs. N > 0 converts any 200 still unwritten after N ms into a
+    // JSON 504 with Retry-After.
+    if let Some(ms) = inv.get("--request-timeout", "a whole number of milliseconds")? {
+        config.limits.request_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+    }
+    let drain_timeout = inv
+        .get_if(
+            "--drain-timeout",
+            "a positive number of seconds",
+            |&s: &u64| s > 0,
+        )?
+        .map(Duration::from_secs);
+    let faults = match inv.value("--fault-plan") {
+        None => thirstyflops::faults::global(),
+        Some(path) => {
+            let injector = Arc::new(FaultInjector::mirrored(read_fault_plan(path)?));
+            // Install globally so the simcache-poison site (which lives
+            // in core, below the serving layer) sees the same plan.
+            thirstyflops::faults::install(Arc::clone(&injector));
+            Some(injector)
         }
-    }
-    if let Some(raw) = flag_value(args, "--cache-entries") {
-        match raw.parse::<usize>() {
-            // 0 = unbounded, any positive N = LRU bound.
-            Ok(n) => config.cache_entries = n,
-            _ => {
-                eprintln!("--cache-entries expects a non-negative integer, got {raw:?}");
-                return 2;
-            }
-        }
-    }
-    if let Some(raw) = flag_value(args, "--cache-ttl") {
-        match raw.parse::<u64>() {
-            Ok(0) => config.cache_ttl = None,
-            Ok(secs) => config.cache_ttl = Some(std::time::Duration::from_secs(secs)),
-            _ => {
-                eprintln!("--cache-ttl expects a whole number of seconds, got {raw:?}");
-                return 2;
-            }
-        }
-    }
-    if let Some(raw) = flag_value(args, "--max-connections") {
-        match raw.parse::<usize>() {
-            // 0 = unlimited, any positive N sheds the (N+1)-th
-            // concurrent connection with a JSON 503.
-            Ok(n) => config.max_connections = n,
-            _ => {
-                eprintln!("--max-connections expects a non-negative integer, got {raw:?}");
-                return 2;
-            }
-        }
-    }
-    if args.iter().any(|a| a == "--log-json") {
-        config.log_json = true;
-    }
+    };
     // The serving path always runs with the trace recorder on: the ring
     // is bounded, recording is lock-minimal, and `GET /v1/trace` is only
     // useful when spans actually land. `--trace-sample 1/N` (global
     // flag) thins which requests record; ids echo on every response
     // regardless.
     thirstyflops::obs::trace::set_enabled(true);
-    if let Some(raw) = flag_value(args, "--request-timeout") {
-        match raw.parse::<u64>() {
-            // 0 = no deadline (the default): a request may compute as
-            // long as it needs. N > 0 converts any 200 still unwritten
-            // after N ms into a JSON 504 with Retry-After.
-            Ok(0) => config.limits.request_timeout = None,
-            Ok(ms) => config.limits.request_timeout = Some(std::time::Duration::from_millis(ms)),
-            _ => {
-                eprintln!("--request-timeout expects a whole number of milliseconds, got {raw:?}");
-                return 2;
-            }
-        }
-    }
-    let drain_timeout = match flag_value(args, "--drain-timeout") {
-        None => None,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(secs) if secs > 0 => Some(std::time::Duration::from_secs(secs)),
-            _ => {
-                eprintln!("--drain-timeout expects a positive number of seconds, got {raw:?}");
-                return 2;
-            }
-        },
-    };
-    let faults = match flag_value(args, "--fault-plan") {
-        None => thirstyflops::faults::global(),
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return 2;
-                }
-            };
-            let plan = match thirstyflops::faults::FaultPlan::from_json(&text) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return 2;
-                }
-            };
-            let injector = std::sync::Arc::new(thirstyflops::faults::FaultInjector::mirrored(plan));
-            // Install globally so the simcache-poison site (which lives
-            // in core, below the serving layer) sees the same plan.
-            thirstyflops::faults::install(std::sync::Arc::clone(&injector));
-            Some(injector)
-        }
-    };
-    const SERVE_FLAGS: [&str; 9] = [
-        "--addr",
-        "--workers",
-        "--cache-entries",
-        "--cache-ttl",
-        "--log-json",
-        "--max-connections",
-        "--request-timeout",
-        "--drain-timeout",
-        "--fault-plan",
-    ];
-    for arg in &args[1..] {
-        if arg.starts_with("--") && !SERVE_FLAGS.contains(&arg.as_str()) {
-            eprintln!("unknown serve flag {arg:?}");
-            return 2;
-        }
-    }
     let server = match Server::bind_with_faults(&config, faults) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot bind {}: {e}", config.addr);
-            return 1;
+            return Ok(1);
         }
     };
     // One parseable line so scripts (and the serve-smoke CI step) can
@@ -886,226 +876,116 @@ fn cmd_serve(args: &[String]) -> i32 {
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    match drain_timeout {
-        None => {
-            server.wait();
-            0
-        }
-        Some(timeout) => {
-            // SIGTERM-style lifecycle without signal handling (the
-            // workspace is std-only): stdin EOF is the drain trigger.
-            // An orchestrator holds stdin open while the server should
-            // run and closes it (or exits) to start the drain; /readyz
-            // flips to 503 immediately, in-flight responses complete,
-            // and the process exits once drained or at the timeout.
-            let mut sink = String::new();
-            while matches!(std::io::stdin().read_line(&mut sink), Ok(n) if n > 0) {
-                sink.clear();
-            }
-            eprintln!("stdin closed — draining (timeout {}s)", timeout.as_secs());
-            if server.drain(timeout) {
-                eprintln!("drained cleanly");
-                0
-            } else {
-                eprintln!("drain timed out with connections still in flight");
-                1
-            }
-        }
+    let Some(timeout) = drain_timeout else {
+        server.wait();
+        return Ok(0);
+    };
+    // SIGTERM-style lifecycle without signal handling (the workspace is
+    // std-only): stdin EOF is the drain trigger. An orchestrator holds
+    // stdin open while the server should run and closes it (or exits) to
+    // start the drain; /readyz flips to 503 immediately, in-flight
+    // responses complete, and the process exits once drained or at the
+    // timeout.
+    let mut sink = String::new();
+    while matches!(std::io::stdin().read_line(&mut sink), Ok(n) if n > 0) {
+        sink.clear();
+    }
+    eprintln!("stdin closed — draining (timeout {}s)", timeout.as_secs());
+    if server.drain(timeout) {
+        eprintln!("drained cleanly");
+        Ok(0)
+    } else {
+        eprintln!("drain timed out with connections still in flight");
+        Ok(1)
     }
 }
 
-fn cmd_loadgen(args: &[String]) -> i32 {
-    const LOADGEN_FLAGS: [&str; 13] = [
-        "--mix",
-        "--requests",
-        "--duration",
-        "--rate",
-        "--connections",
-        "--workers",
-        "--addr",
-        "--one-shot",
-        "--bench-json",
-        "--json",
-        "--chaos",
-        "--retries",
-        "--request-timeout",
-    ];
-    for arg in &args[1..] {
-        if arg.starts_with("--") && !LOADGEN_FLAGS.contains(&arg.as_str()) {
-            eprintln!("unknown loadgen flag {arg:?}");
-            return 2;
-        }
-    }
-    let Some(mix_path) = flag_value(args, "--mix") else {
-        eprintln!("loadgen needs --mix FILE (recorded mixes live in examples/loadmix/)");
-        return 2;
-    };
-    let text = match std::fs::read_to_string(&mix_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {mix_path}: {e}");
-            return 2;
-        }
-    };
-    let mix = match loadgen::MixSpec::from_json(&text) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{mix_path}: {e}");
-            return 2;
-        }
-    };
-
+fn cmd_loadgen(inv: &Invocation) -> Result<i32, String> {
+    let mix_path = inv
+        .value("--mix")
+        .ok_or("loadgen needs --mix FILE (recorded mixes live in examples/loadmix/)")?;
     let mut config = loadgen::RunConfig::default();
-    if let Some(raw) = flag_value(args, "--connections") {
-        match raw.parse::<usize>() {
-            Ok(n) if n > 0 => config.connections = n,
-            _ => {
-                eprintln!("--connections expects a positive integer, got {raw:?}");
-                return 2;
-            }
-        }
+    if let Some(n) = inv.get_if("--connections", "a positive integer", |&n: &usize| n > 0)? {
+        config.connections = n;
     }
-    if let Some(raw) = flag_value(args, "--workers") {
-        match raw.parse::<usize>() {
-            Ok(n) if n > 0 => config.workers = n,
-            _ => {
-                eprintln!("--workers expects a positive integer, got {raw:?}");
-                return 2;
-            }
-        }
+    if let Some(n) = inv.get_if("--workers", "a positive integer", |&n: &usize| n > 0)? {
+        config.workers = n;
     }
-    if let Some(raw) = flag_value(args, "--rate") {
-        match raw.parse::<f64>() {
-            Ok(r) if r > 0.0 && r.is_finite() => config.rate = r,
-            _ => {
-                eprintln!("--rate expects a positive requests/second, got {raw:?}");
-                return 2;
-            }
-        }
+    let positive = |x: &f64| *x > 0.0 && x.is_finite();
+    if let Some(r) = inv.get_if("--rate", "a positive requests/second", positive)? {
+        config.rate = r;
     }
-    if let Some(addr) = flag_value(args, "--addr") {
-        config.addr = Some(addr);
+    config.addr = inv.value("--addr").map(str::to_string);
+    if let Some(n) = inv.get("--retries", "a non-negative integer")? {
+        config.retries = n;
     }
-    if let Some(raw) = flag_value(args, "--retries") {
-        match raw.parse::<u32>() {
-            Ok(n) => config.retries = n,
-            _ => {
-                eprintln!("--retries expects a non-negative integer, got {raw:?}");
-                return 2;
-            }
-        }
+    if let Some(ms) = inv.get("--request-timeout", "a whole number of milliseconds")? {
+        config.request_timeout = (ms > 0).then(|| Duration::from_millis(ms));
     }
-    if let Some(raw) = flag_value(args, "--request-timeout") {
-        match raw.parse::<u64>() {
-            Ok(0) => config.request_timeout = None,
-            Ok(ms) => config.request_timeout = Some(std::time::Duration::from_millis(ms)),
-            _ => {
-                eprintln!("--request-timeout expects a whole number of milliseconds, got {raw:?}");
-                return 2;
-            }
-        }
-    }
-    // `--chaos plan.json`: install the fault plan process-globally (the
-    // in-process server and the core simcache both pick it up), replay
-    // the mix under it, and verify the fail-closed invariant — every
-    // 200 byte-identical, every error a deliberate, well-formed 5xx.
-    if let Some(plan_path) = flag_value(args, "--chaos") {
-        if config.addr.is_some() {
-            eprintln!(
-                "--chaos needs the in-process server (the plan cannot be installed into a \
-                 remote --addr target)"
-            );
-            return 2;
-        }
-        let text = match std::fs::read_to_string(&plan_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {plan_path}: {e}");
-                return 2;
-            }
-        };
-        let plan = match thirstyflops::faults::FaultPlan::from_json(&text) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{plan_path}: {e}");
-                return 2;
-            }
-        };
-        thirstyflops::faults::install(std::sync::Arc::new(
-            thirstyflops::faults::FaultInjector::mirrored(plan),
-        ));
-        config.chaos = true;
-    }
-    config.keep_alive = !args.iter().any(|a| a == "--one-shot");
+    config.keep_alive = !inv.has("--one-shot");
     // The plan length: explicit `--requests N`, or `--rate R --duration S`
     // converted up front so the replay is a fixed, deterministic count
     // either way (docs/CONCURRENCY.md).
-    config.requests = match (
-        flag_value(args, "--requests"),
-        flag_value(args, "--duration"),
-    ) {
-        (Some(raw), _) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--requests expects a positive integer, got {raw:?}");
-                return 2;
-            }
-        },
-        (None, Some(raw)) => {
-            if config.rate <= 0.0 {
-                eprintln!("--duration needs --rate R to fix the request count");
-                return 2;
-            }
-            match raw.parse::<f64>() {
-                Ok(s) if s > 0.0 && s.is_finite() => ((config.rate * s).round() as usize).max(1),
-                _ => {
-                    eprintln!("--duration expects a positive number of seconds, got {raw:?}");
-                    return 2;
-                }
-            }
+    if let Some(n) = inv.get_if("--requests", "a positive integer", |&n: &usize| n > 0)? {
+        config.requests = n;
+    } else if let Some(s) = inv.get_if("--duration", "a positive number of seconds", positive)? {
+        if config.rate <= 0.0 {
+            return Err("--duration needs --rate R to fix the request count".into());
         }
-        (None, None) => config.requests,
+        config.requests = ((config.rate * s).round() as usize).max(1);
+    }
+    // `--chaos plan.json`: install the fault plan process-globally (the
+    // in-process server and the core simcache both pick it up), replay
+    // the mix under it, and verify the fail-closed invariant — every 200
+    // byte-identical, every error a deliberate, well-formed 5xx.
+    if inv.has("--chaos") && config.addr.is_some() {
+        return Err(String::from(
+            "--chaos needs the in-process server (the plan cannot be installed into a \
+             remote --addr target)",
+        ));
+    }
+    let chaos = inv.value("--chaos").map(read_fault_plan).transpose()?;
+    let mix = loadgen::MixSpec::from_json(&read_file(mix_path)?)
+        .map_err(|e| format!("{mix_path}: {e}"))?;
+    let fail = |e: loadgen::LoadError| {
+        eprintln!("loadgen: {e}");
+        Ok(1)
     };
 
-    if config.chaos {
-        return match loadgen::run_with_stats(&mix, &config) {
-            Ok((report, stats)) => {
-                // Fail closed: any byte mismatch or unrecovered request
-                // is a contract violation (docs/ROBUSTNESS.md).
-                let failed = report.mismatches > 0 || report.errors > 0 || stats.unrecovered > 0;
-                if json_flag(args) {
-                    use serde::Serialize as _;
-                    let combined = serde::Value::Object(vec![
-                        ("load".to_string(), report.to_value()),
-                        ("chaos".to_string(), stats.to_value()),
-                    ]);
-                    print!("{}", api::to_json(&combined));
-                } else {
-                    print!("{}", loadgen::human_table(&report));
-                    print!("{}", loadgen::chaos_table(&stats));
-                }
-                if args.iter().any(|a| a == "--bench-json") {
-                    let path = std::path::Path::new("BENCH_serve.json");
-                    match loadgen::report::write_chaos_bench(path, &stats) {
-                        // Stderr: chaos `--json --bench-json` pipelines
-                        // parse stdout as one JSON document.
-                        Ok(_) => eprintln!("wrote {}", path.display()),
-                        Err(e) => {
-                            eprintln!("loadgen: {e}");
-                            return 1;
-                        }
-                    }
-                }
-                i32::from(failed)
-            }
-            Err(e) => {
-                eprintln!("loadgen: {e}");
-                1
-            }
+    if let Some(plan) = chaos {
+        thirstyflops::faults::install(Arc::new(FaultInjector::mirrored(plan)));
+        config.chaos = true;
+        let (report, stats) = match loadgen::run_with_stats(&mix, &config) {
+            Ok(done) => done,
+            Err(e) => return fail(e),
         };
+        // Fail closed: any byte mismatch or unrecovered request is a
+        // contract violation (docs/ROBUSTNESS.md).
+        let failed = report.mismatches > 0 || report.errors > 0 || stats.unrecovered > 0;
+        if inv.has("--json") {
+            use serde::Serialize as _;
+            let combined = serde::Value::Object(vec![
+                ("load".to_string(), report.to_value()),
+                ("chaos".to_string(), stats.to_value()),
+            ]);
+            print!("{}", api::to_json(&combined));
+        } else {
+            print!("{}", loadgen::human_table(&report));
+            print!("{}", loadgen::chaos_table(&stats));
+        }
+        if inv.has("--bench-json") {
+            let path = std::path::Path::new("BENCH_serve.json");
+            match loadgen::report::write_chaos_bench(path, &stats) {
+                // Stderr: chaos `--json --bench-json` pipelines parse
+                // stdout as one JSON document.
+                Ok(_) => eprintln!("wrote {}", path.display()),
+                Err(e) => return fail(e),
+            }
+        }
+        return Ok(i32::from(failed));
     }
 
-    if args.iter().any(|a| a == "--bench-json") {
+    if inv.has("--bench-json") {
         // The tracked trajectory: replay the mix one-shot (the recorded
         // baseline discipline) and keep-alive (current), then write
         // BENCH_serve.json with the baseline preserved verbatim.
@@ -1122,37 +1002,211 @@ fn cmd_loadgen(args: &[String]) -> i32 {
                     failed |= report.mismatches > 0 || report.errors > 0;
                     reports.push(report);
                 }
-                Err(e) => {
-                    eprintln!("loadgen: {e}");
-                    return 1;
-                }
+                Err(e) => return fail(e),
             }
         }
         let path = std::path::Path::new("BENCH_serve.json");
         match loadgen::write_bench_json(path, &reports[0], &reports[1]) {
             Ok(_) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("loadgen: {e}");
-                return 1;
-            }
+            Err(e) => return fail(e),
         }
-        return i32::from(failed);
+        return Ok(i32::from(failed));
     }
 
     match loadgen::run(&mix, &config) {
         Ok(report) => {
-            if json_flag(args) {
+            if inv.has("--json") {
                 print!("{}", api::to_json(&report));
             } else {
                 print!("{}", loadgen::human_table(&report));
             }
             // Zero mismatches is the contract; a nonzero exit makes CI
             // and scripts fail loudly on any drift.
-            i32::from(report.mismatches > 0 || report.errors > 0)
+            Ok(i32::from(report.mismatches > 0 || report.errors > 0))
         }
-        Err(e) => {
-            eprintln!("loadgen: {e}");
-            1
+        Err(e) => fail(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The crate doc's command list is the table, rendered.
+    #[test]
+    fn doc_command_list_matches_the_table() {
+        let doc: String = include_str!("main.rs")
+            .lines()
+            .map_while(|line| line.strip_prefix("//!"))
+            .skip_while(|line| *line != " ```text")
+            .skip(1)
+            .take_while(|line| *line != " ```")
+            .map(|line| format!("{}\n", line.strip_prefix(' ').unwrap_or(line)))
+            .collect();
+        let table: Vec<String> = COMMANDS.iter().map(synopsis).collect();
+        assert_eq!(doc, format!("{}\n", table.join("\n")));
+    }
+
+    #[test]
+    fn usage_lists_every_flag_of_every_command() {
+        let usage = usage();
+        for command in COMMANDS {
+            let synopsis = synopsis(command);
+            for line in synopsis.lines() {
+                assert!(usage.contains(&format!("  {line}\n")), "{}", command.name);
+            }
+            for flag in command.flags {
+                assert!(
+                    synopsis.contains(&format!("[{}]", flag.spelling())),
+                    "{} {}",
+                    command.name,
+                    flag.name
+                );
+            }
+            assert!(usage.contains(&flag_lines(command.flags)));
+        }
+        assert!(usage.contains(&flag_lines(GLOBAL_FLAGS)));
+    }
+
+    /// The README's CLI table lists exactly each command's flags.
+    #[test]
+    fn readme_cli_table_matches_the_table() {
+        let readme = include_str!("../README.md");
+        for command in COMMANDS {
+            let prefix = format!("| `thirstyflops {}", command.name);
+            let row = readme
+                .lines()
+                .find(|line| {
+                    line.strip_prefix(&prefix)
+                        .is_some_and(|tail| tail.starts_with([' ', '`']))
+                })
+                .unwrap_or_else(|| panic!("README has no row for {}", command.name));
+            let synopsis = row.split('`').nth(1).expect("row quotes its synopsis");
+            let mut listed: Vec<&str> = synopsis
+                .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+                .filter(|word| word.starts_with("--"))
+                .collect();
+            let mut declared: Vec<&str> = command.flags.iter().map(|f| f.name).collect();
+            listed.sort_unstable();
+            declared.sort_unstable();
+            assert_eq!(listed, declared, "README row for {}", command.name);
+        }
+    }
+
+    #[test]
+    fn flag_names_are_unique_per_command() {
+        for command in COMMANDS {
+            let all: Vec<&str> = command
+                .flags
+                .iter()
+                .chain(GLOBAL_FLAGS)
+                .map(|f| f.name)
+                .collect();
+            for (i, name) in all.iter().enumerate() {
+                assert!(name.starts_with("--"), "{name}");
+                assert!(!all[..i].contains(name), "{} {name}", command.name);
+            }
+        }
+    }
+
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| t.to_string()).collect()
+    }
+
+    #[test]
+    fn global_flags_go_anywhere_and_subcommands_are_their_own_entries() {
+        let inv = parse(&argv(&[
+            "scenario",
+            "--threads",
+            "2",
+            "sweep",
+            "f.json",
+            "--top",
+            "3",
+            "--profile",
+        ]))
+        .expect("valid");
+        assert_eq!(inv.command.name, "scenario sweep");
+        assert_eq!(inv.args, ["f.json"]);
+        assert_eq!(inv.value("--threads"), Some("2"));
+        assert_eq!(inv.value("--top"), Some("3"));
+        assert!(inv.has("--profile"));
+        let err = parse(&argv(&["scenario", "run", "f.json", "--top", "3"]))
+            .err()
+            .expect("--top is sweep-only");
+        assert!(err.contains("unknown scenario run flag \"--top\""), "{err}");
+    }
+
+    #[test]
+    fn typed_getter_names_the_flag_and_the_value() {
+        let inv = parse(&argv(&["serve", "--cache-ttl", "-5"])).expect("structurally valid");
+        let err = inv
+            .get::<u64>("--cache-ttl", "a whole number of seconds")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "--cache-ttl expects a whole number of seconds, got \"-5\""
+        );
+        assert_eq!(inv.get::<u64>("--workers", "a positive integer"), Ok(None));
+    }
+
+    /// Every token the fuzzer draws from: command words, every flag in
+    /// the table, numbers, a sampling ratio and junk.
+    fn vocabulary() -> Vec<&'static str> {
+        let mut words: Vec<&'static str> = COMMANDS
+            .iter()
+            .flat_map(|c| c.name.split(' '))
+            .chain(COMMANDS.iter().flat_map(|c| c.flags.iter().map(|f| f.name)))
+            .chain(GLOBAL_FLAGS.iter().map(|f| f.name))
+            .collect();
+        words.extend([
+            "0", "7", "2023", "-1", "-5", "1/8", "1/0", "polaris", "fig07", "--", "-", "--help",
+            "-h", "--bogus", "x.json", "", "é", "--seed=7",
+        ]);
+        words
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// `parse` never panics, and whatever it accepts holds only
+        /// flags its command (or the global set) declares, each value
+        /// flag with a value that is not itself a flag.
+        #[test]
+        fn parse_accepts_only_declared_flags(
+            picks in collection::vec(0usize..1000, 0..9)
+        ) {
+            let words = vocabulary();
+            let tokens: Vec<String> =
+                picks.iter().map(|&i| words[i % words.len()].to_string()).collect();
+            if let Ok(inv) = parse(&tokens) {
+                let required = inv.command.required().count();
+                prop_assert!(
+                    inv.args.len() == required
+                        || (inv.command.variadic() && inv.args.len() > required),
+                    "{tokens:?}: positional count"
+                );
+                for (i, (name, value)) in inv.flags.iter().enumerate() {
+                    let flag = inv
+                        .command
+                        .flags
+                        .iter()
+                        .chain(GLOBAL_FLAGS)
+                        .find(|f| f.name == *name);
+                    prop_assert!(flag.is_some(), "{tokens:?}: undeclared {name}");
+                    let flag = flag.unwrap();
+                    prop_assert_eq!(flag.metavar.is_some(), value.is_some());
+                    prop_assert!(
+                        !matches!(value, Some(v) if v.starts_with("--")),
+                        "{tokens:?}: {name} took a flag as its value"
+                    );
+                    prop_assert!(
+                        !inv.flags[..i].iter().any(|(n, _)| n == name),
+                        "{tokens:?}: {name} repeated"
+                    );
+                }
+            }
         }
     }
 }

@@ -278,3 +278,116 @@ fn compare_emits_uncertainty_verdict() {
     assert!(out.contains("operational bands"));
     assert!(out.contains("bands are disjoint") || out.contains("bands OVERLAP"));
 }
+
+/// Runs the CLI with a deadline: a command that should have been refused
+/// but instead started serving is killed and reported, not waited on.
+fn run_with_timeout(args: &[&str]) -> (i32, String, String) {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+    let mut child = cli()
+        .args(args)
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{args:?} was still running after 20 s instead of exiting 2");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let (mut out, mut err) = (String::new(), String::new());
+    child.stdout.take().unwrap().read_to_string(&mut out).ok();
+    child.stderr.take().unwrap().read_to_string(&mut err).ok();
+    (status.code().unwrap_or(-1), out, err)
+}
+
+/// A malformed invocation exits 2, prints nothing on stdout, and names
+/// the offending flag or argument on stderr.
+fn assert_rejected(args: &[&str], needle: &str) {
+    let (code, out, err) = run_with_timeout(args);
+    assert_eq!(code, 2, "{args:?} exited {code}; stdout {out:?}");
+    assert!(
+        out.is_empty(),
+        "{args:?} did work before rejecting: {out:?}"
+    );
+    assert!(
+        err.contains(needle),
+        "{args:?}: stderr {err:?} lacks {needle:?}"
+    );
+}
+
+#[test]
+fn unknown_flags_are_rejected() {
+    assert_rejected(&["rank", "--adjsted"], "--adjsted");
+    assert_rejected(&["systems", "--jsn"], "--jsn");
+    assert_rejected(&["sensitivity", "frontier", "--json"], "--json");
+    assert_rejected(&["footprint", "polaris", "--sed", "7"], "--sed");
+}
+
+#[test]
+fn every_command_rejects_an_unknown_flag() {
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/scenarios/all_nuclear.json"
+    );
+    let sweep = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/scenarios/sweep_siting.json"
+    );
+    let mix = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/loadmix/smoke.json");
+    let commands: [&[&str]; 12] = [
+        &["footprint", "polaris"],
+        &["compare", "polaris", "frontier"],
+        &["rank"],
+        &["scenario", "fugaku"],
+        &["scenario", "run", spec],
+        &["scenario", "sweep", sweep],
+        &["sensitivity", "frontier"],
+        &["lifecycle", "marconi"],
+        &["experiments", "table01"],
+        &["systems"],
+        &["serve", "--addr", "127.0.0.1:0"],
+        &["loadgen", "--mix", mix, "--requests", "1"],
+    ];
+    for command in commands {
+        assert_rejected(&[command, &["--bogus"]].concat(), "--bogus");
+    }
+    // `--top` belongs to `scenario sweep` only.
+    assert_rejected(&["scenario", "run", spec, "--top", "3"], "--top");
+}
+
+#[test]
+fn value_flags_without_a_value_are_rejected() {
+    assert_rejected(&["footprint", "polaris", "--seed"], "--seed");
+    assert_rejected(&["lifecycle", "marconi", "--years"], "--years");
+    assert_rejected(&["footprint", "polaris", "--seed", "--json"], "--seed");
+}
+
+#[test]
+fn malformed_values_are_rejected() {
+    assert_rejected(&["lifecycle", "marconi", "--years", "abc"], "--years");
+}
+
+#[test]
+fn extra_positionals_are_rejected() {
+    assert_rejected(&["footprint", "polaris", "marconi"], "marconi");
+    assert_rejected(&["compare", "polaris", "frontier", "extra"], "extra");
+}
+
+#[test]
+fn repeated_flags_are_rejected() {
+    assert_rejected(&["rank", "--seed", "3", "--seed", "4"], "--seed");
+}
+
+#[test]
+fn serve_addr_without_a_value_exits_without_binding() {
+    assert_rejected(&["serve", "--addr"], "--addr");
+}
