@@ -28,8 +28,9 @@
 #                          # stdout untouched and exports valid Chrome
 #                          # trace_event JSON, the folded span-tree
 #                          # shape of the siting sweep and of
-#                          # experiments --all is byte-identical at 1
-#                          # and 8 threads,
+#                          # experiments --all (miniAMR stages
+#                          # included) is byte-identical at 1 and 8
+#                          # threads,
 #                          # and GET /v1/trace answers over raw TCP with
 #                          # the client's X-Request-Id echoed and the
 #                          # request access-logged as strict JSON
@@ -365,10 +366,12 @@ PY
     sed -n '/"folded"/,$p' "target/trace_experiments_t$threads.json" | grep -v '_ns"' \
       > "target/trace_experiments_shape_t$threads.json"
   done
-  if ! grep -q 'workload_sim;trace_gen' target/trace_experiments_shape_t1.json; then
-    echo "trace smoke: experiments --all folded stacks miss workload_sim;trace_gen" >&2
-    exit 1
-  fi
+  for needle in 'workload_sim;trace_gen' 'miniamr_regrid;miniamr_ghost' 'miniamr_stencil'; do
+    if ! grep -q -- "$needle" target/trace_experiments_shape_t1.json; then
+      echo "trace smoke: experiments --all folded stacks miss $needle" >&2
+      exit 1
+    fi
+  done
   if ! cmp -s target/trace_experiments_shape_t1.json target/trace_experiments_shape_t8.json; then
     echo "trace smoke: experiments --all span-tree shape differs at 1 vs 8 threads" >&2
     diff target/trace_experiments_shape_t1.json target/trace_experiments_shape_t8.json >&2 || true

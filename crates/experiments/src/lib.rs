@@ -33,7 +33,7 @@ pub use fig_extensions::{
 pub use fig_maps::{fig01, fig10};
 pub use fig_operational::{fig05, fig06, fig07, fig08, fig09};
 pub use fig_scenarios::{fig14, table03};
-pub use fig_scheduling::fig13;
+pub use fig_scheduling::{fig13, JOB_ENERGY_KWH};
 pub use fig_temporal::{fig11, fig12};
 
 /// The deterministic telemetry seed used by every experiment (the

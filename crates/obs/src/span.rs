@@ -53,8 +53,17 @@ pub const SWEEP_PREPARE: usize = 9;
 /// the resolved lanes and the top-N (or row) fold. Nested inside
 /// [`SWEEP_CHUNK`], opened once per chunk.
 pub const TOPN: usize = 10;
+/// One miniAMR regrid (`workload::miniamr`): refinement decision,
+/// parallel resample of the new blocks from the old mesh, and the
+/// ghost-source map build nested inside it as [`MINIAMR_GHOST`].
+pub const MINIAMR_REGRID: usize = 11;
+/// The miniAMR ghost-source map build, once per regrid, nested inside
+/// [`MINIAMR_REGRID`].
+pub const MINIAMR_GHOST: usize = 12;
+/// One fused miniAMR stencil sweep over every block.
+pub const MINIAMR_STENCIL: usize = 13;
 /// Number of profiled stages.
-pub const STAGE_COUNT: usize = 11;
+pub const STAGE_COUNT: usize = 14;
 
 /// Stage names, indexed by the stage constants.
 pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
@@ -69,6 +78,9 @@ pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
     "power_model",
     "sweep_prepare",
     "topn",
+    "miniamr_regrid",
+    "miniamr_ghost",
+    "miniamr_stencil",
 ];
 
 /// Opens a span over `stage` (one of the stage constants). The returned

@@ -6,19 +6,36 @@
 //! water/carbon intensity curves. This module reimplements the proxy's
 //! essential behaviour — stencil sweeps over an octree of fixed-size
 //! blocks, periodically regridded to track a moving refinement front —
-//! with rayon data-parallelism over blocks (each sweep is two-phase:
-//! ghost exchange, then an embarrassingly parallel per-block update).
+//! with rayon data-parallelism over blocks.
+//!
+//! **Data path.** Blocks are found through a dense per-level slot table
+//! (`slots[level][(x·d + y)·d + z]`, `d = base_grid << level`). Each
+//! regrid resamples every new block from the old mesh in parallel, then
+//! builds each block's *ghost-source map* once: for all 6 faces × n²
+//! ghost cells, the `(block, cell)` of the current mesh the ghost reads.
+//! The map depends only on mesh topology, so it serves every sweep until
+//! the next regrid. A sweep is then one fused parallel pass: each block's
+//! new cells come from its own old cells plus the mapped sources of its
+//! neighbours.
 //!
 //! Cross-level ghost cells use nearest-sample injection (miniAMR's
 //! default is similarly low-order); domain boundaries clamp.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use rayon::prelude::*;
 use thirstyflops_catalog::NodeConfig;
+use thirstyflops_obs::span::{span, MINIAMR_GHOST, MINIAMR_REGRID, MINIAMR_STENCIL};
 use thirstyflops_obs::trace::propagate;
 use thirstyflops_units::{Hours, KilowattHours, Kilowatts};
+
+/// Largest mesh the kernel accepts: `(base_grid << max_level)³` finest-
+/// level block positions (the size of the finest slot table).
+const MAX_MESH_BLOCKS: usize = 1 << 24;
+
+/// Largest block edge the kernel accepts, in cells (a block's cell index
+/// must fit a `u32`).
+const MAX_BLOCK_CELLS: usize = 1024;
 
 /// Kernel configuration.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -62,6 +79,12 @@ impl MiniAmrConfig {
         if self.base_grid == 0 || self.block_cells < 2 {
             return Err("grid and block sizes must be positive (block ≥ 2)".into());
         }
+        if self.block_cells > MAX_BLOCK_CELLS {
+            return Err(format!(
+                "block_cells {} exceeds the {MAX_BLOCK_CELLS}-cell block edge limit",
+                self.block_cells
+            ));
+        }
         if self.regrid_every == 0 {
             return Err("regrid cadence must be positive".into());
         }
@@ -71,8 +94,18 @@ impl MiniAmrConfig {
                 self.alpha
             ));
         }
-        if self.max_level > 4 {
-            return Err("max_level > 4 explodes memory; refuse".into());
+        if self.max_level > MAX_LEVEL {
+            return Err(format!("max_level > {MAX_LEVEL} explodes memory; refuse"));
+        }
+        let finest = self
+            .base_grid
+            .checked_mul(1 << self.max_level)
+            .and_then(|d| d.checked_pow(3));
+        if !finest.is_some_and(|blocks| blocks <= MAX_MESH_BLOCKS) {
+            return Err(format!(
+                "mesh of ({} << {})³ blocks exceeds the 2^24 = {MAX_MESH_BLOCKS} block limit",
+                self.base_grid, self.max_level
+            ));
         }
         Ok(())
     }
@@ -81,7 +114,21 @@ impl MiniAmrConfig {
 /// Integer block coordinates at a refinement level.
 type BlockKey = (u32, [usize; 3]);
 
-/// One mesh block: `block_cells³` data cells (ghosts handled separately).
+/// Where a cell's value lives in the current mesh: `(block, cell)`.
+type Source = (u32, u32);
+
+/// Empty slot in the dense block index.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// Deepest refinement level the kernel accepts.
+const MAX_LEVEL: u32 = 4;
+
+/// One coordinate resolved at every refinement level: the `(block,
+/// cell)` index it falls in along its axis, indexed by level.
+type Axis = [(u32, u32); MAX_LEVEL as usize + 1];
+
+/// One mesh block: `block_cells³` data cells (ghosts read through the
+/// ghost-source map).
 #[derive(Debug, Clone)]
 struct Block {
     level: u32,
@@ -144,23 +191,33 @@ impl KernelReport {
 pub struct MiniAmr {
     config: MiniAmrConfig,
     blocks: Vec<Block>,
-    index: HashMap<BlockKey, usize>,
+    /// Dense block index: `slots[level][(x·d + y)·d + z]` is the block at
+    /// `(level, [x, y, z])`, or [`NO_BLOCK`].
+    slots: Vec<Vec<u32>>,
+    /// Per-block ghost sources, faces −x, +x, −y, +y, −z, +z of `n²`
+    /// each; built at every regrid (empty before the first).
+    ghosts: Vec<Vec<Source>>,
 }
 
 impl MiniAmr {
     /// Builds the initial (unrefined) mesh with a smooth initial field.
     pub fn new(config: MiniAmrConfig) -> Result<Self, String> {
         config.validate()?;
+        let slots = (0..=config.max_level)
+            .map(|level| vec![NO_BLOCK; (config.base_grid << level).pow(3)])
+            .collect();
         let mut mesh = Self {
             config,
             blocks: Vec::new(),
-            index: HashMap::new(),
+            slots,
+            ghosts: Vec::new(),
         };
         let g = mesh.config.base_grid;
+        let mut blocks = Vec::with_capacity(g * g * g);
         for ix in 0..g {
             for iy in 0..g {
                 for iz in 0..g {
-                    mesh.push_block(Block {
+                    blocks.push(Block {
                         level: 0,
                         idx: [ix, iy, iz],
                         cells: mesh.init_cells(0, [ix, iy, iz]),
@@ -168,15 +225,16 @@ impl MiniAmr {
                 }
             }
         }
+        mesh.install(blocks);
         Ok(mesh)
     }
 
     /// Builds a **uniformly refined** mesh at `max_level` everywhere — the
     /// non-adaptive baseline. Running it with the same config measures
     /// what AMR saves: the uniform mesh resolves the sphere just as well
-    /// but pays full resolution over the whole cube. Regridding becomes a
-    /// no-op (every block already crosses nothing to coarsen to — the
-    /// mesh is pinned by construction).
+    /// but pays full resolution over the whole cube. The refinement is
+    /// folded into the base grid with `max_level = 0`, so every regrid
+    /// rebuilds the same blocks: an identity resample.
     pub fn new_uniform(mut config: MiniAmrConfig) -> Result<Self, String> {
         config.validate()?;
         // Pin the mesh: fold the refinement into the base grid and
@@ -234,10 +292,16 @@ impl MiniAmr {
         [0.5 + 0.25 * angle.cos(), 0.5 + 0.25 * angle.sin(), 0.5]
     }
 
-    fn push_block(&mut self, block: Block) {
-        self.index
-            .insert((block.level, block.idx), self.blocks.len());
-        self.blocks.push(block);
+    /// Replaces the mesh's blocks and re-indexes them in the slot table.
+    fn install(&mut self, blocks: Vec<Block>) {
+        for level in &mut self.slots {
+            level.fill(NO_BLOCK);
+        }
+        for (i, b) in blocks.iter().enumerate() {
+            let slot = self.slot(b.level, b.idx);
+            self.slots[b.level as usize][slot] = i as u32;
+        }
+        self.blocks = blocks;
     }
 
     /// Smooth initial condition evaluated at a block's cell centers.
@@ -264,92 +328,105 @@ impl MiniAmr {
 
     /// Physical center of a cell.
     fn cell_center(&self, level: u32, idx: [usize; 3], cell: [usize; 3]) -> [f64; 3] {
+        [0, 1, 2].map(|a| self.cell_coord(level, idx[a], cell[a]))
+    }
+
+    /// Center of cell `c` of block `i` along one axis at `level`.
+    fn cell_coord(&self, level: u32, i: usize, c: usize) -> f64 {
         let blocks_per_dim = (self.config.base_grid << level) as f64;
         let h = 1.0 / (blocks_per_dim * self.config.block_cells as f64);
-        [
-            (idx[0] as f64 * self.config.block_cells as f64 + cell[0] as f64 + 0.5) * h,
-            (idx[1] as f64 * self.config.block_cells as f64 + cell[1] as f64 + 0.5) * h,
-            (idx[2] as f64 * self.config.block_cells as f64 + cell[2] as f64 + 0.5) * h,
-        ]
+        (i as f64 * self.config.block_cells as f64 + c as f64 + 0.5) * h
     }
 
-    /// Samples the field at a physical point from the current mesh
-    /// (finest covering leaf, nearest cell).
-    fn sample(&self, p: [f64; 3]) -> f64 {
-        let n = self.config.block_cells;
-        for level in (0..=self.config.max_level).rev() {
-            let blocks_per_dim = self.config.base_grid << level;
-            let cells_per_dim = (blocks_per_dim * n) as f64;
-            let gx = (p[0].clamp(0.0, 1.0 - 1e-12) * cells_per_dim) as usize;
-            let gy = (p[1].clamp(0.0, 1.0 - 1e-12) * cells_per_dim) as usize;
-            let gz = (p[2].clamp(0.0, 1.0 - 1e-12) * cells_per_dim) as usize;
-            let key = (level, [gx / n, gy / n, gz / n]);
-            if let Some(&bi) = self.index.get(&key) {
-                return self.blocks[bi].cells[Self::cell_of(n, gx % n, gy % n, gz % n)];
+    /// Position of block `(level, [x, y, z])` in its level's slot table.
+    fn slot(&self, level: u32, [x, y, z]: [usize; 3]) -> usize {
+        let d = self.config.base_grid << level;
+        (x * d + y) * d + z
+    }
+
+    /// The block at `(level, idx)` in the current mesh, if it is a leaf.
+    fn block_at(&self, level: u32, idx: [usize; 3]) -> Option<&Block> {
+        let block = self.slots[level as usize][self.slot(level, idx)];
+        (block != NO_BLOCK).then(|| &self.blocks[block as usize])
+    }
+
+    /// Resolves one coordinate of a physical point at every level:
+    /// clamp into the unit interval, scale to the level's cells per
+    /// dimension, truncate, and split into block and cell.
+    fn axis(&self, c: f64) -> Axis {
+        // Validation bounds every index far below 2³², so the split runs
+        // in (cheaper) `u32`.
+        let n = self.config.block_cells as u32;
+        let mut axis = [(0, 0); MAX_LEVEL as usize + 1];
+        for level in 0..=self.config.max_level {
+            let cells_per_dim = ((self.config.base_grid << level) as u32 * n) as f64;
+            let g = (c.clamp(0.0, 1.0 - 1e-12) * cells_per_dim) as u32;
+            axis[level as usize] = (g / n, g % n);
+        }
+        axis
+    }
+
+    /// The cell holding a physical point, given as its three resolved
+    /// coordinates: the finest covering leaf, nearest cell. A sweep over
+    /// a grid of points resolves each coordinate once per axis, not once
+    /// per point.
+    fn locate(&self, [x, y, z]: [&Axis; 3]) -> Source {
+        let n = self.config.block_cells as u32;
+        for level in (0..=self.config.max_level as usize).rev() {
+            let d = (self.config.base_grid << level) as u32;
+            let [(bx, cx), (by, cy), (bz, cz)] = [x[level], y[level], z[level]];
+            if bx < d && by < d && bz < d {
+                let block = self.slots[level][((bx * d + by) * d + bz) as usize];
+                if block != NO_BLOCK {
+                    return (block, (cx * n + cy) * n + cz);
+                }
             }
         }
-        0.0
+        unreachable!("the mesh's leaves tile the unit cube")
     }
 
-    /// One two-phase parallel stencil sweep; returns cells updated.
+    /// The value of a located cell.
+    fn value(&self, (block, cell): Source) -> f64 {
+        self.blocks[block as usize].cells[cell as usize]
+    }
+
+    /// One fused parallel stencil sweep; returns cells updated.
     fn sweep(&mut self) -> u64 {
+        let _stencil = span(MINIAMR_STENCIL);
         let n = self.config.block_cells;
+        let nn = n * n;
         let alpha = self.config.alpha;
 
-        // Phase 1 (read-only, parallel): gather each block's six ghost
-        // faces by sampling the global mesh just outside the block.
-        let ghosts: Vec<[Vec<f64>; 6]> = self
-            .blocks
-            .par_iter()
-            .map(propagate(|b: &Block| self.gather_ghost_faces(b)))
-            .collect();
-
-        // Phase 2 (parallel over blocks): diffusion update from the old
-        // cells + ghosts into fresh buffers.
+        // Diffusion update from the old cells into fresh buffers. Each
+        // block gathers its six ghost faces through its source map, then
+        // updates row by row along z: a neighbour row is the block's own
+        // or a ghost-face row.
         let new_cells: Vec<Vec<f64>> = self
             .blocks
             .par_iter()
-            .zip(ghosts.par_iter())
-            .map(propagate(|(b, ghost): (&Block, &[Vec<f64>; 6])| {
+            .zip(self.ghosts.par_iter())
+            .map(propagate(|(b, ghost): (&Block, &Vec<Source>)| {
                 let old = &b.cells;
-                let mut new = vec![0.0; old.len()];
+                let g: Vec<f64> = ghost.iter().map(|&src| self.value(src)).collect();
+                let row = |x: usize, y: usize| &old[Self::cell_of(n, x, y, 0)..][..n];
+                let face = |f: usize, i: usize| &g[f * nn + i * n..][..n];
+                let mut new = Vec::with_capacity(old.len());
                 for x in 0..n {
                     for y in 0..n {
-                        for z in 0..n {
-                            let c = old[Self::cell_of(n, x, y, z)];
-                            let xm = if x > 0 {
-                                old[Self::cell_of(n, x - 1, y, z)]
-                            } else {
-                                ghost[0][y * n + z]
-                            };
-                            let xp = if x + 1 < n {
-                                old[Self::cell_of(n, x + 1, y, z)]
-                            } else {
-                                ghost[1][y * n + z]
-                            };
-                            let ym = if y > 0 {
-                                old[Self::cell_of(n, x, y - 1, z)]
-                            } else {
-                                ghost[2][x * n + z]
-                            };
-                            let yp = if y + 1 < n {
-                                old[Self::cell_of(n, x, y + 1, z)]
-                            } else {
-                                ghost[3][x * n + z]
-                            };
-                            let zm = if z > 0 {
-                                old[Self::cell_of(n, x, y, z - 1)]
-                            } else {
-                                ghost[4][x * n + y]
-                            };
-                            let zp = if z + 1 < n {
-                                old[Self::cell_of(n, x, y, z + 1)]
-                            } else {
-                                ghost[5][x * n + y]
-                            };
-                            new[Self::cell_of(n, x, y, z)] =
-                                c + alpha * (xm + xp + ym + yp + zm + zp - 6.0 * c);
-                        }
+                        let c = row(x, y);
+                        let xm = if x > 0 { row(x - 1, y) } else { face(0, y) };
+                        let xp = if x + 1 < n { row(x + 1, y) } else { face(1, y) };
+                        let ym = if y > 0 { row(x, y - 1) } else { face(2, x) };
+                        let yp = if y + 1 < n { row(x, y + 1) } else { face(3, x) };
+                        let (z_lo, z_hi) = (face(4, x)[y], face(5, x)[y]);
+                        // The operand order of the update is part of the
+                        // output: reordering the sum changes the checksum.
+                        new.extend((0..n).map(|z| {
+                            let cz = c[z];
+                            let zm = if z > 0 { c[z - 1] } else { z_lo };
+                            let zp = if z + 1 < n { c[z + 1] } else { z_hi };
+                            cz + alpha * (xm[z] + xp[z] + ym[z] + yp[z] + zm + zp - 6.0 * cz)
+                        }));
                     }
                 }
                 new
@@ -362,11 +439,12 @@ impl MiniAmr {
         (self.blocks.len() * n * n * n) as u64
     }
 
-    /// Ghost faces for one block: −x, +x, −y, +y, −z, +z, each `n²`
-    /// values sampled half a cell outside the block (clamped at domain
+    /// Ghost sources for one block: −x, +x, −y, +y, −z, +z, each `n²`
+    /// cells located half a cell outside the block (clamped at domain
     /// boundaries, nearest-sample across refinement levels).
-    fn gather_ghost_faces(&self, b: &Block) -> [Vec<f64>; 6] {
+    fn ghost_sources(&self, b: &Block) -> Vec<Source> {
         let n = self.config.block_cells;
+        let nn = n * n;
         let blocks_per_dim = (self.config.base_grid << b.level) as f64;
         let h = 1.0 / (blocks_per_dim * n as f64);
         let lo = [
@@ -380,35 +458,38 @@ impl MiniAmr {
             lo[2] + n as f64 * h,
         ];
 
-        let mut faces: [Vec<f64>; 6] = [
-            vec![0.0; n * n],
-            vec![0.0; n * n],
-            vec![0.0; n * n],
-            vec![0.0; n * n],
-            vec![0.0; n * n],
-            vec![0.0; n * n],
-        ];
+        // Along each axis: the block's n cell centers, and the two ghost
+        // planes half a cell outside it.
+        let inner: [Vec<Axis>; 3] = [0, 1, 2].map(|a| {
+            (0..n)
+                .map(|i| self.axis(lo[a] + (i as f64 + 0.5) * h))
+                .collect()
+        });
+        let below = [0, 1, 2].map(|a| self.axis(lo[a] - 0.5 * h));
+        let above = [0, 1, 2].map(|a| self.axis(hi[a] + 0.5 * h));
+        let [xs, ys, zs] = &inner;
+
+        let mut sources = vec![(0, 0); 6 * nn];
         for a in 0..n {
             for bb in 0..n {
-                let u = lo[1] + (a as f64 + 0.5) * h; // y along first axis
-                let v = lo[2] + (bb as f64 + 0.5) * h; // z along second
-                faces[0][a * n + bb] = self.sample([lo[0] - 0.5 * h, u, v]);
-                faces[1][a * n + bb] = self.sample([hi[0] + 0.5 * h, u, v]);
-                let ux = lo[0] + (a as f64 + 0.5) * h; // x along first axis
-                faces[2][a * n + bb] = self.sample([ux, lo[1] - 0.5 * h, v]);
-                faces[3][a * n + bb] = self.sample([ux, hi[1] + 0.5 * h, v]);
-                let vy = lo[1] + (bb as f64 + 0.5) * h;
-                faces[4][a * n + bb] = self.sample([ux, vy, lo[2] - 0.5 * h]);
-                faces[5][a * n + bb] = self.sample([ux, vy, hi[2] + 0.5 * h]);
+                let i = a * n + bb;
+                sources[i] = self.locate([&below[0], &ys[a], &zs[bb]]);
+                sources[nn + i] = self.locate([&above[0], &ys[a], &zs[bb]]);
+                sources[2 * nn + i] = self.locate([&xs[a], &below[1], &zs[bb]]);
+                sources[3 * nn + i] = self.locate([&xs[a], &above[1], &zs[bb]]);
+                sources[4 * nn + i] = self.locate([&xs[a], &ys[bb], &below[2]]);
+                sources[5 * nn + i] = self.locate([&xs[a], &ys[bb], &above[2]]);
             }
         }
-        faces
+        sources
     }
 
     /// Rebuilds the mesh so blocks crossing the sphere's surface are at
     /// `max_level` and everything else coarsens back toward level 0,
-    /// resampling field data from the old mesh.
+    /// resampling field data from the old mesh, then rebuilds the
+    /// ghost-source maps for the new topology.
     fn regrid(&mut self, center: [f64; 3]) {
+        let _regrid = span(MINIAMR_REGRID);
         let mut new_keys: Vec<BlockKey> = Vec::new();
         let g = self.config.base_grid;
         for ix in 0..g {
@@ -419,26 +500,41 @@ impl MiniAmr {
             }
         }
 
-        let mut new_blocks: Vec<Block> = Vec::with_capacity(new_keys.len());
+        // Each new block is a pure function of the old mesh. A block the
+        // old mesh already has resamples every cell center onto itself,
+        // so it keeps its cells.
         let n = self.config.block_cells;
-        for (level, idx) in new_keys {
-            let mut cells = vec![0.0; n * n * n];
-            for cx in 0..n {
-                for cy in 0..n {
-                    for cz in 0..n {
-                        let p = self.cell_center(level, idx, [cx, cy, cz]);
-                        cells[Self::cell_of(n, cx, cy, cz)] = self.sample(p);
+        let new_blocks: Vec<Block> = new_keys
+            .par_iter()
+            .map(propagate(|&(level, idx): &BlockKey| {
+                if let Some(old) = self.block_at(level, idx) {
+                    return old.clone();
+                }
+                let [xs, ys, zs] = [0, 1, 2].map(|a| -> Vec<Axis> {
+                    (0..n)
+                        .map(|c| self.axis(self.cell_coord(level, idx[a], c)))
+                        .collect()
+                });
+                let mut cells = vec![0.0; n * n * n];
+                for cx in 0..n {
+                    for cy in 0..n {
+                        for cz in 0..n {
+                            let src = self.locate([&xs[cx], &ys[cy], &zs[cz]]);
+                            cells[Self::cell_of(n, cx, cy, cz)] = self.value(src);
+                        }
                     }
                 }
-            }
-            new_blocks.push(Block { level, idx, cells });
-        }
+                Block { level, idx, cells }
+            }))
+            .collect();
+        self.install(new_blocks);
 
-        self.blocks.clear();
-        self.index.clear();
-        for b in new_blocks {
-            self.push_block(b);
-        }
+        let _ghost = span(MINIAMR_GHOST);
+        self.ghosts = self
+            .blocks
+            .par_iter()
+            .map(propagate(|b: &Block| self.ghost_sources(b)))
+            .collect();
     }
 
     /// Recursive refinement decision: refine while the block's bounding
@@ -598,6 +694,27 @@ mod tests {
     }
 
     #[test]
+    fn validation_bounds_the_mesh() {
+        // (64 << 2)³ = 2^24 finest-level blocks: the largest accepted mesh.
+        let mut c = small();
+        c.base_grid = 64;
+        c.max_level = 2;
+        assert!(c.validate().is_ok());
+        // One more root block per dimension crosses the limit, and the
+        // error names it.
+        c.base_grid = 65;
+        let err = MiniAmr::new(c).err().expect("oversized mesh is rejected");
+        assert!(err.contains("2^24"), "{err}");
+        // A base grid so large its cube overflows is rejected, not wrapped.
+        let mut c = small();
+        c.base_grid = usize::MAX / 2;
+        assert!(c.validate().is_err());
+        let mut c = small();
+        c.block_cells = 4096;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
     fn simulated_energy_scales_with_node_power() {
         use thirstyflops_catalog::{FabSite, NodeConfig, ProcessorSpec};
         let report = MiniAmr::new(small()).unwrap().run();
@@ -629,6 +746,24 @@ mod tests {
         // The uniform mesh lives entirely at its (folded) level 0.
         let uniform = MiniAmr::new_uniform(small()).unwrap().run();
         assert_eq!(uniform.blocks_per_level, vec![uniform.final_blocks]);
+    }
+
+    #[test]
+    fn checksums_are_pinned() {
+        let uniform = MiniAmr::new_uniform(small()).unwrap().run();
+        assert_eq!(
+            uniform.checksum.to_bits(),
+            0x40d0_0000_0000_0000,
+            "{}",
+            uniform.checksum
+        );
+        let amr = MiniAmr::new(small()).unwrap().run();
+        assert_eq!(
+            amr.checksum.to_bits(),
+            0x40ab_820b_b601_eea7,
+            "{}",
+            amr.checksum
+        );
     }
 
     #[test]

@@ -60,6 +60,33 @@ fn miniamr_footprint_is_bit_identical_from_1_to_8_threads() {
     }
 }
 
+/// Pins the default (Fig. 13) kernel's report exactly at 1, 2 and 8
+/// threads: mesh statistics and the bit pattern of the final-field
+/// checksum. Any change to the kernel's data path must reproduce these
+/// values bit for bit; a deliberate change to the kernel's numerics
+/// updates them here.
+#[test]
+fn default_miniamr_kernel_is_pinned() {
+    for threads in [1, 2, 8] {
+        let report = run_with_threads(MiniAmrConfig::default(), threads).expect("config is valid");
+        assert_eq!(report.steps, 40, "{threads} threads");
+        assert_eq!(report.cell_updates, 9_482_240, "{threads} threads");
+        assert_eq!(report.peak_blocks, 512, "{threads} threads");
+        assert_eq!(report.final_blocks, 414, "{threads} threads");
+        assert_eq!(
+            report.blocks_per_level,
+            vec![52, 58, 304],
+            "{threads} threads"
+        );
+        assert_eq!(
+            report.checksum.to_bits(),
+            0x4100_b1ba_a1f2_d7d0,
+            "{threads} threads: checksum {}",
+            report.checksum
+        );
+    }
+}
+
 /// Regenerates the golden-pinned figures inside an 8-worker pool and
 /// checks them against the same constants `tests/golden.rs` pins for the
 /// (sequential-calibrated) evaluation seed. This is the figure-level half

@@ -56,13 +56,19 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 /// ancestor path and the number of spans closed on it — are identical
 /// at 1, 2 and 8 threads and across repeated runs, for every fan-out
 /// (sweep chunks, the experiments regenerators, the paper years,
-/// fig14's per-system scenarios, the year simulations behind `rank`),
+/// fig14's per-system scenarios, the year simulations behind `rank`,
+/// fig13's miniAMR regrids and sweeps),
 /// because each worker attaches to the trace context captured before
 /// its fan-out (docs/CONCURRENCY.md, rule 7). The stage table is the
 /// same rollup summed by leaf.
 #[test]
 fn folded_shape_is_identical_across_thread_counts() {
-    let commands: [&[&str]; 3] = [&SWEEP, &["experiments", "fig06", "fig14"], &["rank"]];
+    let commands: [&[&str]; 4] = [
+        &SWEEP,
+        &["experiments", "fig06", "fig14"],
+        &["rank"],
+        &["experiments", "fig13"],
+    ];
     for command in commands {
         let runs: Vec<(Output, ProfileReport)> = ["1", "2", "8", "8"]
             .iter()
@@ -102,6 +108,22 @@ fn folded_shape_is_identical_across_thread_counts() {
                 attributed,
                 "{command:?}: {leaf} missing from {first_shape:?}"
             );
+        }
+        // fig13's miniAMR spans open on the calling thread: once per
+        // regrid (the ghost-source map build nested inside it) and once
+        // per sweep, so the default kernel's 40 steps at a regrid
+        // cadence of 5 give 8 / 8 / 40.
+        if command == ["experiments", "fig13"] {
+            for (path, count) in [
+                ("miniamr_regrid", 8),
+                ("miniamr_regrid;miniamr_ghost", 8),
+                ("miniamr_stencil", 40),
+            ] {
+                assert!(
+                    first_shape.contains(&(path.to_string(), count)),
+                    "({path}, {count}) missing from {first_shape:?}"
+                );
+            }
         }
     }
 }
