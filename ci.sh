@@ -37,8 +37,10 @@
 #   ./ci.sh chaos-smoke    # deterministic chaos replay: the bench mix
 #                          # under examples/faults/smoke.json at
 #                          # --workers 1, 8, and 1 again — zero byte-
-#                          # verification failures, chaos accounting
-#                          # bit-identical across all three runs, stats
+#                          # verification failures, at least one
+#                          # simcache_poison recompute per run, chaos
+#                          # accounting bit-identical across all three
+#                          # runs, stats
 #                          # recorded into BENCH_serve.json
 #                          # (docs/ROBUSTNESS.md)
 #   ./ci.sh bench-json     # quick cold-vs-warm SystemYear::simulate,
@@ -454,6 +456,15 @@ chaos_smoke() {
       echo "chaos smoke: run $i has no per-site fault accounting" >&2
       exit 1
     fi
+    # Poisoned lookups are the one runtime path where a served year is
+    # recomputed (and then byte-verified), so the replay must hit it.
+    local poisoned
+    poisoned=$(grep -A1 '"site": "simcache_poison"' "target/chaos_section_$i.json" \
+      | sed -n 's/.*"injected": \([0-9]*\).*/\1/p')
+    if [[ -z "$poisoned" || "$poisoned" -lt 1 ]]; then
+      echo "chaos smoke: run $i injected no simcache_poison fault (got '${poisoned}')" >&2
+      exit 1
+    fi
   done
   for i in 1 2; do
     if ! cmp -s target/chaos_section_0.json "target/chaos_section_$i.json"; then
@@ -463,7 +474,7 @@ chaos_smoke() {
     fi
   done
   grep -q '"chaos":' BENCH_serve.json
-  printf '  ok chaos replay: 0 mismatches, accounting bit-identical at workers 1, 8, 1\n'
+  printf '  ok chaos replay: 0 mismatches, simcache_poison fired, accounting bit-identical at workers 1, 8, 1\n'
 }
 
 if [[ "$mode" == "chaos-smoke" ]]; then

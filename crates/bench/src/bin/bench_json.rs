@@ -129,7 +129,6 @@ fn main() {
     });
 
     // Warm path: prime once, then every repeat must be an Arc clone.
-    simcache::set_enabled(true);
     let _prime = SystemYear::simulate(SystemId::Polaris, 77);
     let warm_ns = median_ns(iters.max(101), || {
         std::hint::black_box(SystemYear::simulate(SystemId::Polaris, 77));

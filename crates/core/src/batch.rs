@@ -15,8 +15,10 @@
 //! `workload_series` helper [`SystemYear::simulate_uncached`] uses
 //! (identical seeding: `seed ^ id·φ64`), scales evaluate `v·k` exactly
 //! like [`HourlySeries::scale`], and every reduction folds hours in
-//! ascending order like the scalar kernels. `tests/batch.rs` proves the
-//! batched aggregates bit-identical to the scalar reductions over the
+//! ascending order like the scalar kernels. The shared sub-simulations
+//! (workload, grid and climate → WUE series) always come from the
+//! process-wide memo layers. `tests/batch.rs` proves the batched
+//! aggregates bit-identical to the scalar reductions over the
 //! [`SystemYear::simulate_uncached`] oracle on proptest-random spec
 //! batches, and compiled sweeps row-identical to per-cell evaluation.
 
@@ -28,11 +30,10 @@ use thirstyflops_obs::span;
 use thirstyflops_obs::Counter;
 
 use thirstyflops_catalog::SystemSpec;
-use thirstyflops_grid::{GridRegion, GridYear, RegionId};
+use thirstyflops_grid::RegionId;
 use thirstyflops_timeseries::lanes::{self, LaneSource};
 use thirstyflops_timeseries::{DistributionSummary, HourlySeries};
 use thirstyflops_units::Liters;
-use thirstyflops_weather::ClimatePreset;
 
 use crate::operational::OperationalBreakdown;
 use crate::simcache::{self, MemoCache};
@@ -152,7 +153,8 @@ pub fn energy_key(spec: &SystemSpec, seed: u64) -> String {
 /// by [`energy_key`], so repeated sweeps (the server's
 /// `POST /v1/scenarios/sweep` burst shape) stop repaying the ChaCha12
 /// workload simulation once it is warm. LRU-bounded like the simcache
-/// layers; an evicted entry recomputes to identical bytes.
+/// layers (a huge `nodes` axis would otherwise pin one year-long series
+/// per value); an evicted entry recomputes to identical bytes.
 fn global_energy() -> &'static MemoCache<String, HourlySeries> {
     static CACHE: OnceLock<MemoCache<String, HourlySeries>> = OnceLock::new();
     CACHE.get_or_init(|| {
@@ -161,83 +163,35 @@ fn global_energy() -> &'static MemoCache<String, HourlySeries> {
     })
 }
 
-/// Shared sub-simulation resolution for a batch evaluation: single-flight
-/// caches for the seed-dependent workload series plus the seed-independent
-/// grid / climate layers. When the process-wide [`crate::simcache`] is
-/// enabled all three layers are global (so sweeps keep warming the
-/// server's caches across requests); when it is disabled the context
-/// falls back to its own local layers — the sub-simulators are
-/// deterministic, so the values are byte-identical either way.
-#[derive(Debug)]
-pub struct BatchContext {
-    energy: MemoCache<String, HourlySeries>,
-    wue_local: MemoCache<ClimatePreset, HourlySeries>,
-    grid_local: MemoCache<RegionId, GridYear>,
+/// The hourly energy series for one lane, memoized by [`energy_key`].
+/// Single source of truth: the same `workload_series` helper the scalar
+/// path calls.
+fn energy_of(spec: &SystemSpec, seed: u64) -> Arc<HourlySeries> {
+    // Demand-level span: counts energy-series *requests*, hit or miss.
+    let _span = span::span(span::CACHE_LOOKUP);
+    global_energy().get_or_compute(energy_key(spec, seed), || {
+        crate::simulate::workload_series(spec, seed).1
+    })
 }
 
-impl Default for BatchContext {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// A batch evaluation. Every sub-simulation it reads resolves through
+/// the process-wide single-flight layers — the workload series above,
+/// the grid and climate → WUE layers of [`crate::simcache`] — so sweeps
+/// keep warming the server's caches across requests.
+#[derive(Debug, Default)]
+pub struct BatchContext;
 
 impl BatchContext {
-    /// A fresh context. The energy layer is LRU-bounded (a huge `nodes`
-    /// axis would otherwise pin one year-long series per value);
-    /// an evicted entry recomputes to identical bytes.
+    /// A context; all its state lives in the process-wide layers.
     pub fn new() -> Self {
-        BatchContext {
-            energy: MemoCache::new(8, 256),
-            wue_local: MemoCache::new(4, 0),
-            grid_local: MemoCache::new(4, 0),
-        }
-    }
-
-    /// The hourly energy series for one lane, memoized by
-    /// [`energy_key`] (globally when the simcache is enabled, per
-    /// context otherwise). Single source of truth: the same
-    /// `workload_series` helper the scalar path calls.
-    fn energy_of(&self, spec: &SystemSpec, seed: u64) -> Arc<HourlySeries> {
-        // Demand-level span: counts energy-series *requests*, which are
-        // identical whichever cache layer (global or local) serves them.
-        let _span = span::span(span::CACHE_LOOKUP);
-        let cache = if simcache::enabled() {
-            global_energy()
-        } else {
-            &self.energy
-        };
-        cache.get_or_compute(energy_key(spec, seed), || {
-            crate::simulate::workload_series(spec, seed).1
-        })
-    }
-
-    /// The climate → WUE series (global simcache layer when enabled).
-    pub fn wue_of(&self, climate: ClimatePreset) -> Arc<HourlySeries> {
-        if simcache::enabled() {
-            simcache::wue_series(climate)
-        } else {
-            self.wue_local.get_or_compute(climate, || {
-                let generated = climate.generate();
-                climate.wue_model().hourly_series(&generated)
-            })
-        }
-    }
-
-    /// The region's grid year (global simcache layer when enabled).
-    pub fn grid_of(&self, region: RegionId) -> Arc<GridYear> {
-        if simcache::enabled() {
-            simcache::grid_year(region)
-        } else {
-            self.grid_local
-                .get_or_compute(region, || GridRegion::preset(region).simulate_year())
-        }
+        BatchContext
     }
 
     /// Annual means of the region's *unscaled* EWF and carbon series —
     /// what the scalar path reads as `year.ewf.mean()` /
     /// `year.carbon.mean()` when pinning a grid-mix override.
     pub fn region_means(&self, region: RegionId) -> (f64, f64) {
-        let grid = self.grid_of(region);
+        let grid = simcache::grid_year(region);
         (grid.ewf().mean(), grid.carbon().mean())
     }
 
@@ -262,9 +216,9 @@ impl BatchContext {
             .iter()
             .map(|req| {
                 (
-                    self.energy_of(&req.spec, req.seed),
-                    self.wue_of(req.spec.climate),
-                    self.grid_of(req.spec.region),
+                    energy_of(&req.spec, req.seed),
+                    simcache::wue_series(req.spec.climate),
+                    simcache::grid_year(req.spec.region),
                 )
             })
             .collect();

@@ -18,25 +18,24 @@
 //!   no matter how many threads race (see the unit test below and
 //!   `tests/simcache.rs`).
 //! * **Determinism** — a cache hit returns a value produced by the same
-//!   pure function a miss would run, so cached and uncached outputs are
-//!   byte-identical at every thread count (`docs/CONCURRENCY.md`).
+//!   pure function a miss would run, so every lookup is bit-identical to
+//!   the [`SystemYear::simulate_uncached`] oracle at every thread count
+//!   (`tests/simcache.rs`, `docs/CONCURRENCY.md`).
 //! * **Observability** — per-layer hit/miss/entry/eviction counters,
 //!   exposed via [`stats`] and served at `GET /v1/cache/stats`.
-//! * **Escape hatch** — `thirstyflops --no-sim-cache` or
-//!   `THIRSTYFLOPS_NO_SIM_CACHE=1` disables every layer via
-//!   [`set_enabled`]; `tests/simcache.rs` uses it to prove bit-identity.
 //!
 //! The whole-year layer is bounded (LRU on whole entries) because seeds
 //! are caller-controlled and therefore unbounded; the grid and WUE
 //! layers are keyed by small closed enums and need no bound.
 //!
 //! [`SystemYear::simulate`]: crate::SystemYear::simulate
+//! [`SystemYear::simulate_uncached`]: crate::SystemYear::simulate_uncached
 //! [`GridRegion::simulate_year`]: thirstyflops_grid::GridRegion::simulate_year
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -249,35 +248,12 @@ impl<K: Eq + Hash + Clone, V> MemoCache<K, V> {
 /// `docs/PERFORMANCE.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SimCacheStats {
-    /// False when `--no-sim-cache` / `THIRSTYFLOPS_NO_SIM_CACHE` turned
-    /// the substrate off.
-    pub enabled: bool,
     /// Whole `Arc<SystemYear>`s keyed by `(spec fingerprint, seed)`.
     pub system_years: LayerStats,
     /// `GridYear`s keyed by region preset.
     pub grid_years: LayerStats,
     /// Climate → WUE hourly series keyed by climate preset.
     pub wue_series: LayerStats,
-}
-
-fn disabled_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let raw = std::env::var("THIRSTYFLOPS_NO_SIM_CACHE").unwrap_or_default();
-        AtomicBool::new(matches!(raw.as_str(), "1" | "true" | "yes"))
-    })
-}
-
-/// True when the memo layers are active (the default).
-pub fn enabled() -> bool {
-    !disabled_flag().load(Ordering::Relaxed)
-}
-
-/// Turns the whole substrate on or off at runtime — the CLI's
-/// `--no-sim-cache` escape hatch. Already-cached entries are kept but
-/// not consulted while disabled.
-pub fn set_enabled(on: bool) {
-    disabled_flag().store(!on, Ordering::Relaxed);
 }
 
 /// Registry-backed hit/miss/eviction counters for one global layer,
@@ -309,17 +285,6 @@ fn year_cache() -> &'static MemoCache<(String, u64), SystemYear> {
     // ~350 KB per cached year ⇒ the 256-entry bound caps the layer near
     // 90 MB even under an adversarial seed sweep.
     CACHE.get_or_init(|| {
-        thirstyflops_obs::registry::gauge(
-            "thirstyflops_simcache_enabled",
-            "1 while the simulation-cache substrate is active, 0 under --no-sim-cache.",
-            || {
-                if enabled() {
-                    1.0
-                } else {
-                    0.0
-                }
-            },
-        );
         let (hits, misses, evictions) = layer_counters("system_years");
         MemoCache::new(8, 256).with_counters(hits, misses, evictions)
     })
@@ -354,13 +319,10 @@ pub fn spec_fingerprint(spec: &SystemSpec) -> String {
 /// shared grid/WUE layers so that cold-but-related specs still reuse
 /// sub-simulations.
 pub fn system_year(spec: SystemSpec, seed: u64) -> Arc<SystemYear> {
-    // The span covers the demand (hit or miss, cache on or off), so its
-    // invocation count is the number of system-years *asked for* — a
-    // pure function of the command, identical across cache modes.
+    // The span covers the demand (hit, miss or poisoned recompute), so
+    // its invocation count is the number of system-years *asked for* — a
+    // pure function of the command, identical at every thread count.
     let _span = span::span(span::CACHE_LOOKUP);
-    if !enabled() {
-        return Arc::new(SystemYear::compute(spec, seed, false));
-    }
     // Injected cache poisoning (`docs/ROBUSTNESS.md`): a fired
     // `simcache_poison` fault forces this lookup down the uncached
     // recompute path — exercising the miss machinery under load without
@@ -379,31 +341,22 @@ pub fn system_year(spec: SystemSpec, seed: u64) -> Arc<SystemYear> {
 /// The memoized grid year for a region preset. Seed-independent: every
 /// system in `region` shares one computation.
 pub fn grid_year(region: RegionId) -> Arc<GridYear> {
-    let compute = move || GridRegion::preset(region).simulate_year();
-    if !enabled() {
-        return Arc::new(compute());
-    }
-    grid_cache().get_or_compute(region, compute)
+    grid_cache().get_or_compute(region, move || GridRegion::preset(region).simulate_year())
 }
 
 /// The memoized climate → WUE hourly series for a climate preset.
 /// Seed-independent: every system with `preset`'s climate shares one
 /// weather + WUE computation.
 pub fn wue_series(preset: ClimatePreset) -> Arc<HourlySeries> {
-    let compute = move || {
+    wue_cache().get_or_compute(preset, move || {
         let climate = preset.generate();
         preset.wue_model().hourly_series(&climate)
-    };
-    if !enabled() {
-        return Arc::new(compute());
-    }
-    wue_cache().get_or_compute(preset, compute)
+    })
 }
 
 /// Counters for all layers.
 pub fn stats() -> SimCacheStats {
     SimCacheStats {
-        enabled: enabled(),
         system_years: year_cache().stats(),
         grid_years: grid_cache().stats(),
         wue_series: wue_cache().stats(),
@@ -414,15 +367,6 @@ pub fn stats() -> SimCacheStats {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    /// Tests touching the global layers / enabled flag serialize on this
-    /// lock so the harness's test threads don't race each other's
-    /// assertions.
-    fn global_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn repeat_lookup_is_a_hit_and_shares_the_arc() {
@@ -535,27 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn disabling_bypasses_the_layers_without_clearing_them() {
-        let _guard = global_lock();
-        // Uses the global flag, so restore it even on panic-free exit.
-        assert!(enabled(), "tests start with the cache on");
-        set_enabled(false);
-        let off = stats();
-        assert!(!off.enabled);
-        let a = grid_year(RegionId::Kansai);
-        let b = grid_year(RegionId::Kansai);
-        assert!(
-            !Arc::ptr_eq(&a, &b),
-            "disabled layer must compute fresh values"
-        );
-        assert_eq!(a.ewf().values(), b.ewf().values());
-        set_enabled(true);
-        assert!(stats().enabled);
-    }
-
-    #[test]
     fn grid_layer_shares_one_computation_per_region() {
-        let _guard = global_lock();
         let a = grid_year(RegionId::Tennessee);
         let b = grid_year(RegionId::Tennessee);
         assert!(Arc::ptr_eq(&a, &b), "repeat is an Arc clone");
@@ -564,7 +488,6 @@ mod tests {
 
     #[test]
     fn wue_layer_shares_one_computation_per_preset() {
-        let _guard = global_lock();
         let a = wue_series(ClimatePreset::Kobe);
         let b = wue_series(ClimatePreset::Kobe);
         assert!(Arc::ptr_eq(&a, &b));

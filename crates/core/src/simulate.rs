@@ -4,9 +4,10 @@
 //! Simulation goes through the memoized substrate in [`crate::simcache`]:
 //! [`SystemYear::simulate`] returns an `Arc<SystemYear>` so a repeated
 //! `(system, seed)` is a pointer clone, and even a cold year reuses the
-//! seed-independent grid and climate → WUE sub-simulations. The
-//! uncached path ([`SystemYear::simulate_uncached`]) produces
-//! byte-identical telemetry — `tests/simcache.rs` enforces it.
+//! seed-independent grid and climate → WUE sub-simulations. There is no
+//! switch to turn the memo layers off: the uncached reference
+//! ([`SystemYear::simulate_uncached`]) is a test oracle, and
+//! `tests/simcache.rs` checks that both give the same bits.
 
 use std::sync::Arc;
 
@@ -87,9 +88,9 @@ impl SystemYear {
     ///
     /// Memoized: a repeated `(system, seed)` call returns an `Arc` clone
     /// of the first result — no re-simulation (observable through
-    /// [`crate::simcache::stats`]). Disable with the CLI's
-    /// `--no-sim-cache` or `THIRSTYFLOPS_NO_SIM_CACHE=1`; cached and
-    /// uncached telemetry are byte-identical.
+    /// [`crate::simcache::stats`]). The telemetry is bit-identical to
+    /// [`SystemYear::simulate_uncached`], the oracle `tests/simcache.rs`
+    /// compares against.
     pub fn simulate(id: SystemId, seed: u64) -> Arc<SystemYear> {
         Self::simulate_spec(SystemSpec::reference(id), seed)
     }

@@ -4,7 +4,7 @@
 //!
 //! Four parts, all std-only; counter updates and span opens take no lock:
 //!
-//! - **[`registry`]** — named counters, gauges, and histograms registered
+//! - **[`registry`]** — named counters and histograms registered
 //!   once and updated through cloneable atomic handles. Producers (the
 //!   simulation cache, the batch kernel, the sweep evaluator, the cluster
 //!   simulator) register their counters here instead of keeping private

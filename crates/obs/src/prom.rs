@@ -53,11 +53,6 @@ impl PromWriter {
         self.sample(name, labels, &value.to_string());
     }
 
-    /// One float sample line.
-    pub fn sample_f64(&mut self, name: &str, labels: &str, value: f64) {
-        self.sample(name, labels, &value.to_string());
-    }
-
     /// Expands one histogram series: cumulative `_bucket` lines with
     /// `le` bounds `0, 1, 3, …, 2^(BUCKETS-2)−1, +Inf`, then `_count`
     /// and `_sum`.
@@ -99,10 +94,9 @@ mod tests {
         w.header("x_total", "things", "counter");
         w.sample_u64("x_total", "", 3);
         w.sample_u64("x_total", "k=\"v\"", 4);
-        w.sample_f64("y", "", 1.5);
         assert_eq!(
             w.into_string(),
-            "# HELP x_total things\n# TYPE x_total counter\nx_total 3\nx_total{k=\"v\"} 4\ny 1.5\n"
+            "# HELP x_total things\n# TYPE x_total counter\nx_total 3\nx_total{k=\"v\"} 4\n"
         );
     }
 

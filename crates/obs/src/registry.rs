@@ -1,4 +1,4 @@
-//! The global metrics registry: named counters, gauges, and histograms.
+//! The global metrics registry: named counters and histograms.
 //!
 //! Registration happens once per series (idempotent — re-registering a
 //! name+labels pair returns a handle to the existing series) under one
@@ -59,10 +59,6 @@ impl Default for Counter {
 /// One series' value source.
 enum Series {
     Counter(Counter),
-    /// Gauges are plain function pointers sampled at render time, so a
-    /// crate can expose "is the cache enabled" without the registry
-    /// holding state.
-    Gauge(fn() -> f64),
     Histogram(Arc<LatencyHistogram>),
 }
 
@@ -130,12 +126,6 @@ pub fn counter_labeled(name: &str, labels: &[(&str, &str)], help: &'static str) 
     }
 }
 
-/// Registers a gauge sampled from `f` at render time. Idempotent; the
-/// first registered function wins.
-pub fn gauge(name: &str, help: &'static str, f: fn() -> f64) {
-    register(name, &[], help, "gauge", || Series::Gauge(f));
-}
-
 /// Registers (or finds) an unlabeled histogram.
 pub fn histogram(name: &str, help: &'static str) -> Arc<LatencyHistogram> {
     histogram_labeled(name, &[], help)
@@ -159,7 +149,7 @@ pub fn histogram_labeled(
 }
 
 /// Snapshot of every registered counter as `(rendered name, value)`,
-/// in exposition order. Gauges and histograms are excluded on purpose:
+/// in exposition order. Histograms are excluded on purpose:
 /// this feeds the `--profile` report's count-determinism comparisons,
 /// which only hold for work counters.
 pub fn counters_snapshot() -> Vec<(String, u64)> {
@@ -190,7 +180,6 @@ pub fn render_prometheus() -> String {
         for (labels, series) in family.series.iter() {
             match series {
                 Series::Counter(c) => w.sample_u64(name, labels, c.get()),
-                Series::Gauge(f) => w.sample_f64(name, labels, f()),
                 Series::Histogram(h) => w.histogram(name, labels, h),
             }
         }
@@ -251,14 +240,12 @@ mod tests {
     #[test]
     fn render_emits_help_type_and_samples() {
         counter("test_reg_render_total", "how many renders").add(7);
-        gauge("test_reg_render_gauge", "a gauge", || 2.5);
         let h = histogram("test_reg_render_hist", "a histogram");
         h.record(100);
         let text = render_prometheus();
         assert!(text.contains("# HELP test_reg_render_total how many renders\n"));
         assert!(text.contains("# TYPE test_reg_render_total counter\n"));
         assert!(text.contains("test_reg_render_total 7\n"));
-        assert!(text.contains("test_reg_render_gauge 2.5\n"));
         assert!(text.contains("# TYPE test_reg_render_hist histogram\n"));
         assert!(text.contains("test_reg_render_hist_bucket{le=\"127\"} 1\n"));
         assert!(text.contains("test_reg_render_hist_bucket{le=\"+Inf\"} 1\n"));

@@ -25,7 +25,7 @@ pub struct ProfileReport {
     /// Per-stage span aggregates, in fixed stage order: the rollup
     /// summed by leaf stage.
     pub stages: Vec<StageProfile>,
-    /// Registered counters in exposition order (gauges and histograms
+    /// Registered counters in exposition order (histograms
     /// excluded — counts are what the determinism contract covers).
     pub counters: Vec<CounterSample>,
     /// Flamegraph-style folded stacks from the trace rollup, sorted by

@@ -10,9 +10,9 @@
 //!
 //! **Determinism contract** (`docs/OBSERVABILITY.md`, extending
 //! `docs/CONCURRENCY.md`): invocation counts and span paths are pure
-//! functions of the input — bit-identical across thread counts and
-//! cache modes — because every span sits on a code path whose execution
-//! count is itself deterministic, and every fan-out re-attaches its
+//! functions of the input — bit-identical across thread counts —
+//! because every span sits on a code path whose execution count is
+//! itself deterministic, and every fan-out re-attaches its
 //! workers under the span open at the fan-out
 //! ([`crate::trace::propagate`]). Durations are wall-clock and
 //! explicitly exempt.

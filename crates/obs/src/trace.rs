@@ -536,7 +536,7 @@ impl Rollup {
 
     /// Flamegraph-style folded stacks, sorted by rendered path. This is
     /// the canonical tree *shape*: ids and timestamps are erased, so
-    /// the output is comparable across thread counts and cache modes.
+    /// the output is comparable across thread counts and repeated runs.
     pub fn folded(&self) -> Vec<FoldedStack> {
         let mut out: Vec<FoldedStack> = self
             .with_self_ns()

@@ -120,7 +120,6 @@ impl Command {
 #[rustfmt::skip]
 const GLOBAL_FLAGS: &[Flag] = &[
     value("--threads", "N", "worker threads (default THIRSTYFLOPS_THREADS, then the CPU count)"),
-    switch("--no-sim-cache", "recompute every simulation (docs/PERFORMANCE.md)"),
     switch("--profile", "span profile, counters and folded stacks on stderr afterwards"),
     value("--trace-out", "FILE", "write the span tree as Chrome trace_event JSON"),
     value("--trace-sample", "N|1/N", "record every N-th serve request (by request ordinal)"),
@@ -401,12 +400,6 @@ fn execute(inv: &Invocation) -> Result<i32, String> {
         let _ = rayon::ThreadPoolBuilder::new()
             .num_threads(n)
             .build_global();
-    }
-    if inv.has("--no-sim-cache") {
-        // The escape hatch around core::simcache — every simulation
-        // recomputes from scratch. Output is byte-identical either way
-        // (tests/simcache.rs).
-        thirstyflops::core::simcache::set_enabled(false);
     }
     let profile = inv.has("--profile");
     let trace_out = inv.value("--trace-out");

@@ -211,32 +211,26 @@ fn streaming_top_n_rows_equal_sort_then_truncate_of_the_full_report() {
 }
 
 /// CLI-level differential: `scenario sweep --json` emits byte-identical
-/// reports at 1 and 8 threads, with the simulation cache on and off —
-/// every combination, one byte set. Rows against the per-cell oracle
-/// are `compiled_sweep_rows_equal_the_per_cell_oracle`'s job.
+/// reports at 1 and 8 threads. Rows against the per-cell oracle are
+/// `compiled_sweep_rows_equal_the_per_cell_oracle`'s job, and cached
+/// against uncached simulation is `tests/simcache.rs`'s.
 #[test]
 fn cli_sweep_bytes_identical_batched_vs_scalar_across_threads_and_cache() {
     let path = spec_path("sweep_siting.json");
     let mut bodies: Vec<Vec<u8>> = Vec::new();
     for threads in ["1", "8"] {
-        for extra in [&[][..], &["--no-sim-cache"][..]] {
-            let mut args = vec!["scenario", "sweep", path.as_str(), "--json"];
-            args.extend_from_slice(extra);
-            let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
-                .args(&args)
-                .env("THIRSTYFLOPS_THREADS", threads)
-                .output()
-                .expect("CLI binary runs");
-            assert!(out.status.success(), "{args:?} failed: {out:?}");
-            bodies.push(out.stdout);
-        }
+        let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
+            .args(["scenario", "sweep", path.as_str(), "--json"])
+            .env("THIRSTYFLOPS_THREADS", threads)
+            .output()
+            .expect("CLI binary runs");
+        assert!(out.status.success(), "{threads} threads failed: {out:?}");
+        bodies.push(out.stdout);
     }
-    for body in &bodies[1..] {
-        assert_eq!(
-            &bodies[0], body,
-            "sweep bytes must not depend on threads or the cache"
-        );
-    }
+    assert_eq!(
+        bodies[0], bodies[1],
+        "sweep bytes must not depend on the thread count"
+    );
 }
 
 /// The same differential over a *streaming* (top-N) sweep: a 600-cell

@@ -175,17 +175,6 @@ fn threads_flag_rejects_garbage() {
 }
 
 #[test]
-fn no_sim_cache_flag_is_position_independent() {
-    // Like --threads, --no-sim-cache is global (tests/simcache.rs pins
-    // the byte-identity of its output; this pins the arg parsing).
-    let (code, before, _) = run(&["--no-sim-cache", "systems"]);
-    assert_eq!(code, 0);
-    let (code, after, _) = run(&["systems", "--no-sim-cache"]);
-    assert_eq!(code, 0);
-    assert_eq!(before, after);
-}
-
-#[test]
 fn serve_cache_flags_reject_garbage() {
     let (code, _, err) = run(&["serve", "--cache-entries", "many"]);
     assert_eq!(code, 2);
@@ -330,6 +319,15 @@ fn unknown_flags_are_rejected() {
     assert_rejected(&["systems", "--jsn"], "--jsn");
     assert_rejected(&["sensitivity", "frontier", "--json"], "--json");
     assert_rejected(&["footprint", "polaris", "--sed", "7"], "--sed");
+}
+
+#[test]
+fn no_sim_cache_flag_is_position_independent() {
+    // The simulation cache has no off switch, so `--no-sim-cache` is
+    // unknown: before or after the command it exits 2, prints nothing on
+    // stdout and is named on stderr.
+    assert_rejected(&["--no-sim-cache", "systems"], "--no-sim-cache");
+    assert_rejected(&["systems", "--no-sim-cache"], "--no-sim-cache");
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //!
 //! The contract (docs/SERVING.md, docs/CONCURRENCY.md): a replayed mix
 //! produces zero body mismatches at any worker/connection count, over
-//! keep-alive or one-shot connections, with or without the simulation
-//! cache — the determinism promise measured on the wire.
+//! keep-alive or one-shot connections, and with every simulated year
+//! recomputed under a `simcache_poison` chaos plan — the determinism
+//! promise measured on the wire.
 
 use std::process::Command;
 
@@ -170,15 +171,26 @@ fn cli_loadgen_smoke_mix_exits_zero() {
     assert_eq!(report.discipline, "keep-alive");
 }
 
-/// CLI: the sim-cache escape hatch changes nothing on the wire — the
-/// replay stays mismatch-free with every simulation recomputed, at one
-/// worker and at eight.
+/// CLI: recomputed simulations change nothing on the wire. A chaos plan
+/// that poisons every whole-year lookup (`simcache_poison` at rate 1)
+/// sends each one down the uncached recompute path, and the replay stays
+/// mismatch-free at one worker and at eight.
 #[test]
 fn cli_loadgen_is_deterministic_without_the_sim_cache() {
+    let plan = std::env::temp_dir().join(format!(
+        "thirstyflops_loadgen_poison_{}.json",
+        std::process::id()
+    ));
+    std::fs::write(
+        &plan,
+        r#"{"name": "poison-all", "faults": [{"site": "simcache_poison", "rate": 1.0}]}"#,
+    )
+    .expect("plan writes");
     for workers in ["1", "8"] {
         let (code, out, err) = run_cli(&[
             "loadgen",
-            "--no-sim-cache",
+            "--chaos",
+            plan.to_str().expect("utf-8 temp path"),
             "--mix",
             "examples/loadmix/smoke.json",
             "--requests",
@@ -190,7 +202,16 @@ fn cli_loadgen_is_deterministic_without_the_sim_cache() {
         ]);
         assert_eq!(code, 0, "workers {workers}: stdout: {out}\nstderr: {err}");
         assert!(out.contains("0 mismatches"), "workers {workers}: {out}");
+        let poisoned = out
+            .lines()
+            .find_map(|line| line.trim().strip_prefix("fault simcache_poison"))
+            .and_then(|n| n.trim().parse::<u64>().ok());
+        assert!(
+            poisoned > Some(0),
+            "workers {workers}: nothing recomputed: {out}"
+        );
     }
+    std::fs::remove_file(&plan).ok();
 }
 
 /// CLI: bad invocations fail with usage errors, not runs.

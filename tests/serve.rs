@@ -328,7 +328,6 @@ fn repeated_query_hits_the_cache() {
     // The simulation cache is observable through the same endpoint: the
     // one cold body computed exactly one system year, and its grid/WUE
     // sub-simulations ran at most once each.
-    assert!(stats.simulation.enabled);
     assert!(stats.simulation.system_years.misses >= 1);
     assert!(stats.simulation.grid_years.entries >= 1);
     assert!(stats.simulation.wue_series.entries >= 1);

@@ -11,6 +11,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use thirstyflops::catalog::{SystemId, SystemSpec};
 use thirstyflops::core::{simcache, AnnualReport, SystemYear};
+use thirstyflops::scenario::{engine, ScenarioSpec};
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -100,40 +101,85 @@ fn racing_first_touches_compute_once() {
     assert_eq!(after.system_years.hits - before.system_years.hits, 7);
 }
 
-/// The cached path and the fully uncached reference path produce
-/// byte-identical telemetry, reports, and figure frames.
+/// Every input the paper's commands and the shipped scenarios simulate:
+/// each cataloged reference system, plus the transformed spec of each
+/// `examples/scenarios` run spec (sweeps are skipped), with its seed.
+fn oracle_inputs() -> Vec<(String, SystemSpec, u64)> {
+    let mut inputs: Vec<(String, SystemSpec, u64)> = SystemId::ALL
+        .iter()
+        .map(|&id| (id.slug().to_string(), SystemSpec::reference(id), 990_004))
+        .collect();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/scenarios");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples/scenarios exists")
+        .map(|entry| entry.expect("dir entry").path())
+        .collect();
+    paths.sort();
+    let mut run_specs = 0;
+    for path in paths {
+        let text = std::fs::read_to_string(&path).expect("example readable");
+        let spec = match ScenarioSpec::from_json(&text) {
+            Ok(spec) => spec,
+            Err(_) if text.contains("\"axes\"") => continue, // a sweep spec
+            Err(e) => panic!("{}: {e}", path.display()),
+        };
+        let base = SystemSpec::reference(spec.base_id().expect("known base"));
+        let transformed = engine::apply_spec_overrides(&base, &spec.overrides)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        inputs.push((path.display().to_string(), transformed, spec.seed));
+        run_specs += 1;
+    }
+    assert!(run_specs >= 8, "only {run_specs} run specs found in {dir}");
+    inputs
+}
+
+/// The memoized path gives the same bits as the fully uncached
+/// reference [`SystemYear::simulate_uncached`] — telemetry, reports and
+/// figure frames — on a cold lookup and again on the warm repeat. This
+/// is the cache-invisibility oracle: there is no runtime switch to turn
+/// the memo layers off, so this comparison is what keeps them honest.
 #[test]
 fn cached_and_uncached_results_are_bit_identical() {
     let _guard = lock();
-    let seed = 990_004;
-    for id in [SystemId::Polaris, SystemId::ElCapitan] {
-        let cached = SystemYear::simulate(id, seed);
-        let uncached = SystemYear::simulate_uncached(SystemSpec::reference(id), seed);
-        assert_eq!(cached.utilization.values(), uncached.utilization.values());
-        assert_eq!(cached.energy.values(), uncached.energy.values());
-        assert_eq!(cached.wue.values(), uncached.wue.values());
-        assert_eq!(cached.ewf.values(), uncached.ewf.values());
-        assert_eq!(cached.carbon.values(), uncached.carbon.values());
+    for (name, spec, seed) in oracle_inputs() {
+        let uncached = SystemYear::simulate_uncached(spec.clone(), seed);
+        let cold = SystemYear::simulate_spec(spec.clone(), seed);
+        let warm = SystemYear::simulate_spec(spec, seed);
+        assert!(Arc::ptr_eq(&cold, &warm), "{name}: the repeat is a hit");
+        let cached = &*cold;
+        assert_eq!(
+            cached.utilization.values(),
+            uncached.utilization.values(),
+            "{name}"
+        );
+        assert_eq!(cached.energy.values(), uncached.energy.values(), "{name}");
+        assert_eq!(cached.wue.values(), uncached.wue.values(), "{name}");
+        assert_eq!(cached.ewf.values(), uncached.ewf.values(), "{name}");
+        assert_eq!(cached.carbon.values(), uncached.carbon.values(), "{name}");
         // Reports and frame exports (the figure inputs) agree exactly.
         assert_eq!(
-            AnnualReport::from_year(&cached),
-            AnnualReport::from_year(&uncached)
+            AnnualReport::from_year(cached),
+            AnnualReport::from_year(&uncached),
+            "{name}"
         );
         assert_eq!(
             cached.hourly_frame().to_csv(),
-            uncached.hourly_frame().to_csv()
+            uncached.hourly_frame().to_csv(),
+            "{name}"
         );
         assert_eq!(
             cached.monthly_frame().to_csv(),
-            uncached.monthly_frame().to_csv()
+            uncached.monthly_frame().to_csv(),
+            "{name}"
         );
     }
 }
 
-/// CLI `--json` bodies are byte-identical with and without
-/// `--no-sim-cache` (and with the env-var spelling), at
-/// `THIRSTYFLOPS_THREADS=1` and `8`. This is the end-to-end determinism
-/// contract: caching is invisible in the bytes.
+/// CLI `--json` bodies are byte-identical at `THIRSTYFLOPS_THREADS=1`
+/// and `8`: the worker count never reaches the bytes. The memo layers
+/// have no off switch, so the "with and without cache" half of the
+/// contract is checked in process against the uncached oracle
+/// ([`cached_and_uncached_results_are_bit_identical`]).
 #[test]
 fn cli_json_bodies_identical_with_and_without_cache() {
     let cases: [&[&str]; 3] = [
@@ -142,44 +188,14 @@ fn cli_json_bodies_identical_with_and_without_cache() {
         &["experiments", "fig07", "--json"],
     ];
     for args in cases {
-        let mut bodies: Vec<Vec<u8>> = Vec::new();
-        for threads in ["1", "8"] {
-            let env = [("THIRSTYFLOPS_THREADS", threads)];
-            let cached = cli_stdout(args, &env);
-            let uncached = {
-                let mut flagged = args.to_vec();
-                flagged.push("--no-sim-cache");
-                cli_stdout(&flagged, &env)
-            };
-            let env_disabled = cli_stdout(
-                args,
-                &[
-                    ("THIRSTYFLOPS_THREADS", threads),
-                    ("THIRSTYFLOPS_NO_SIM_CACHE", "1"),
-                ],
-            );
-            assert_eq!(cached, uncached, "{args:?} at {threads} threads");
-            assert_eq!(cached, env_disabled, "{args:?} env spelling");
-            assert!(!cached.is_empty());
-            bodies.push(cached);
-        }
+        let bodies: Vec<Vec<u8>> = ["1", "8"]
+            .iter()
+            .map(|threads| cli_stdout(args, &[("THIRSTYFLOPS_THREADS", threads)]))
+            .collect();
+        assert!(!bodies[0].is_empty());
         assert_eq!(
             bodies[0], bodies[1],
             "{args:?} must not depend on the thread count"
         );
     }
-}
-
-/// `--no-sim-cache` really bypasses the memo layers: repeated simulates
-/// allocate fresh storage (still identical bytes).
-#[test]
-fn disabled_cache_recomputes() {
-    let _guard = lock();
-    simcache::set_enabled(false);
-    let a = SystemYear::simulate(SystemId::Frontier, 990_005);
-    let b = SystemYear::simulate(SystemId::Frontier, 990_005);
-    simcache::set_enabled(true);
-    assert!(!Arc::ptr_eq(&a, &b), "disabled cache must compute twice");
-    assert_eq!(a.energy.values(), b.energy.values());
-    assert_eq!(a.ewf.values(), b.ewf.values());
 }
