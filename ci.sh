@@ -267,19 +267,27 @@ obs_smoke() {
   grep -q 'Content-Type: text/plain; version=0.0.4' target/obs_metrics_raw.txt
   # The body starts after the CRLF blank line that ends the head.
   awk 'body {print} /^\r?$/ {body=1}' target/obs_metrics_raw.txt > target/obs_metrics_body.txt
-  for family in '# TYPE thirstyflops_http_requests_total counter'     'thirstyflops_http_requests_total{endpoint="metrics"}'     'thirstyflops_simcache_hits_total' 'thirstyflops_batch_lanes_total'     'thirstyflops_http_request_duration_micros_bucket'; do
+  for family in '# TYPE thirstyflops_http_requests_total counter'     'thirstyflops_http_requests_total{endpoint="metrics"}'     'thirstyflops_simcache_hits_total' 'thirstyflops_batch_lanes_total'     'thirstyflops_http_request_duration_micros_bucket' 'thirstyflops_shed_total'; do
     if ! grep -qF -- "$family" target/obs_metrics_body.txt; then
       echo "obs smoke: /v1/metrics is missing $family" >&2
       exit 1
     fi
   done
+  # One surface: a family registered in both the global and the server's
+  # registry would print its `# TYPE` line twice.
+  dup_types=$(grep '^# TYPE ' target/obs_metrics_body.txt | sort | uniq -d)
+  if [[ -n "$dup_types" ]]; then
+    echo "obs smoke: /v1/metrics declares a family twice:" >&2
+    echo "$dup_types" >&2
+    exit 1
+  fi
   # Well-formedness: every non-comment line is `name[{labels}] value`.
   if grep -vE '^(#.*)?$' target/obs_metrics_body.txt        | grep -qvE '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$'; then
     echo "obs smoke: /v1/metrics has malformed exposition lines:" >&2
     grep -vE '^(#.*)?$' target/obs_metrics_body.txt          | grep -vE '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$' >&2
     exit 1
   fi
-  printf '  ok /v1/metrics: well-formed exposition with http, simcache, and batch families\n'
+  printf '  ok /v1/metrics: well-formed exposition with http, shed, simcache, and batch families, none twice\n'
 }
 
 if [[ "$mode" == "obs-smoke" ]]; then

@@ -57,7 +57,7 @@ const LANES_PER_PASS: usize = 32;
 fn lanes_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| {
-        thirstyflops_obs::registry::counter(
+        thirstyflops_obs::registry::global().counter(
             "thirstyflops_batch_lanes_total",
             "Lanes aggregated by the K-lane kernel.",
         )
@@ -67,7 +67,7 @@ fn lanes_counter() -> &'static Counter {
 fn passes_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| {
-        thirstyflops_obs::registry::counter(
+        thirstyflops_obs::registry::global().counter(
             "thirstyflops_batch_kernel_passes_total",
             "Fused K-lane kernel passes executed.",
         )
@@ -77,7 +77,7 @@ fn passes_counter() -> &'static Counter {
 fn topn_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| {
-        thirstyflops_obs::registry::counter(
+        thirstyflops_obs::registry::global().counter(
             "thirstyflops_batch_topn_pushes_total",
             "Rows offered to streaming top-N aggregators.",
         )
@@ -87,7 +87,7 @@ fn topn_counter() -> &'static Counter {
 fn lane_width_hist() -> &'static std::sync::Arc<thirstyflops_obs::LatencyHistogram> {
     static H: OnceLock<std::sync::Arc<thirstyflops_obs::LatencyHistogram>> = OnceLock::new();
     H.get_or_init(|| {
-        thirstyflops_obs::registry::histogram(
+        thirstyflops_obs::registry::global().histogram(
             "thirstyflops_batch_lane_width",
             "Lanes per fused kernel pass (log2 buckets).",
         )

@@ -259,20 +259,20 @@ pub struct SimCacheStats {
 /// Registry-backed hit/miss/eviction counters for one global layer,
 /// labeled `{cache="<layer>"}` (`docs/OBSERVABILITY.md`).
 pub(crate) fn layer_counters(layer: &'static str) -> (Counter, Counter, Counter) {
-    use thirstyflops_obs::registry::counter_labeled;
+    let registry = thirstyflops_obs::registry::global();
     let labels = [("cache", layer)];
     (
-        counter_labeled(
+        registry.counter_labeled(
             "thirstyflops_simcache_hits_total",
             &labels,
             "Simulation-cache lookups served from an existing entry.",
         ),
-        counter_labeled(
+        registry.counter_labeled(
             "thirstyflops_simcache_misses_total",
             &labels,
             "Simulation-cache first touches that computed the value.",
         ),
-        counter_labeled(
+        registry.counter_labeled(
             "thirstyflops_simcache_evictions_total",
             &labels,
             "Simulation-cache entries dropped by LRU bound or TTL.",

@@ -278,7 +278,7 @@ impl FaultInjector {
     /// the global registry (`thirstyflops_faults_injected_total`).
     pub fn mirrored(plan: FaultPlan) -> FaultInjector {
         let mirror = SITE_NAMES.map(|site| {
-            thirstyflops_obs::registry::counter_labeled(
+            thirstyflops_obs::registry::global().counter_labeled(
                 "thirstyflops_faults_injected_total",
                 &[("site", site)],
                 "faults fired per injection site (chaos plans only)",
@@ -426,7 +426,7 @@ pub fn global() -> Option<Arc<FaultInjector>> {
 /// before the first injection instead of it being silently absent.
 pub fn register_injected_family() {
     for site in SITE_NAMES {
-        let _ = thirstyflops_obs::registry::counter_labeled(
+        let _ = thirstyflops_obs::registry::global().counter_labeled(
             "thirstyflops_faults_injected_total",
             &[("site", site)],
             "faults fired per injection site (chaos plans only)",

@@ -16,9 +16,10 @@
 //!   wire: byte-identical bodies at any `--workers` / `--connections`
 //!   combination, keep-alive or one-shot, cached or not;
 //! * per-endpoint latency is recorded client-side into the same
-//!   log-bucket [`LatencyHistogram`](thirstyflops_serve::metrics) the
-//!   server uses, so client p50/p90/p99 and the server's
-//!   `/v1/cache/stats` quantiles share bucket edges;
+//!   log-bucket [`LatencyHistogram`](thirstyflops_obs::LatencyHistogram)
+//!   the server uses, so client p50/p90/p99 and the server's
+//!   `thirstyflops_http_request_duration_micros` buckets in
+//!   `/v1/metrics` share edges;
 //! * [`report::write_bench_json`] writes the throughput/latency table
 //!   into `BENCH_serve.json` in the same baseline-vs-current format as
 //!   `BENCH_simulate.json` (the recorded baseline — the one-shot

@@ -16,10 +16,11 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use thirstyflops_obs::LatencyHistogram;
 use thirstyflops_serve::handlers::{self, AppState};
 use thirstyflops_serve::http::{percent_decode, Request};
-use thirstyflops_serve::metrics::{LatencyHistogram, ENDPOINTS};
-use thirstyflops_serve::{router, Limits, Server, ServerConfig};
+use thirstyflops_serve::router::{self, Endpoint, ENDPOINTS};
+use thirstyflops_serve::{Limits, Server, ServerConfig};
 
 use crate::{LoadError, MixSpec};
 
@@ -78,7 +79,7 @@ impl Default for RunConfig {
 /// One endpoint family's client-side measurements.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EndpointLoad {
-    /// Endpoint family (`serve::metrics::ENDPOINTS`).
+    /// Endpoint family label (`serve::router::Endpoint::label`).
     pub endpoint: String,
     /// Requests replayed against this family.
     pub requests: u64,
@@ -180,7 +181,7 @@ struct Prepared {
     target: String,
     expected_status: u16,
     expected_body: Arc<str>,
-    label_idx: usize,
+    endpoint: Endpoint,
     verify: bool,
 }
 
@@ -282,13 +283,7 @@ fn prepare(mix: &MixSpec, keep_alive: bool) -> Result<Vec<Prepared>, LoadError> 
                 request_id: None,
             };
             let expected = handlers::handle(&request, &verify_state);
-            let label = router::route(&path)
-                .map(|r| r.metrics_label())
-                .unwrap_or("other");
-            let label_idx = ENDPOINTS
-                .iter()
-                .position(|e| *e == label)
-                .unwrap_or(ENDPOINTS.len() - 1);
+            let endpoint = router::route(&path).map_or(Endpoint::Other, |r| r.endpoint());
 
             let mut head = format!("{} {} HTTP/1.1\r\nHost: loadgen\r\n", t.method, t.target);
             if !t.body.is_empty() {
@@ -307,7 +302,7 @@ fn prepare(mix: &MixSpec, keep_alive: bool) -> Result<Vec<Prepared>, LoadError> 
                 target: t.target.clone(),
                 expected_status: expected.status,
                 expected_body: expected.body,
-                label_idx,
+                endpoint,
                 verify: t.verify,
             })
         })
@@ -492,13 +487,14 @@ fn client_thread(shared: &Shared, thread_id: usize) {
         let started = Instant::now();
         if retrying {
             if let Some(resp) = perform_with_retries(&mut conn, shared, tmpl, i, &mut rng) {
-                shared.hist[tmpl.label_idx].record(started.elapsed().as_micros() as u64);
+                shared.hist[tmpl.endpoint as usize].record(started.elapsed().as_micros() as u64);
                 verify_response(shared, tmpl, i, &resp);
             }
         } else {
             match exchange(&mut conn, shared, tmpl, i) {
                 Ok(resp) => {
-                    shared.hist[tmpl.label_idx].record(started.elapsed().as_micros() as u64);
+                    shared.hist[tmpl.endpoint as usize]
+                        .record(started.elapsed().as_micros() as u64);
                     verify_response(shared, tmpl, i, &resp);
                 }
                 Err(e) => {

@@ -1,4 +1,4 @@
-//! Workspace-wide observability substrate: a global metrics registry, the
+//! Workspace-wide observability substrate: metrics registries, the
 //! shared log₂-bucket latency histogram, deterministic span profiling, and
 //! Prometheus text exposition.
 //!
@@ -7,9 +7,10 @@
 //! - **[`registry`]** — named counters and histograms registered
 //!   once and updated through cloneable atomic handles. Producers (the
 //!   simulation cache, the batch kernel, the sweep evaluator, the cluster
-//!   simulator) register their counters here instead of keeping private
-//!   statics; consumers render everything in one stable-sorted Prometheus
-//!   text body.
+//!   simulator) register their counters in the process-wide
+//!   [`registry::global()`] instead of keeping private statics; each
+//!   `serve` server registers its HTTP families in a [`Registry`] of its
+//!   own. A registry is the only thing that renders Prometheus text.
 //! - **[`span`]** — the fixed set of named hot stages and the scoped
 //!   RAII span guard over them. The guard keeps no state of its own;
 //!   it opens and closes spans in [`trace`]. Disabled spans cost one
@@ -23,9 +24,8 @@
 //!   tree *shape* are bit-identical across thread counts and cache
 //!   modes (`docs/OBSERVABILITY.md`); durations are wall-clock and
 //!   explicitly exempt.
-//! - **[`prom`] / [`report`]** — the Prometheus text writer shared by the
-//!   registry and `serve`'s per-instance endpoint table, and the
-//!   `--profile` report (human table or JSON) the CLI prints to stderr.
+//! - **[`report`]** — the `--profile` report (human table or JSON) the
+//!   CLI prints to stderr.
 //!
 //! The one invariant everything here serves: observability must never
 //! change observed output. Every CLI `--json` body and HTTP response is
@@ -35,14 +35,14 @@
 #![warn(missing_docs)]
 
 pub mod hist;
-pub mod prom;
+mod prom;
 pub mod registry;
 pub mod report;
 pub mod span;
 pub mod trace;
 
 pub use hist::LatencyHistogram;
-pub use registry::Counter;
+pub use registry::{Counter, Registry};
 
 /// Serializes the unit tests that flip the process-global trace
 /// switch. libtest runs tests on parallel threads, so without

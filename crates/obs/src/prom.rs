@@ -1,6 +1,7 @@
-//! Prometheus text-exposition writer, shared by the global registry and
-//! by `serve`'s instance-local endpoint table so `/v1/metrics` renders
-//! both through one code path.
+//! Prometheus text-exposition writer. Crate-private: only
+//! [`Registry::render_prometheus`](crate::registry::Registry::render_prometheus)
+//! writes exposition text, so every `/v1/metrics` family goes through
+//! one code path.
 //!
 //! Output follows the text format version 0.0.4: `# HELP` / `# TYPE`
 //! headers per family, one sample per line, histogram families expanded
@@ -13,18 +14,18 @@ use crate::hist::{LatencyHistogram, BUCKETS};
 
 /// An append-only Prometheus text body under construction.
 #[derive(Debug, Default)]
-pub struct PromWriter {
+pub(crate) struct PromWriter {
     out: String,
 }
 
 impl PromWriter {
     /// An empty body.
-    pub fn new() -> PromWriter {
+    pub(crate) fn new() -> PromWriter {
         PromWriter::default()
     }
 
     /// Writes a family's `# HELP` and `# TYPE` lines.
-    pub fn header(&mut self, name: &str, help: &str, kind: &str) {
+    pub(crate) fn header(&mut self, name: &str, help: &str, kind: &str) {
         self.out.push_str("# HELP ");
         self.out.push_str(name);
         self.out.push(' ');
@@ -49,14 +50,14 @@ impl PromWriter {
     }
 
     /// One integer sample line.
-    pub fn sample_u64(&mut self, name: &str, labels: &str, value: u64) {
+    pub(crate) fn sample_u64(&mut self, name: &str, labels: &str, value: u64) {
         self.sample(name, labels, &value.to_string());
     }
 
     /// Expands one histogram series: cumulative `_bucket` lines with
     /// `le` bounds `0, 1, 3, …, 2^(BUCKETS-2)−1, +Inf`, then `_count`
     /// and `_sum`.
-    pub fn histogram(&mut self, name: &str, labels: &str, hist: &LatencyHistogram) {
+    pub(crate) fn histogram(&mut self, name: &str, labels: &str, hist: &LatencyHistogram) {
         let counts = hist.bucket_counts();
         let bucket_name = format!("{name}_bucket");
         let mut cumulative = 0u64;
@@ -79,7 +80,7 @@ impl PromWriter {
     }
 
     /// The finished body.
-    pub fn into_string(self) -> String {
+    pub(crate) fn into_string(self) -> String {
         self.out
     }
 }

@@ -1,4 +1,9 @@
-//! The global metrics registry: named counters and histograms.
+//! Metrics registries: named counters and histograms.
+//!
+//! A [`Registry`] is the one place metrics are stored and rendered. The
+//! process-wide instance, [`global()`], holds every crate's work
+//! counters; each `serve` server owns a second one for its HTTP
+//! families, so two servers in one process keep separate counts.
 //!
 //! Registration happens once per series (idempotent — re-registering a
 //! name+labels pair returns a handle to the existing series) under one
@@ -57,12 +62,14 @@ impl Default for Counter {
 }
 
 /// One series' value source.
+#[derive(Debug, Clone)]
 enum Series {
     Counter(Counter),
     Histogram(Arc<LatencyHistogram>),
 }
 
 /// One metric family: shared help/kind, one series per label set.
+#[derive(Debug)]
 struct Family {
     help: &'static str,
     kind: &'static str,
@@ -71,120 +78,138 @@ struct Family {
     series: BTreeMap<String, Series>,
 }
 
-fn registry() -> &'static Mutex<BTreeMap<String, Family>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, Family>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// A set of metric families, rendered as one Prometheus text body.
+#[derive(Debug, Default)]
+pub struct Registry {
+    families: Mutex<BTreeMap<String, Family>>,
 }
 
-/// Renders labels as the inner Prometheus label string, without braces.
-fn render_labels(labels: &[(&str, &str)]) -> String {
-    labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{v}\""))
-        .collect::<Vec<_>>()
-        .join(",")
+/// The process-wide registry every crate's work counters live in.
+pub fn global() -> &'static Registry {
+    static GLOBAL: OnceLock<Registry> = OnceLock::new();
+    GLOBAL.get_or_init(Registry::default)
 }
 
-fn register(
-    name: &str,
-    labels: &[(&str, &str)],
-    help: &'static str,
-    kind: &'static str,
-    make: impl FnOnce() -> Series,
-) -> &'static Mutex<BTreeMap<String, Family>> {
-    let key = render_labels(labels);
-    let reg = registry();
-    let mut map = reg.lock().expect("obs registry lock");
-    let family = map.entry(name.to_string()).or_insert_with(|| Family {
-        help,
-        kind,
-        series: BTreeMap::new(),
-    });
-    assert_eq!(
-        family.kind, kind,
-        "metric {name:?} registered twice with different kinds"
-    );
-    family.series.entry(key).or_insert_with(make);
-    reg
-}
-
-/// Registers (or finds) an unlabeled counter.
-pub fn counter(name: &str, help: &'static str) -> Counter {
-    counter_labeled(name, &[], help)
-}
-
-/// Registers (or finds) a counter with the given label set.
-pub fn counter_labeled(name: &str, labels: &[(&str, &str)], help: &'static str) -> Counter {
-    let reg = register(name, labels, help, "counter", || {
-        Series::Counter(Counter::detached())
-    });
-    let key = render_labels(labels);
-    let map = reg.lock().expect("obs registry lock");
-    match map.get(name).and_then(|f| f.series.get(&key)) {
-        Some(Series::Counter(c)) => c.clone(),
-        _ => unreachable!("{name} was just registered as a counter"),
-    }
-}
-
-/// Registers (or finds) an unlabeled histogram.
-pub fn histogram(name: &str, help: &'static str) -> Arc<LatencyHistogram> {
-    histogram_labeled(name, &[], help)
-}
-
-/// Registers (or finds) a histogram with the given label set.
-pub fn histogram_labeled(
-    name: &str,
-    labels: &[(&str, &str)],
-    help: &'static str,
-) -> Arc<LatencyHistogram> {
-    let reg = register(name, labels, help, "histogram", || {
-        Series::Histogram(Arc::new(LatencyHistogram::default()))
-    });
-    let key = render_labels(labels);
-    let map = reg.lock().expect("obs registry lock");
-    match map.get(name).and_then(|f| f.series.get(&key)) {
-        Some(Series::Histogram(h)) => Arc::clone(h),
-        _ => unreachable!("{name} was just registered as a histogram"),
-    }
-}
-
-/// Snapshot of every registered counter as `(rendered name, value)`,
-/// in exposition order. Histograms are excluded on purpose:
-/// this feeds the `--profile` report's count-determinism comparisons,
-/// which only hold for work counters.
+/// [`Registry::counters_snapshot`] of [`global()`].
 pub fn counters_snapshot() -> Vec<(String, u64)> {
-    let map = registry().lock().expect("obs registry lock");
-    let mut out = Vec::new();
-    for (name, family) in map.iter() {
-        for (labels, series) in family.series.iter() {
-            if let Series::Counter(c) = series {
-                let rendered = if labels.is_empty() {
-                    name.clone()
-                } else {
-                    format!("{name}{{{labels}}}")
-                };
-                out.push((rendered, c.get()));
-            }
-        }
-    }
-    out
+    global().counters_snapshot()
 }
 
-/// Renders every registered family as Prometheus text exposition, in
-/// stable (name, label) order.
-pub fn render_prometheus() -> String {
-    let map = registry().lock().expect("obs registry lock");
-    let mut w = PromWriter::new();
-    for (name, family) in map.iter() {
-        w.header(name, family.help, family.kind);
-        for (labels, series) in family.series.iter() {
-            match series {
-                Series::Counter(c) => w.sample_u64(name, labels, c.get()),
-                Series::Histogram(h) => w.histogram(name, labels, h),
-            }
+impl Registry {
+    /// Finds the series for `name` + `labels`, registering `new` first
+    /// if absent.
+    fn register(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &'static str,
+        kind: &'static str,
+        new: Series,
+    ) -> Series {
+        let key = labels
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{v}\""))
+            .collect::<Vec<_>>()
+            .join(",");
+        let mut map = self.families.lock().expect("obs registry lock");
+        let family = map.entry(name.to_string()).or_insert_with(|| Family {
+            help,
+            kind,
+            series: BTreeMap::new(),
+        });
+        assert_eq!(
+            family.kind, kind,
+            "metric {name:?} registered twice with different kinds"
+        );
+        family.series.entry(key).or_insert(new).clone()
+    }
+
+    /// Registers (or finds) an unlabeled counter.
+    pub fn counter(&self, name: &str, help: &'static str) -> Counter {
+        self.counter_labeled(name, &[], help)
+    }
+
+    /// Registers (or finds) a counter with the given label set.
+    pub fn counter_labeled(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &'static str,
+    ) -> Counter {
+        match self.register(
+            name,
+            labels,
+            help,
+            "counter",
+            Series::Counter(Counter::default()),
+        ) {
+            Series::Counter(c) => c,
+            Series::Histogram(_) => unreachable!("{name} is a counter family"),
         }
     }
-    w.into_string()
+
+    /// Registers (or finds) an unlabeled histogram.
+    pub fn histogram(&self, name: &str, help: &'static str) -> Arc<LatencyHistogram> {
+        self.histogram_labeled(name, &[], help)
+    }
+
+    /// Registers (or finds) a histogram with the given label set.
+    pub fn histogram_labeled(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &'static str,
+    ) -> Arc<LatencyHistogram> {
+        match self.register(
+            name,
+            labels,
+            help,
+            "histogram",
+            Series::Histogram(Arc::default()),
+        ) {
+            Series::Histogram(h) => h,
+            Series::Counter(_) => unreachable!("{name} is a histogram family"),
+        }
+    }
+
+    /// Snapshot of every registered counter as `(rendered name, value)`,
+    /// in exposition order. Histograms are excluded on purpose:
+    /// this feeds the `--profile` report's count-determinism comparisons,
+    /// which only hold for work counters.
+    pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
+        let map = self.families.lock().expect("obs registry lock");
+        let mut out = Vec::new();
+        for (name, family) in map.iter() {
+            for (labels, series) in family.series.iter() {
+                if let Series::Counter(c) = series {
+                    let rendered = if labels.is_empty() {
+                        name.clone()
+                    } else {
+                        format!("{name}{{{labels}}}")
+                    };
+                    out.push((rendered, c.get()));
+                }
+            }
+        }
+        out
+    }
+
+    /// Renders every registered family as Prometheus text exposition, in
+    /// stable (name, label) order.
+    pub fn render_prometheus(&self) -> String {
+        let map = self.families.lock().expect("obs registry lock");
+        let mut w = PromWriter::new();
+        for (name, family) in map.iter() {
+            w.header(name, family.help, family.kind);
+            for (labels, series) in family.series.iter() {
+                match series {
+                    Series::Counter(c) => w.sample_u64(name, labels, c.get()),
+                    Series::Histogram(h) => w.histogram(name, labels, h),
+                }
+            }
+        }
+        w.into_string()
+    }
 }
 
 #[cfg(test)]
@@ -193,8 +218,9 @@ mod tests {
 
     #[test]
     fn counters_are_idempotent_and_shared() {
-        let a = counter("test_reg_shared_total", "x");
-        let b = counter("test_reg_shared_total", "x");
+        let reg = Registry::default();
+        let a = reg.counter("shared_total", "x");
+        let b = reg.counter("shared_total", "x");
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3);
@@ -203,8 +229,9 @@ mod tests {
 
     #[test]
     fn labeled_series_are_distinct() {
-        let a = counter_labeled("test_reg_labeled_total", &[("k", "a")], "x");
-        let b = counter_labeled("test_reg_labeled_total", &[("k", "b")], "x");
+        let reg = Registry::default();
+        let a = reg.counter_labeled("labeled_total", &[("k", "a")], "x");
+        let b = reg.counter_labeled("labeled_total", &[("k", "b")], "x");
         a.inc();
         assert_eq!(a.get(), 1);
         assert_eq!(b.get(), 0);
@@ -223,39 +250,56 @@ mod tests {
 
     #[test]
     fn snapshot_renders_labels_and_sorts() {
-        counter_labeled("test_reg_snap_total", &[("k", "b")], "x").inc();
-        counter_labeled("test_reg_snap_total", &[("k", "a")], "x").add(2);
-        let snap = counters_snapshot();
-        let ours: Vec<_> = snap
-            .iter()
-            .filter(|(n, _)| n.starts_with("test_reg_snap_total"))
-            .collect();
-        assert_eq!(ours.len(), 2);
-        assert_eq!(ours[0].0, "test_reg_snap_total{k=\"a\"}");
-        assert_eq!(ours[0].1, 2);
-        assert_eq!(ours[1].0, "test_reg_snap_total{k=\"b\"}");
-        assert_eq!(ours[1].1, 1);
+        let reg = Registry::default();
+        reg.counter_labeled("snap_total", &[("k", "b")], "x").inc();
+        reg.counter_labeled("snap_total", &[("k", "a")], "x").add(2);
+        reg.histogram("snap_hist", "x").record(1);
+        assert_eq!(
+            reg.counters_snapshot(),
+            [
+                ("snap_total{k=\"a\"}".to_string(), 2),
+                ("snap_total{k=\"b\"}".to_string(), 1)
+            ]
+        );
     }
 
     #[test]
     fn render_emits_help_type_and_samples() {
-        counter("test_reg_render_total", "how many renders").add(7);
-        let h = histogram("test_reg_render_hist", "a histogram");
-        h.record(100);
-        let text = render_prometheus();
-        assert!(text.contains("# HELP test_reg_render_total how many renders\n"));
-        assert!(text.contains("# TYPE test_reg_render_total counter\n"));
-        assert!(text.contains("test_reg_render_total 7\n"));
-        assert!(text.contains("# TYPE test_reg_render_hist histogram\n"));
-        assert!(text.contains("test_reg_render_hist_bucket{le=\"127\"} 1\n"));
-        assert!(text.contains("test_reg_render_hist_bucket{le=\"+Inf\"} 1\n"));
-        assert!(text.contains("test_reg_render_hist_count 1\n"));
-        assert!(text.contains("test_reg_render_hist_sum 100\n"));
+        let reg = Registry::default();
+        reg.counter("render_total", "how many renders").add(7);
+        reg.histogram("render_hist", "a histogram").record(100);
+        let text = reg.render_prometheus();
+        assert!(text.contains("# HELP render_total how many renders\n"));
+        assert!(text.contains("# TYPE render_total counter\n"));
+        assert!(text.contains("render_total 7\n"));
+        assert!(text.contains("# TYPE render_hist histogram\n"));
+        assert!(text.contains("render_hist_bucket{le=\"127\"} 1\n"));
+        assert!(text.contains("render_hist_bucket{le=\"+Inf\"} 1\n"));
+        assert!(text.contains("render_hist_count 1\n"));
+        assert!(text.contains("render_hist_sum 100\n"));
     }
 
     #[test]
     fn render_is_stable_across_calls() {
-        counter("test_reg_stable_total", "x").inc();
-        assert_eq!(render_prometheus(), render_prometheus());
+        let reg = Registry::default();
+        reg.counter("stable_total", "x").inc();
+        assert_eq!(reg.render_prometheus(), reg.render_prometheus());
+    }
+
+    #[test]
+    fn instances_keep_separate_series() {
+        let a = Registry::default();
+        let b = Registry::default();
+        a.counter("test_reg_instance_total", "x").add(3);
+        b.counter("test_reg_instance_total", "x");
+        assert!(a
+            .render_prometheus()
+            .ends_with("test_reg_instance_total 3\n"));
+        assert!(b
+            .render_prometheus()
+            .ends_with("test_reg_instance_total 0\n"));
+        assert!(!global()
+            .render_prometheus()
+            .contains("test_reg_instance_total"));
     }
 }

@@ -101,7 +101,9 @@ mod tests {
 
     #[test]
     fn profile_json_round_trips_and_ends_with_newline() {
-        registry::counter("test_report_seen_total", "x").add(5);
+        registry::global()
+            .counter("test_report_seen_total", "x")
+            .add(5);
         let json = profile_json();
         assert!(json.ends_with('\n'));
         let parsed: ProfileReport = serde_json::from_str(&json).expect("parses back");

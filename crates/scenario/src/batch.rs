@@ -64,7 +64,7 @@ const FLEET_UPGRADE: usize = 7;
 fn cells_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| {
-        thirstyflops_obs::registry::counter(
+        thirstyflops_obs::registry::global().counter(
             "thirstyflops_sweep_cells_total",
             "Sweep combinations streamed through chunk evaluation.",
         )
@@ -75,7 +75,7 @@ fn cells_counter() -> &'static Counter {
 fn chunks_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| {
-        thirstyflops_obs::registry::counter(
+        thirstyflops_obs::registry::global().counter(
             "thirstyflops_sweep_chunks_total",
             "Fixed-size sweep chunks evaluated.",
         )

@@ -325,11 +325,11 @@ pub fn scenario_sweep_payload(
     thirstyflops_scenario::evaluate_sweep(sweep)
 }
 
-/// `GET /v1/cache/stats` payload — the serving layer's observability
-/// snapshot: the body cache in front, the process-wide simulation caches
-/// (`core::simcache`) behind it, and per-endpoint request/latency
-/// counters. Warm-path behavior — which layer absorbed a request — is
-/// fully observable over HTTP.
+/// `GET /v1/cache/stats` payload — the serving layer's cache snapshot:
+/// the body cache in front, the process-wide simulation caches
+/// (`core::simcache`) and the batch kernel behind it. Warm-path
+/// behavior — which layer absorbed a request — is fully observable over
+/// HTTP; per-endpoint request counts live in `/v1/metrics`.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStatsPayload {
     /// Rendered-body cache counters (per server process).
@@ -340,22 +340,15 @@ pub struct CacheStatsPayload {
     /// Batched K-lane kernel counters (lanes, kernel passes, streaming
     /// top-N pushes; process-wide).
     pub batch: thirstyflops_core::batch::BatchStats,
-    /// Per-endpoint request/cache-hit/latency counters (per server
-    /// process; families with zero traffic included).
-    pub endpoints: Vec<crate::metrics::EndpointStats>,
 }
 
-/// Builds the observability payload from a body-cache snapshot and an
-/// endpoint-metrics snapshot.
-pub fn cache_stats_payload(
-    body: crate::cache::CacheStats,
-    endpoints: Vec<crate::metrics::EndpointStats>,
-) -> CacheStatsPayload {
+/// Builds the cache payload from a body-cache snapshot and the
+/// process-wide counters.
+pub fn cache_stats_payload(body: crate::cache::CacheStats) -> CacheStatsPayload {
     CacheStatsPayload {
         body,
         simulation: thirstyflops_core::simcache::stats(),
         batch: thirstyflops_core::batch::stats(),
-        endpoints,
     }
 }
 

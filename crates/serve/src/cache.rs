@@ -68,12 +68,6 @@ impl ResultCache {
         }
     }
 
-    /// An unbounded, never-expiring cache with `shards` locks — the
-    /// pre-eviction behavior, kept for tests and embedders.
-    pub fn new(shards: usize) -> ResultCache {
-        Self::with_limits(shards, 0, None)
-    }
-
     /// Returns the cached body for `key`, or computes, caches, and
     /// returns it. Single-flight: under concurrent misses on one key,
     /// exactly one caller renders; the rest block and share the result.
@@ -131,7 +125,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_get_distinct_entries() {
-        let cache = ResultCache::new(2);
+        let cache = ResultCache::with_limits(2, 0, None);
         for i in 0..10 {
             cache.get_or_compute(&format!("k{i}"), || format!("v{i}"));
         }
@@ -142,7 +136,7 @@ mod tests {
 
     #[test]
     fn shard_count_is_clamped() {
-        assert_eq!(ResultCache::new(0).stats().shards, 1);
+        assert_eq!(ResultCache::with_limits(0, 0, None).stats().shards, 1);
     }
 
     #[test]

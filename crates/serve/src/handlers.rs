@@ -8,14 +8,16 @@
 //! the CLI's `--json` flags use, which is what makes cached, uncached,
 //! and CLI output byte-identical.
 
+use std::sync::Arc;
+
 use thirstyflops_catalog::SystemId;
+use thirstyflops_obs::{Counter, LatencyHistogram, Registry};
 
 use crate::api;
 use crate::cache::ResultCache;
 use crate::error::ServeError;
 use crate::http::{Request, Response};
-use crate::metrics::Metrics;
-use crate::router::{route, Query, Route};
+use crate::router::{route, Endpoint, Query, Route, ShedReason, ENDPOINTS, SHED_REASONS};
 
 /// Per-connection time limits (see `docs/SERVING.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,15 +49,23 @@ impl Default for Limits {
     }
 }
 
-/// Shared state behind all workers: the result cache, the per-endpoint
-/// counters, the logging switch, the connection limits, and the
+/// Shared state behind all workers: the result cache, this server's
+/// metrics registry, the logging switch, the connection limits, and the
 /// shutdown flag the connection loops poll.
 #[derive(Debug)]
 pub struct AppState {
     /// The sharded body cache (see `docs/SERVING.md` for the key scheme).
     pub cache: ResultCache,
-    /// Per-endpoint request/latency counters (`/v1/cache/stats`).
-    pub metrics: Metrics,
+    /// This server's HTTP metric families, rendered by `/v1/metrics`
+    /// after the global registry. Per state, so two servers in one
+    /// process keep separate counts.
+    pub(crate) registry: Registry,
+    /// Handles into `registry`, indexed by [`Endpoint`] and
+    /// [`ShedReason`], so recording a request is a few atomic adds.
+    requests: [Counter; ENDPOINTS.len()],
+    cache_hits: [Counter; ENDPOINTS.len()],
+    latency: [Arc<LatencyHistogram>; ENDPOINTS.len()],
+    shed: [Counter; SHED_REASONS.len()],
     /// `serve --log-json`: one structured JSON object per request on
     /// stderr (see [`access_log_line`] for the stable key order).
     pub log_json: bool,
@@ -75,21 +85,84 @@ pub struct AppState {
     /// Fault injector driving this server's instrumented sites
     /// (`docs/ROBUSTNESS.md`). `None` — the default — means every site
     /// short-circuits on this one check.
-    pub faults: Option<std::sync::Arc<thirstyflops_faults::FaultInjector>>,
+    pub faults: Option<Arc<thirstyflops_faults::FaultInjector>>,
 }
 
 impl Default for AppState {
     fn default() -> AppState {
+        AppState::new(ResultCache::default(), false, Limits::default(), None)
+    }
+}
+
+impl AppState {
+    /// A fresh state around `cache`, with every HTTP family registered
+    /// at zero in its own registry.
+    pub(crate) fn new(
+        cache: ResultCache,
+        log_json: bool,
+        limits: Limits,
+        faults: Option<Arc<thirstyflops_faults::FaultInjector>>,
+    ) -> AppState {
+        let registry = Registry::default();
+        let per_endpoint = |name, help| {
+            std::array::from_fn(|i| {
+                registry.counter_labeled(name, &[("endpoint", ENDPOINTS[i])], help)
+            })
+        };
         AppState {
-            cache: ResultCache::default(),
-            metrics: Metrics::default(),
-            log_json: false,
+            requests: per_endpoint(
+                "thirstyflops_http_requests_total",
+                "requests answered per endpoint family (any status)",
+            ),
+            cache_hits: per_endpoint(
+                "thirstyflops_http_cache_hits_total",
+                "requests answered from the body cache per endpoint family",
+            ),
+            latency: std::array::from_fn(|i| {
+                registry.histogram_labeled(
+                    "thirstyflops_http_request_duration_micros",
+                    &[("endpoint", ENDPOINTS[i])],
+                    "request wall-clock per endpoint family, microseconds",
+                )
+            }),
+            shed: std::array::from_fn(|i| {
+                registry.counter_labeled(
+                    "thirstyflops_shed_total",
+                    &[("reason", SHED_REASONS[i])],
+                    "requests shed by reason (connection limit, over-cap, deadline)",
+                )
+            }),
+            registry,
+            cache,
+            log_json,
             ordinal: std::sync::atomic::AtomicU64::new(0),
-            limits: Limits::default(),
+            limits,
             stop: std::sync::atomic::AtomicBool::new(false),
             started: std::time::Instant::now(),
-            faults: None,
+            faults,
         }
+    }
+
+    /// Records one answered request into its endpoint family.
+    pub(crate) fn record(&self, endpoint: Endpoint, cache_hit: bool, micros: u64) {
+        let i = endpoint as usize;
+        self.requests[i].inc();
+        if cache_hit {
+            self.cache_hits[i].inc();
+        }
+        self.latency[i].record(micros);
+    }
+
+    /// Records one shed request by reason (on top of its `shed`-family
+    /// [`record`](AppState::record)).
+    pub(crate) fn record_shed(&self, reason: ShedReason) {
+        self.shed[reason as usize].inc();
+    }
+
+    /// Requests answered so far across every endpoint family
+    /// (`/healthz`'s `requests_total`).
+    pub(crate) fn total_requests(&self) -> u64 {
+        self.requests.iter().map(Counter::get).sum()
     }
 }
 
@@ -97,7 +170,7 @@ impl Default for AppState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trace {
     /// The metrics family that absorbed the request.
-    pub endpoint: &'static str,
+    pub endpoint: Endpoint,
     /// True when the body came from the result cache.
     pub cache_hit: bool,
 }
@@ -112,7 +185,7 @@ pub fn handle(req: &Request, state: &AppState) -> Response {
 /// logging.
 pub fn handle_traced(req: &Request, state: &AppState) -> (Response, Trace) {
     let mut trace = Trace {
-        endpoint: "other",
+        endpoint: Endpoint::Other,
         cache_hit: false,
     };
     let response = match try_handle(req, state, &mut trace) {
@@ -140,7 +213,7 @@ fn cached(
 
 fn try_handle(req: &Request, state: &AppState, trace: &mut Trace) -> Result<Response, ServeError> {
     let resolved = route(&req.path)?;
-    trace.endpoint = resolved.metrics_label();
+    trace.endpoint = resolved.endpoint();
     if resolved.takes_body() {
         if req.method != "POST" {
             return Err(ServeError::MethodNotAllowed(format!(
@@ -185,10 +258,7 @@ fn try_handle(req: &Request, state: &AppState, trace: &mut Trace) -> Result<Resp
             query.expect_only(&[])?;
             Ok(Response::json(
                 200,
-                api::to_json(&api::cache_stats_payload(
-                    state.cache.stats(),
-                    state.metrics.snapshot(),
-                )),
+                api::to_json(&api::cache_stats_payload(state.cache.stats())),
             ))
         }
         Route::Systems => {
@@ -304,10 +374,10 @@ fn try_handle(req: &Request, state: &AppState, trace: &mut Trace) -> Result<Resp
                 thirstyflops_faults::register_injected_family();
             }
             // Never cached: the body is the live counter state. The
-            // global registry renders first (sorted by family name),
-            // then this server's per-endpoint table.
-            let mut body = thirstyflops_obs::registry::render_prometheus();
-            body.push_str(&state.metrics.render_prometheus());
+            // global registry renders first, then this server's own;
+            // each is sorted by family name.
+            let mut body = thirstyflops_obs::registry::global().render_prometheus();
+            body.push_str(&state.registry.render_prometheus());
             Ok(Response::text(200, body))
         }
         Route::Trace => {
@@ -383,7 +453,7 @@ impl HealthBody {
         HealthBody {
             status: "ok".to_string(),
             uptime_seconds: state.started.elapsed().as_secs(),
-            requests_total: state.metrics.total_requests(),
+            requests_total: state.total_requests(),
         }
     }
 }
@@ -410,7 +480,7 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
         }
         let _ = stream.set_read_timeout(Some(state.limits.read_timeout));
         let started = std::time::Instant::now();
-        let mut shed_reason: Option<&'static str> = None;
+        let mut shed_reason: Option<ShedReason> = None;
         // The request-scoped trace context: every span the handler opens
         // (directly or on re-attached sweep workers) and every fault that
         // fires below parents under this request's trace id. Created for
@@ -450,7 +520,7 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
                         // never a silent drop that stalls a pipelined
                         // peer until its read timeout.
                         let trace = Trace {
-                            endpoint: route(&req.path).map_or("other", |r| r.metrics_label()),
+                            endpoint: route(&req.path).map_or(Endpoint::Other, |r| r.endpoint()),
                             cache_hit: false,
                         };
                         let response = Response::json(
@@ -470,18 +540,18 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
                 // Parse failures poison the framing: always close after.
                 // Over-cap rejections (oversized head or body) count
                 // into the `shed` family with the connection sheds so
-                // capacity pressure is visible in `/v1/cache/stats`.
+                // capacity pressure is visible in `/v1/metrics`.
                 Some(resp) => {
                     let endpoint = match resp.status {
                         431 => {
-                            shed_reason = Some("head_too_large");
-                            "shed"
+                            shed_reason = Some(ShedReason::HeadTooLarge);
+                            Endpoint::Shed
                         }
                         413 => {
-                            shed_reason = Some("body_too_large");
-                            "shed"
+                            shed_reason = Some(ShedReason::BodyTooLarge);
+                            Endpoint::Shed
                         }
-                        _ => "other",
+                        _ => Endpoint::Other,
                     };
                     let trace = Trace {
                         endpoint,
@@ -529,9 +599,9 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
                 )
                 .with_retry_after(1);
                 close = true;
-                shed_reason = Some("deadline");
+                shed_reason = Some(ShedReason::Deadline);
                 trace = Trace {
-                    endpoint: "shed",
+                    endpoint: Endpoint::Shed,
                     cache_hit: false,
                 };
                 write_fault = None;
@@ -543,11 +613,9 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
         response.request_id = Some(request_id.clone());
         let wrote = write_response(&stream, &response, close, write_fault);
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        state
-            .metrics
-            .record(trace.endpoint, trace.cache_hit, micros);
+        state.record(trace.endpoint, trace.cache_hit, micros);
         if let Some(reason) = shed_reason {
-            state.metrics.record_shed(reason);
+            state.record_shed(reason);
         }
         if state.log_json {
             let faults = trace_ctx
@@ -558,12 +626,12 @@ pub fn serve_connection(stream: std::net::TcpStream, state: &AppState) {
                 "{}",
                 access_log_line(
                     &request_id,
-                    trace.endpoint,
+                    trace.endpoint.label(),
                     response.status,
                     response.body.len(),
                     micros,
                     trace.cache_hit,
-                    shed_reason,
+                    shed_reason.map(ShedReason::label),
                     &faults,
                 )
             );
@@ -769,36 +837,26 @@ pub fn parse_error_response(e: crate::http::ParseError) -> Option<Response> {
 mod tests {
     use super::*;
 
+    fn request(method: &str, path_and_query: &str, body: &str) -> Request {
+        let (path, query) = path_and_query
+            .split_once('?')
+            .unwrap_or((path_and_query, ""));
+        Request {
+            method: method.into(),
+            path: path.into(),
+            query: query.into(),
+            body: body.into(),
+            close: false,
+            request_id: None,
+        }
+    }
+
     fn get(path_and_query: &str, state: &AppState) -> Response {
-        let (path, query) = match path_and_query.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (path_and_query, ""),
-        };
-        handle(
-            &Request {
-                method: "GET".into(),
-                path: path.into(),
-                query: query.into(),
-                body: String::new(),
-                close: false,
-                request_id: None,
-            },
-            state,
-        )
+        handle(&request("GET", path_and_query, ""), state)
     }
 
     fn post(path: &str, body: &str, state: &AppState) -> Response {
-        handle(
-            &Request {
-                method: "POST".into(),
-                path: path.into(),
-                query: String::new(),
-                body: body.into(),
-                close: false,
-                request_id: None,
-            },
-            state,
-        )
+        handle(&request("POST", path, body), state)
     }
 
     #[test]
@@ -838,8 +896,8 @@ mod tests {
         let state = AppState::default();
         // The connection loop records into metrics after each response;
         // simulate two answered requests.
-        state.metrics.record("rank", false, 10);
-        state.metrics.record("shed", false, 5);
+        state.record(Endpoint::Rank, false, 10);
+        state.record(Endpoint::Shed, false, 5);
         let resp = get("/healthz", &state);
         assert!(resp.body.contains("\"requests_total\": 2"), "{}", resp.body);
     }
@@ -847,11 +905,11 @@ mod tests {
     #[test]
     fn metrics_endpoint_serves_prometheus_text() {
         let state = AppState::default();
-        state.metrics.record("rank", false, 10);
+        state.record(Endpoint::Rank, false, 10);
         let resp = get("/v1/metrics", &state);
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_type, "text/plain; version=0.0.4");
-        // The per-endpoint table...
+        // The server's own families...
         assert!(resp
             .body
             .contains("thirstyflops_http_requests_total{endpoint=\"rank\"} 1\n"));
@@ -861,6 +919,116 @@ mod tests {
         assert!(resp.body.contains("thirstyflops_batch_lanes_total"));
         // Unknown query parameters still fail loudly.
         assert_eq!(get("/v1/metrics?x=1", &state).status, 400);
+    }
+
+    /// Asserts that `/v1/metrics` carries each of `lines` verbatim.
+    fn assert_exposes(state: &AppState, lines: &[&str]) {
+        let text = get("/v1/metrics", state).body;
+        for line in lines {
+            assert!(text.lines().any(|l| l == *line), "{line} missing:\n{text}");
+        }
+    }
+
+    #[test]
+    fn records_into_the_right_family() {
+        let state = AppState::default();
+        // Dispatch and record the way the connection loop does.
+        for (path, micros) in [("/v1/systems", 120), ("/v1/systems", 80), ("/nope", 5)] {
+            let (_, trace) = handle_traced(&request("GET", path, ""), &state);
+            state.record(trace.endpoint, trace.cache_hit, micros);
+        }
+        assert_exposes(
+            &state,
+            &[
+                "thirstyflops_http_requests_total{endpoint=\"systems\"} 2",
+                "thirstyflops_http_cache_hits_total{endpoint=\"systems\"} 1",
+                "thirstyflops_http_request_duration_micros_sum{endpoint=\"systems\"} 200",
+                // Unroutable paths land in `other`.
+                "thirstyflops_http_requests_total{endpoint=\"other\"} 1",
+                // Untouched families are present with zero counts.
+                "thirstyflops_http_requests_total{endpoint=\"rank\"} 0",
+                "thirstyflops_http_request_duration_micros_count{endpoint=\"rank\"} 0",
+            ],
+        );
+        assert_eq!(state.total_requests(), 3);
+    }
+
+    #[test]
+    fn shed_is_its_own_family() {
+        let state = AppState::default();
+        state.record(Endpoint::Shed, false, 40);
+        assert_exposes(
+            &state,
+            &[
+                "thirstyflops_http_requests_total{endpoint=\"shed\"} 1",
+                // Sheds must not be lumped into `other`.
+                "thirstyflops_http_requests_total{endpoint=\"other\"} 0",
+            ],
+        );
+    }
+
+    #[test]
+    fn shed_reasons_count_and_render() {
+        let state = AppState::default();
+        state.record_shed(ShedReason::ConnectionLimit);
+        state.record_shed(ShedReason::ConnectionLimit);
+        state.record_shed(ShedReason::Deadline);
+        // Every reason renders, zeros too.
+        assert_exposes(
+            &state,
+            &[
+                "# TYPE thirstyflops_shed_total counter",
+                "thirstyflops_shed_total{reason=\"connection_limit\"} 2",
+                "thirstyflops_shed_total{reason=\"head_too_large\"} 0",
+                "thirstyflops_shed_total{reason=\"body_too_large\"} 0",
+                "thirstyflops_shed_total{reason=\"deadline\"} 1",
+            ],
+        );
+    }
+
+    #[test]
+    fn latency_sum_and_count_render_per_family() {
+        // Quantile edges are pinned by `obs::hist`'s own tests; this
+        // checks what reaches the exposition.
+        let state = AppState::default();
+        for _ in 0..99 {
+            state.record(Endpoint::Rank, false, 10);
+        }
+        state.record(Endpoint::Rank, false, 1_000_000);
+        assert_exposes(
+            &state,
+            &[
+                "thirstyflops_http_request_duration_micros_bucket{endpoint=\"rank\",le=\"15\"} 99",
+                "thirstyflops_http_request_duration_micros_bucket{endpoint=\"rank\",le=\"+Inf\"} 100",
+                "thirstyflops_http_request_duration_micros_count{endpoint=\"rank\"} 100",
+                "thirstyflops_http_request_duration_micros_sum{endpoint=\"rank\"} 1000990",
+            ],
+        );
+    }
+
+    #[test]
+    fn prometheus_rendering_covers_every_family() {
+        let state = AppState::default();
+        state.record(Endpoint::Rank, true, 100);
+        assert_exposes(
+            &state,
+            &[
+                "# TYPE thirstyflops_http_requests_total counter",
+                "# TYPE thirstyflops_http_cache_hits_total counter",
+                "# TYPE thirstyflops_http_request_duration_micros histogram",
+                "thirstyflops_http_requests_total{endpoint=\"rank\"} 1",
+                "thirstyflops_http_cache_hits_total{endpoint=\"rank\"} 1",
+                "thirstyflops_http_request_duration_micros_count{endpoint=\"rank\"} 1",
+                "thirstyflops_http_request_duration_micros_sum{endpoint=\"rank\"} 100",
+            ],
+        );
+        let text = state.registry.render_prometheus();
+        for endpoint in ENDPOINTS {
+            let series = format!("thirstyflops_http_requests_total{{endpoint=\"{endpoint}\"}} ");
+            assert!(text.contains(&series), "{series} missing from exposition");
+        }
+        // Rendering is stable: two snapshots of the same state match.
+        assert_eq!(text, state.registry.render_prometheus());
     }
 
     #[test]
@@ -1040,19 +1208,12 @@ mod tests {
     #[test]
     fn traces_name_the_endpoint_and_cache_verdict() {
         let state = AppState::default();
-        let req = Request {
-            method: "GET".into(),
-            path: "/v1/rank".into(),
-            query: String::new(),
-            body: String::new(),
-            close: false,
-            request_id: None,
-        };
+        let req = request("GET", "/v1/rank", "");
         let (_, cold) = handle_traced(&req, &state);
         assert_eq!(
             cold,
             Trace {
-                endpoint: "rank",
+                endpoint: Endpoint::Rank,
                 cache_hit: false
             }
         );
@@ -1060,7 +1221,7 @@ mod tests {
         assert_eq!(
             warm,
             Trace {
-                endpoint: "rank",
+                endpoint: Endpoint::Rank,
                 cache_hit: true
             }
         );

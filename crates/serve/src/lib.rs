@@ -1,10 +1,9 @@
 //! `thirstyflops_serve` — a std-only HTTP/JSON serving layer with a
 //! deterministic result cache.
 //!
-//! The first step toward the ROADMAP's heavy-traffic north star: expose
-//! the footprint/rank/scenario/experiment queries as a JSON API without
-//! pulling in any async runtime or HTTP dependency. The stack is five
-//! small layers:
+//! It exposes the footprint/rank/scenario/experiment queries as a JSON
+//! API without pulling in any async runtime or HTTP dependency. The
+//! stack is five small layers:
 //!
 //! * [`http`] — minimal HTTP/1.1 request parsing and response writing;
 //! * [`router`] — path → endpoint resolution and query parsing;
@@ -16,6 +15,10 @@
 //!   reuse sub-simulations via `core::simcache`);
 //! * [`pool`] — a fixed worker pool in the spirit of the workspace's
 //!   rayon shim executor.
+//!
+//! Each server's [`AppState`] owns a `thirstyflops_obs::Registry` with
+//! its per-endpoint request, cache-hit, latency and shed families;
+//! `GET /v1/metrics` renders the process-wide registry, then that one.
 //!
 //! Connections are HTTP/1.1 keep-alive: each worker runs a
 //! per-connection request loop (`handlers::serve_connection`) until the
@@ -29,8 +32,8 @@
 //! handlers are pure functions of the canonical request, so identical
 //! requests produce byte-identical bodies at any worker count and over
 //! any connection discipline (keep-alive, pipelined, or one-shot),
-//! cached or not. That property — not latency — is what the 1-CPU CI
-//! container validates.
+//! cached or not. That property — not latency — is what the test suite
+//! checks.
 //!
 //! ```no_run
 //! use thirstyflops_serve::{Server, ServerConfig};
@@ -53,7 +56,6 @@ pub mod cache;
 pub mod error;
 pub mod handlers;
 pub mod http;
-pub mod metrics;
 pub mod pool;
 pub mod router;
 
@@ -178,16 +180,12 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let state = Arc::new(AppState {
-            cache: cache::ResultCache::with_limits(8, config.cache_entries, config.cache_ttl),
-            metrics: metrics::Metrics::default(),
-            log_json: config.log_json,
-            ordinal: std::sync::atomic::AtomicU64::new(0),
-            limits: config.limits,
-            stop: std::sync::atomic::AtomicBool::new(false),
-            started: std::time::Instant::now(),
+        let state = Arc::new(AppState::new(
+            cache::ResultCache::with_limits(8, config.cache_entries, config.cache_ttl),
+            config.log_json,
+            config.limits,
             faults,
-        });
+        ));
         let active = Arc::new(AtomicUsize::new(0));
         let worker_state = Arc::clone(&state);
         let (pool, sender) = pool::WorkerPool::spawn(config.workers, move |conn: Conn| {
@@ -334,12 +332,12 @@ fn accept_loop(
                 if max_connections > 0 && active.load(Ordering::SeqCst) >= max_connections {
                     // Shed responses never reach a worker's connection
                     // loop, so count them here or load-shedding stays
-                    // invisible in `/v1/cache/stats` and `/v1/metrics`.
+                    // invisible in `/v1/metrics`.
                     let started = std::time::Instant::now();
                     shed(stream, &shed_response);
                     let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    state.metrics.record("shed", false, micros);
-                    state.metrics.record_shed("connection_limit");
+                    state.record(router::Endpoint::Shed, false, micros);
+                    state.record_shed(router::ShedReason::ConnectionLimit);
                     continue;
                 }
                 active.fetch_add(1, Ordering::SeqCst);

@@ -16,7 +16,7 @@ pub enum Route {
     /// `GET /readyz` — readiness probe: 200 while accepting traffic,
     /// 503 (+ `Retry-After`) once the server is draining.
     Readyz,
-    /// `GET /v1/cache/stats` — cache and per-endpoint counters.
+    /// `GET /v1/cache/stats` — body, simulation and batch cache counters.
     CacheStats,
     /// `GET /v1/systems` — the catalog listing.
     Systems,
@@ -38,31 +38,112 @@ pub enum Route {
     /// `GET /v1/experiments/{id}` — one regenerated paper artifact.
     Experiment(String),
     /// `GET /v1/metrics` — Prometheus text exposition of the global
-    /// registry plus the per-endpoint table.
+    /// registry plus the server's own.
     Metrics,
     /// `GET /v1/trace?last=N` — the trace recorder's most recent span
     /// events as Chrome `trace_event` JSON.
     Trace,
 }
 
+/// The endpoint metrics families' `endpoint` label values, indexed by
+/// [`Endpoint`]. `shed` counts capacity rejections (503 connection
+/// sheds, 413/431 over-cap requests and 504 deadline misses — see
+/// `docs/SERVING.md`); `other` absorbs unroutable paths and the
+/// remaining unparsable requests.
+pub const ENDPOINTS: [&str; 15] = [
+    "healthz",
+    "readyz",
+    "cache_stats",
+    "systems",
+    "footprint",
+    "compare",
+    "rank",
+    "scenario",
+    "scenarios_run",
+    "scenarios_sweep",
+    "experiments",
+    "metrics",
+    "trace",
+    "shed",
+    "other",
+];
+
+/// One endpoint family, named after its label; variants follow
+/// [`ENDPOINTS`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum Endpoint {
+    Healthz,
+    Readyz,
+    CacheStats,
+    Systems,
+    Footprint,
+    Compare,
+    Rank,
+    Scenario,
+    ScenariosRun,
+    ScenariosSweep,
+    Experiments,
+    Metrics,
+    Trace,
+    Shed,
+    Other,
+}
+
+impl Endpoint {
+    /// The family's `endpoint` label value.
+    pub fn label(self) -> &'static str {
+        ENDPOINTS[self as usize]
+    }
+}
+
+/// `thirstyflops_shed_total`'s `reason` label values, indexed by
+/// [`ShedReason`].
+pub const SHED_REASONS: [&str; 4] = [
+    "connection_limit",
+    "head_too_large",
+    "body_too_large",
+    "deadline",
+];
+
+/// Why a request was shed, named after its label; variants follow
+/// [`SHED_REASONS`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShedReason {
+    /// Accept-time 503 at `--max-connections`.
+    ConnectionLimit,
+    /// 431 over-cap request head.
+    HeadTooLarge,
+    /// 413 over-cap request body.
+    BodyTooLarge,
+    /// 504 past `--request-timeout`.
+    Deadline,
+}
+
+impl ShedReason {
+    /// The reason's `reason` label value.
+    pub fn label(self) -> &'static str {
+        SHED_REASONS[self as usize]
+    }
+}
+
 impl Route {
-    /// The metrics family this route counts into
-    /// (`crate::metrics::ENDPOINTS`).
-    pub fn metrics_label(&self) -> &'static str {
+    /// The metrics family this route counts into.
+    pub fn endpoint(&self) -> Endpoint {
         match self {
-            Route::Healthz => "healthz",
-            Route::Readyz => "readyz",
-            Route::CacheStats => "cache_stats",
-            Route::Systems => "systems",
-            Route::Footprint(_) => "footprint",
-            Route::Compare => "compare",
-            Route::Rank => "rank",
-            Route::Scenario(_) => "scenario",
-            Route::ScenarioRun => "scenarios_run",
-            Route::ScenarioSweep => "scenarios_sweep",
-            Route::ExperimentIndex | Route::Experiment(_) => "experiments",
-            Route::Metrics => "metrics",
-            Route::Trace => "trace",
+            Route::Healthz => Endpoint::Healthz,
+            Route::Readyz => Endpoint::Readyz,
+            Route::CacheStats => Endpoint::CacheStats,
+            Route::Systems => Endpoint::Systems,
+            Route::Footprint(_) => Endpoint::Footprint,
+            Route::Compare => Endpoint::Compare,
+            Route::Rank => Endpoint::Rank,
+            Route::Scenario(_) => Endpoint::Scenario,
+            Route::ScenarioRun => Endpoint::ScenariosRun,
+            Route::ScenarioSweep => Endpoint::ScenariosSweep,
+            Route::ExperimentIndex | Route::Experiment(_) => Endpoint::Experiments,
+            Route::Metrics => Endpoint::Metrics,
+            Route::Trace => Endpoint::Trace,
         }
     }
 
@@ -210,19 +291,19 @@ mod tests {
         for (path, label) in [
             ("/healthz", "healthz"),
             ("/readyz", "readyz"),
+            ("/v1/cache/stats", "cache_stats"),
+            ("/v1/systems", "systems"),
+            ("/v1/footprint/polaris", "footprint"),
             ("/v1/compare", "compare"),
+            ("/v1/rank", "rank"),
+            ("/v1/scenario/fugaku", "scenario"),
             ("/v1/scenarios/run", "scenarios_run"),
             ("/v1/scenarios/sweep", "scenarios_sweep"),
             ("/v1/experiments/fig05", "experiments"),
             ("/v1/metrics", "metrics"),
             ("/v1/trace", "trace"),
         ] {
-            let resolved = route(path).unwrap();
-            assert_eq!(resolved.metrics_label(), label);
-            assert!(
-                crate::metrics::ENDPOINTS.contains(&resolved.metrics_label()),
-                "{label} must be a metrics family"
-            );
+            assert_eq!(route(path).unwrap().endpoint().label(), label);
         }
         assert!(route("/v1/scenarios/run").unwrap().takes_body());
         assert!(!route("/v1/rank").unwrap().takes_body());

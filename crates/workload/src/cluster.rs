@@ -22,7 +22,7 @@ use crate::trace::Job;
 fn jobs_simulated() -> &'static Counter {
     static COUNTER: OnceLock<Counter> = OnceLock::new();
     COUNTER.get_or_init(|| {
-        thirstyflops_obs::registry::counter(
+        thirstyflops_obs::registry::global().counter(
             "thirstyflops_workload_jobs_simulated_total",
             "Jobs fed into cluster-year scheduling simulations.",
         )

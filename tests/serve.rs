@@ -80,25 +80,23 @@ fn cli_stdout(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("CLI emits UTF-8")
 }
 
-/// Extracts the "shed" family's request count from a `/v1/cache/stats`
-/// body. Relies on the documented field order of `EndpointStats`:
-/// `requests` is the field right after `endpoint`.
-fn shed_requests(stats: &str) -> u64 {
-    let family = stats
-        .find("\"endpoint\": \"shed\"")
-        .map(|i| &stats[i..])
-        .expect("stats lists the shed family");
-    family
-        .find("\"requests\": ")
-        .and_then(|i| {
-            family[i + 12..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .ok()
-        })
-        .expect("shed family has a requests count")
+/// The value of one sample (`name{labels}`) in a `/v1/metrics` body.
+fn metric_sample(metrics: &str, series: &str) -> u64 {
+    let prefix = format!("{series} ");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .unwrap_or_else(|| panic!("{series} missing from /v1/metrics:\n{metrics}"))
+        .parse()
+        .expect("integer sample")
+}
+
+/// The `shed` family's request count in a `/v1/metrics` body.
+fn shed_requests(metrics: &str) -> u64 {
+    metric_sample(
+        metrics,
+        "thirstyflops_http_requests_total{endpoint=\"shed\"}",
+    )
 }
 
 #[test]
@@ -141,7 +139,7 @@ fn healthz_request_total_grows_between_polls() {
 }
 
 /// Tentpole: `GET /v1/metrics` serves Prometheus text exposition over
-/// real TCP — serve's per-endpoint table plus the global registry's
+/// real TCP — the server's own registry plus the global registry's
 /// simcache and batch families, with the right Content-Type.
 #[test]
 fn metrics_endpoint_serves_prometheus_text_over_tcp() {
@@ -173,6 +171,15 @@ fn metrics_endpoint_serves_prometheus_text_over_tcp() {
     assert!(body.contains("# TYPE thirstyflops_simcache_hits_total counter"));
     assert!(body.contains("thirstyflops_simcache_hits_total{cache=\"system_years\"}"));
     assert!(body.contains("# TYPE thirstyflops_batch_lanes_total counter"));
+    // One surface: no family is registered in both the global and the
+    // server's registry, so every `# TYPE` line appears exactly once.
+    let types: Vec<&str> = body.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    let distinct: std::collections::BTreeSet<&str> = types.iter().copied().collect();
+    assert_eq!(
+        types.len(),
+        distinct.len(),
+        "a family is declared twice: {types:?}"
+    );
     // Well-formed exposition: every non-comment line is `name[{labels}] value`.
     for line in body.lines() {
         if line.is_empty() || line.starts_with('#') {
@@ -186,6 +193,23 @@ fn metrics_endpoint_serves_prometheus_text_over_tcp() {
         );
     }
     server.shutdown();
+}
+
+/// Each server keeps its HTTP families in its own registry: traffic to
+/// one never shows in the other's `/v1/metrics`, while both render the
+/// process-wide simcache families.
+#[test]
+fn servers_in_one_process_keep_separate_http_counters() {
+    let (busy, quiet) = (start(1), start(1));
+    assert_eq!(http_get(busy.local_addr(), "/v1/rank?seed=9").0, 200);
+    let rank = "thirstyflops_http_requests_total{endpoint=\"rank\"}";
+    for (server, requests) in [(&busy, 1), (&quiet, 0)] {
+        let (_, metrics) = http_get(server.local_addr(), "/v1/metrics");
+        assert_eq!(metric_sample(&metrics, rank), requests);
+        assert!(metrics.contains("# TYPE thirstyflops_simcache_hits_total counter\n"));
+    }
+    busy.shutdown();
+    quiet.shutdown();
 }
 
 /// The endpoint families vs their CLI `--json` twins, byte for byte
@@ -354,7 +378,7 @@ fn different_params_get_different_bodies() {
 /// The acceptance-criteria POST path: a scenario spec uploaded to
 /// `/v1/scenarios/run` is answered, byte-identical to the CLI, and a
 /// repeat is served from the body cache — observable in
-/// `/v1/cache/stats`, including the new per-endpoint counters.
+/// `/v1/cache/stats` and in `/v1/metrics`' per-endpoint counters.
 #[test]
 fn repeated_scenario_post_is_answered_from_the_body_cache() {
     let spec_path = format!(
@@ -378,13 +402,12 @@ fn repeated_scenario_post_is_answered_from_the_body_cache() {
         serde_json::from_str(&stats_body).expect("stats parse");
     assert_eq!(stats.body.misses, 1, "one cold evaluation");
     assert_eq!(stats.body.hits, 1, "the repeat skipped the engine");
-    let run_stats = stats
-        .endpoints
-        .iter()
-        .find(|e| e.endpoint == "scenarios_run")
-        .expect("per-endpoint counters include scenarios_run");
-    assert_eq!(run_stats.requests, 2);
-    assert_eq!(run_stats.cache_hits, 1);
+    let (status, metrics) = http_get(addr, "/v1/metrics");
+    assert_eq!(status, 200);
+    let run_series =
+        |family: &str| metric_sample(&metrics, &format!("{family}{{endpoint=\"scenarios_run\"}}"));
+    assert_eq!(run_series("thirstyflops_http_requests_total"), 2);
+    assert_eq!(run_series("thirstyflops_http_cache_hits_total"), 1);
     server.shutdown();
 }
 
@@ -982,9 +1005,9 @@ fn adversarial_requests_get_4xx_and_close() {
     // Satellite: the two over-cap 413s and the 431 above all count into
     // the "shed" metrics family (truncated heads and garbage stay in
     // "other").
-    let (status, stats) = http_get(addr, "/v1/cache/stats");
+    let (status, metrics) = http_get(addr, "/v1/metrics");
     assert_eq!(status, 200);
-    assert_eq!(shed_requests(&stats), 3, "{stats}");
+    assert_eq!(shed_requests(&metrics), 3);
     server.shutdown();
 }
 
@@ -1086,9 +1109,9 @@ fn over_limit_connections_get_json_503() {
 
     // Satellite: the shed is visible in the per-endpoint metrics — the
     // 503 above landed in the dedicated "shed" family, not "other".
-    let (status, stats) = holder.get("/v1/cache/stats");
+    let (status, metrics) = holder.get("/v1/metrics");
     assert_eq!(status, 200);
-    assert!(shed_requests(&stats) >= 1, "{stats}");
+    assert!(shed_requests(&metrics) >= 1, "{metrics}");
 
     // Releasing the held connection frees the slot (within the worker's
     // ~100 ms poll slice); the next client is served normally.
