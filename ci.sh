@@ -3,11 +3,12 @@
 #
 #   ./ci.sh                # full gate: fmt, clippy, release build, the
 #                          # perfbench build, tests and digest check,
-#                          # tests at two worker thread counts plus a
-#                          # pass at four concurrent test threads, serve
-#                          # smoke, docs
+#                          # tests at two worker thread counts plus
+#                          # passes at one and at four concurrent test
+#                          # threads, serve smoke, docs
 #   ./ci.sh quick          # skip the release build, the sequential and
-#                          # the four-test-thread passes (fastest signal)
+#                          # the one- and four-test-thread passes
+#                          # (fastest signal)
 #   ./ci.sh serve-smoke    # just the HTTP serving-layer smoke probe
 #                          # (ephemeral port, std-only TcpStream client)
 #   ./ci.sh load-smoke     # deterministic loadgen replay of the smoke
@@ -542,10 +543,14 @@ cargo test -q --workspace
 # libtest runs as many tests at once as the host has CPUs, so on a
 # 1-CPU runner two tests that share process-global state (span and
 # trace switches, counters) never overlap. A pass at four test threads
-# catches that class of race on any host.
+# catches that class of race on any host; a pass at one test thread
+# catches the converse: a test that passes only because a sibling
+# running beside it moved some shared state first.
 if [[ "$mode" != "quick" ]]; then
   step "cargo test -q (--test-threads=4)"
   cargo test -q --workspace -- --test-threads=4
+  step "cargo test -q (--test-threads=1, one test at a time)"
+  cargo test -q --workspace -- --test-threads=1
 fi
 
 if [[ "$mode" != "quick" ]]; then

@@ -4,7 +4,7 @@
 //! `W_operational = E · WI`, making WI the water analogue of carbon
 //! intensity: a per-kWh price of water that varies by hour and by region.
 
-use thirstyflops_timeseries::{HourlySeries, MonthlySeries};
+use thirstyflops_timeseries::HourlySeries;
 use thirstyflops_units::{LitersPerKilowattHour, Pue};
 
 /// A water-intensity decomposition at one instant (or as period means).
@@ -43,11 +43,6 @@ pub fn hourly_indirect_intensity(pue: Pue, ewf: &HourlySeries) -> HourlySeries {
     ewf.scale(pue.value())
 }
 
-/// Monthly mean WI — the Fig. 12 left column.
-pub fn monthly_water_intensity(wue: &HourlySeries, pue: Pue, ewf: &HourlySeries) -> MonthlySeries {
-    hourly_water_intensity(wue, pue, ewf).monthly_mean()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,15 +79,5 @@ mod tests {
         let ewf = HourlySeries::constant(1.5);
         let wi = hourly_water_intensity(&wue, Pue::new(1.0).unwrap(), &ewf);
         assert_eq!(wi.get(0), 3.5);
-    }
-
-    #[test]
-    fn monthly_mean_of_constant_is_constant() {
-        let wue = HourlySeries::constant(2.0);
-        let ewf = HourlySeries::constant(1.0);
-        let m = monthly_water_intensity(&wue, Pue::new(1.5).unwrap(), &ewf);
-        for month in thirstyflops_timeseries::Month::ALL {
-            assert!((m.get(month) - 3.5).abs() < 1e-12);
-        }
     }
 }

@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attribution;
 pub mod batch;
 pub mod embodied;
 pub mod intensity;

@@ -10,7 +10,7 @@
 use thirstyflops_catalog::SystemSpec;
 use thirstyflops_units::{KilowattHours, Liters, LitersPerKilowattHour};
 
-use crate::embodied::{processor_water, EmbodiedBreakdown};
+use crate::embodied::processor_water;
 use crate::simulate::AnnualReport;
 
 /// Water accounting over a system's whole service life.
@@ -106,11 +106,6 @@ pub fn gpu_upgrade_water(
     new_gpu: &thirstyflops_catalog::ProcessorSpec,
 ) -> Liters {
     processor_water(new_gpu) * (spec.node.gpus_per_node as f64) * (spec.nodes as f64)
-}
-
-/// Convenience: the full embodied breakdown re-used by lifecycle callers.
-pub fn initial_embodied(spec: &SystemSpec) -> EmbodiedBreakdown {
-    EmbodiedBreakdown::for_system(spec)
 }
 
 #[cfg(test)]

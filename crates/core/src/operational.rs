@@ -5,7 +5,7 @@
 //! facility's electricity). Both are pointwise in time, so hourly energy
 //! and intensity series multiply elementwise and sum.
 
-use thirstyflops_timeseries::{HourlySeries, MonthlySeries};
+use thirstyflops_timeseries::HourlySeries;
 use thirstyflops_units::{Fraction, KilowattHours, Liters, Pue};
 
 /// Direct/indirect operational water for a period.
@@ -71,18 +71,6 @@ impl OperationalBreakdown {
     }
 }
 
-/// Monthly operational water series: `(energy · (wue + pue·ewf))` summed
-/// per month — the bottom panels of Fig. 11.
-pub fn monthly_operational_water(
-    energy: &HourlySeries,
-    wue: &HourlySeries,
-    pue: Pue,
-    ewf: &HourlySeries,
-) -> MonthlySeries {
-    let hourly = energy.zip_with(&wue.add_scaled(ewf, pue.value()), |e, wi| e * wi);
-    hourly.monthly_sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,17 +120,6 @@ mod tests {
         let b = OperationalBreakdown::from_series(&energy, &wue, pue, &ewf);
         let naive = energy.total() * wue.mean();
         assert!(b.direct.value() > naive * 1.5);
-    }
-
-    #[test]
-    fn monthly_series_sums_to_annual_total() {
-        let energy = HourlySeries::from_fn(|h| 1.0 + (h % 5) as f64);
-        let wue = HourlySeries::from_fn(|h| 0.5 + (h % 3) as f64 * 0.3);
-        let ewf = HourlySeries::constant(1.1);
-        let pue = Pue::new(1.4).unwrap();
-        let monthly = monthly_operational_water(&energy, &wue, pue, &ewf);
-        let b = OperationalBreakdown::from_series(&energy, &wue, pue, &ewf);
-        assert!((monthly.total() - b.total().value()).abs() < 1e-6 * b.total().value());
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl SystemYear {
         intensity::hourly_water_intensity(&self.wue, self.spec.pue, &self.ewf)
     }
 
-    /// Hourly indirect water intensity `PUE·EWF`.
-    pub fn indirect_intensity(&self) -> HourlySeries {
-        intensity::hourly_indirect_intensity(self.spec.pue, &self.ewf)
-    }
-
     /// Hourly operational water, liters per hour.
     pub fn hourly_water(&self) -> HourlySeries {
         self.energy.mul(&self.water_intensity())

@@ -130,20 +130,6 @@ pub fn mix_ewf_interval(mix: &EnergyMix) -> Interval {
     Interval { lo, mid, hi }
 }
 
-/// The carbon-intensity band of an energy mix.
-pub fn mix_carbon_interval(mix: &EnergyMix) -> Interval {
-    let mut lo = 0.0;
-    let mut mid = 0.0;
-    let mut hi = 0.0;
-    for (source, share) in mix.iter() {
-        let r = source.carbon_range();
-        lo += share.value() * r.min;
-        mid += share.value() * r.median;
-        hi += share.value() * r.max;
-    }
-    Interval { lo, mid, hi }
-}
-
 /// Operational water band (Eq. 6 + 7 over bands): `E · (WUE + PUE·EWF)`.
 pub fn operational_interval(
     energy_kwh: Interval,
@@ -226,15 +212,5 @@ mod tests {
         assert!(band.contains(point));
         assert!((band.mid - point).abs() < 1e-6 * point);
         assert!(band.lo < point && band.hi > point);
-    }
-
-    #[test]
-    fn carbon_band_for_coal_mix_is_tight_relative_to_hydro() {
-        let coal = EnergyMix::single(EnergySource::Coal);
-        let c = mix_carbon_interval(&coal);
-        assert_eq!(c.mid, 820.0);
-        assert!(c.relative_uncertainty() < 0.15);
-        let hydro = EnergyMix::single(EnergySource::Hydro);
-        assert!(mix_carbon_interval(&hydro).relative_uncertainty() > 1.0);
     }
 }

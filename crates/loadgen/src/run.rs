@@ -851,13 +851,13 @@ mod tests {
 
     #[test]
     fn a_tampered_expectation_is_counted_as_mismatch() {
-        // Point a verified template at a nondeterministic body: the
-        // stats counters move between the expectation snapshot and the
-        // replay, so the comparison must fail — proving the comparator
-        // actually compares.
-        let m =
-            MixSpec::from_json(r#"{"name": "t", "templates": [{"target": "/v1/cache/stats"}]}"#)
-                .unwrap();
+        // Point a verified template at a body the replay itself moves:
+        // the server's `thirstyflops_http_requests_total` counts every
+        // replayed request, while the expectation snapshot saw none, so
+        // the comparison must fail — proving the comparator actually
+        // compares, whatever sibling tests do to the global counters.
+        let m = MixSpec::from_json(r#"{"name": "t", "templates": [{"target": "/v1/metrics"}]}"#)
+            .unwrap();
         let report = run(
             &m,
             &RunConfig {
@@ -870,7 +870,7 @@ mod tests {
         .expect("run completes");
         assert!(
             report.mismatches > 0,
-            "stats bodies drift and must be caught"
+            "metrics bodies drift and must be caught"
         );
         assert!(!report.mismatch_samples.is_empty());
     }

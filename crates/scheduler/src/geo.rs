@@ -127,97 +127,6 @@ impl GeoBalancer {
         }
     }
 
-    /// Capacity-constrained placement: each hour the `load_kwh` demand is
-    /// spread greedily in policy-score order, but no site may absorb more
-    /// than its hourly `capacities[i]` kWh (network, queue, and SLA
-    /// limits make single-site placement unrealistic — the WaterWise
-    /// framing). Errors if total capacity cannot cover the load.
-    pub fn run_year_capped(
-        &self,
-        load_kwh: f64,
-        policy: Policy,
-        capacities: &[f64],
-    ) -> Result<Placement, String> {
-        if capacities.len() != self.sites.len() {
-            return Err(format!(
-                "{} capacities for {} sites",
-                capacities.len(),
-                self.sites.len()
-            ));
-        }
-        if capacities.iter().any(|&c| c < 0.0) {
-            return Err("capacities must be non-negative".into());
-        }
-        let total_cap: f64 = capacities.iter().sum();
-        if total_cap + 1e-9 < load_kwh {
-            return Err(format!(
-                "total hourly capacity {total_cap} kWh < load {load_kwh} kWh"
-            ));
-        }
-
-        let mean_wi: f64 =
-            self.sites.iter().map(|s| s.wi.mean()).sum::<f64>() / self.sites.len() as f64;
-        let mean_ci: f64 = self
-            .sites
-            .iter()
-            .map(|s| s.effective_ci.mean())
-            .sum::<f64>()
-            / self.sites.len() as f64;
-
-        let mut water = 0.0;
-        let mut carbon = 0.0;
-        let mut facility = 0.0;
-        let mut hours_per_site = vec![0usize; self.sites.len()];
-
-        for hour in 0..HOURS_PER_YEAR {
-            // Order sites by policy score for this hour.
-            let mut order: Vec<usize> = (0..self.sites.len()).collect();
-            order.sort_by(|&a, &b| {
-                self.score(a, hour, policy, mean_wi, mean_ci)
-                    .partial_cmp(&self.score(b, hour, policy, mean_wi, mean_ci))
-                    .expect("scores are finite")
-            });
-            let mut remaining = load_kwh;
-            for &i in &order {
-                if remaining <= 0.0 {
-                    break;
-                }
-                let take = remaining.min(capacities[i]);
-                if take <= 0.0 {
-                    continue;
-                }
-                let site = &self.sites[i];
-                water += take * site.wi.get(hour);
-                carbon += take * site.effective_ci.get(hour);
-                facility += take * site.pue.value();
-                remaining -= take;
-                hours_per_site[i] += 1;
-            }
-        }
-
-        Ok(Placement {
-            policy,
-            water: Liters::new(water),
-            carbon: GramsCo2::new(carbon),
-            facility_energy: KilowattHours::new(facility),
-            hours_per_site,
-        })
-    }
-
-    fn score(&self, i: usize, hour: usize, policy: Policy, mean_wi: f64, mean_ci: f64) -> f64 {
-        let s = &self.sites[i];
-        match policy {
-            Policy::EnergyOnly => s.pue.value(),
-            Policy::CarbonOnly => s.effective_ci.get(hour),
-            Policy::WaterOnly => s.wi.get(hour),
-            Policy::CoOptimize(w) => w.score(
-                s.pue.value(),
-                s.wi.get(hour) / mean_wi.max(1e-12),
-                s.effective_ci.get(hour) / mean_ci.max(1e-12),
-            ),
-        }
-    }
-
     fn pick(&self, hour: usize, policy: Policy, mean_wi: f64, mean_ci: f64) -> usize {
         let score = |i: usize| -> f64 {
             let s = &self.sites[i];
@@ -323,50 +232,6 @@ mod tests {
         // Site B (constant 2.0 WI) wins except when A's trough dips
         // below... A's min is 4.0, so B wins always.
         assert_eq!(p.hours_per_site[1], HOURS_PER_YEAR);
-    }
-
-    #[test]
-    fn capped_placement_spills_to_second_best() {
-        let balancer = GeoBalancer::new(synthetic_sites()).unwrap();
-        // Site B (the water winner) can only take half the load.
-        let uncapped = balancer.run_year(100.0, Policy::WaterOnly);
-        let capped = balancer
-            .run_year_capped(100.0, Policy::WaterOnly, &[100.0, 50.0, 100.0])
-            .unwrap();
-        // Capping the winner costs water.
-        assert!(capped.water.value() > uncapped.water.value());
-        // But the capped plan is still better than ignoring water.
-        let energy_capped = balancer
-            .run_year_capped(100.0, Policy::EnergyOnly, &[100.0, 50.0, 100.0])
-            .unwrap();
-        assert!(capped.water.value() < energy_capped.water.value());
-        // Multiple sites used every hour.
-        assert!(capped.hours_per_site.iter().filter(|&&h| h > 0).count() >= 2);
-    }
-
-    #[test]
-    fn capped_validation() {
-        let balancer = GeoBalancer::new(synthetic_sites()).unwrap();
-        assert!(balancer
-            .run_year_capped(100.0, Policy::WaterOnly, &[10.0, 10.0])
-            .is_err()); // wrong arity
-        assert!(balancer
-            .run_year_capped(100.0, Policy::WaterOnly, &[10.0, 10.0, 10.0])
-            .is_err()); // insufficient capacity
-        assert!(balancer
-            .run_year_capped(100.0, Policy::WaterOnly, &[-1.0, 200.0, 10.0])
-            .is_err()); // negative capacity
-    }
-
-    #[test]
-    fn capped_with_slack_matches_uncapped() {
-        let balancer = GeoBalancer::new(synthetic_sites()).unwrap();
-        let uncapped = balancer.run_year(100.0, Policy::CarbonOnly);
-        let capped = balancer
-            .run_year_capped(100.0, Policy::CarbonOnly, &[1e9, 1e9, 1e9])
-            .unwrap();
-        assert!((capped.water.value() - uncapped.water.value()).abs() < 1e-6);
-        assert!((capped.carbon.value() - uncapped.carbon.value()).abs() < 1e-6);
     }
 
     #[test]

@@ -11,24 +11,19 @@
 //!   multiple sites (Takeaway 7);
 //! * [`capping`] — Takeaway 5's "water capping": split a constrained
 //!   water budget between datacenter cooling and energy generation by
-//!   choosing the generation mix;
-//! * [`forecast`] — the intensity forecasters a deployed scheduler would
-//!   use instead of oracle series (persistence / seasonal-naive /
-//!   smoothed), with forecast-regret checks.
+//!   choosing the generation mix.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capping;
 pub mod deadline;
-pub mod forecast;
 pub mod geo;
 pub mod objective;
 pub mod starttime;
 
 pub use capping::{CapOutcome, WaterCapPlanner};
 pub use deadline::{DeadlineDecision, DeadlineObjective, DeadlineScheduler};
-pub use forecast::Forecaster;
 pub use geo::{GeoBalancer, Placement, Policy, SiteSeries};
 pub use objective::{MultiObjective, ParetoPoint};
 pub use starttime::{StartTimeImpact, StartTimeOptimizer};

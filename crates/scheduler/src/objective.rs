@@ -28,26 +28,6 @@ impl MultiObjective {
         })
     }
 
-    /// Pure single-metric objectives.
-    pub fn energy_only() -> Self {
-        Self::new(1.0, 0.0, 0.0).expect("static weights")
-    }
-
-    /// Water-only weights.
-    pub fn water_only() -> Self {
-        Self::new(0.0, 1.0, 0.0).expect("static weights")
-    }
-
-    /// Carbon-only weights.
-    pub fn carbon_only() -> Self {
-        Self::new(0.0, 0.0, 1.0).expect("static weights")
-    }
-
-    /// Equal thirds.
-    pub fn balanced() -> Self {
-        Self::new(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0).expect("static weights")
-    }
-
     /// Scalarizes *normalized* metric values (each in comparable units,
     /// lower = better).
     pub fn score(&self, energy: f64, water: f64, carbon: f64) -> f64 {
@@ -105,17 +85,17 @@ mod tests {
 
     #[test]
     fn single_metric_objectives_ignore_others() {
-        let w = MultiObjective::water_only();
+        let w = MultiObjective::new(0.0, 1.0, 0.0).unwrap();
         assert_eq!(w.score(100.0, 2.0, 500.0), 2.0);
-        let e = MultiObjective::energy_only();
+        let e = MultiObjective::new(1.0, 0.0, 0.0).unwrap();
         assert_eq!(e.score(100.0, 2.0, 500.0), 100.0);
-        let c = MultiObjective::carbon_only();
+        let c = MultiObjective::new(0.0, 0.0, 1.0).unwrap();
         assert_eq!(c.score(100.0, 2.0, 500.0), 500.0);
     }
 
     #[test]
     fn balanced_score_is_mean() {
-        let b = MultiObjective::balanced();
+        let b = MultiObjective::new(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0).unwrap();
         assert!((b.score(3.0, 6.0, 9.0) - 6.0).abs() < 1e-9);
     }
 

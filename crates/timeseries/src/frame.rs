@@ -1,10 +1,8 @@
 //! A tiny named-column table ("frame") for emitting experiment rows.
 //!
 //! The experiment harness produces the paper's tables and figure series as
-//! rows; a `Frame` holds them with typed columns (strings or numbers),
-//! supports group-by aggregation, and exports CSV for EXPERIMENTS.md.
-
-use std::collections::BTreeMap;
+//! rows; a `Frame` holds them with typed columns (strings or numbers)
+//! and exports CSV for EXPERIMENTS.md.
 
 /// Frame construction/access errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,23 +168,6 @@ impl Frame {
         }
     }
 
-    /// Group-by: sums `value_col` per distinct key in `key_col`, returning
-    /// keys in sorted order. (Enough for the Fig. 1(c) per-state power
-    /// aggregation.)
-    pub fn group_sum(
-        &self,
-        key_col: &str,
-        value_col: &str,
-    ) -> Result<Vec<(String, f64)>, FrameError> {
-        let keys = self.texts(key_col)?;
-        let values = self.numbers(value_col)?;
-        let mut acc: BTreeMap<&str, f64> = BTreeMap::new();
-        for (k, &v) in keys.iter().zip(values) {
-            *acc.entry(k.as_str()).or_insert(0.0) += v;
-        }
-        Ok(acc.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
     /// Renders the frame as CSV (header + rows). Cells containing commas or
     /// quotes are quoted.
     pub fn to_csv(&self) -> String {
@@ -282,16 +263,6 @@ mod tests {
             Err(FrameError::TypeMismatch(_))
         ));
         assert!(matches!(f.texts("water"), Err(FrameError::TypeMismatch(_))));
-    }
-
-    #[test]
-    fn group_sum_aggregates_sorted() {
-        let f = sample();
-        let groups = f.group_sum("system", "water").unwrap();
-        assert_eq!(
-            groups,
-            vec![("Fugaku".to_string(), 2.0), ("Marconi".to_string(), 4.0)]
-        );
     }
 
     #[test]

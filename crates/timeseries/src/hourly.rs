@@ -117,14 +117,6 @@ impl HourlySeries {
         }
     }
 
-    /// Buffer-reuse variant of [`mul`](Self::mul): writes the pointwise
-    /// product into `out` without allocating.
-    pub fn mul_into(&self, other: &Self, out: &mut Self) {
-        for ((o, &a), &b) in out.values.iter_mut().zip(&self.values).zip(&other.values) {
-            *o = a * b;
-        }
-    }
-
     /// Single-pass product-sum `Σ self·other` with no intermediate
     /// series — the Eq. 6/7 `E·WUE` / `E·EWF` totals. Bit-identical to
     /// `self.mul(other).total()`: the products accumulate left to right
@@ -166,7 +158,7 @@ impl HourlySeries {
     }
 
     /// The subrange of samples belonging to `month`.
-    pub fn month_slice(&self, month: Month) -> &[f64] {
+    fn month_slice(&self, month: Month) -> &[f64] {
         let cal = SimCalendar;
         &self.values[cal.month_hours(month)]
     }
@@ -206,46 +198,6 @@ impl HourlySeries {
     pub fn summary(&self) -> stats::DistributionSummary {
         stats::DistributionSummary::from_samples(&self.values)
             .expect("hourly series is never empty")
-    }
-
-    /// Trailing rolling mean with wrap-around: element `h` becomes the
-    /// mean of the `window` samples ending at `h` (inclusive). Used by
-    /// forecasting smoothers.
-    pub fn rolling_mean(&self, window: usize) -> Self {
-        assert!(window > 0, "rolling window must be non-empty");
-        let n = HOURS_PER_YEAR;
-        let window = window.min(n);
-        let mut out = Vec::with_capacity(n);
-        // Running sum, starting with the window that ends at hour n-1
-        // (i.e. the one "before" hour 0 under wrap-around).
-        let mut sum: f64 = self.values[n - window..].iter().sum();
-        for h in 0..n {
-            // Slide the window forward to end at h.
-            sum += self.values[h];
-            sum -= self.values[(h + n - window) % n];
-            out.push(sum / window as f64);
-        }
-        Self { values: out }
-    }
-
-    /// The series shifted `lag` hours into the past, wrapping: element
-    /// `h` takes the value from hour `h − lag` (mod year). `lag = 24` is
-    /// the seasonal-naive "same hour yesterday" forecaster.
-    pub fn lagged(&self, lag: usize) -> Self {
-        let n = HOURS_PER_YEAR;
-        Self {
-            values: (0..n).map(|h| self.values[(h + n - lag % n) % n]).collect(),
-        }
-    }
-
-    /// Mean absolute error against another series.
-    pub fn mae(&self, other: &Self) -> f64 {
-        self.values
-            .iter()
-            .zip(&other.values)
-            .map(|(a, b)| (a - b).abs())
-            .sum::<f64>()
-            / HOURS_PER_YEAR as f64
     }
 }
 
@@ -292,8 +244,6 @@ mod tests {
         let mut out = HourlySeries::constant(f64::NAN);
         a.add_scaled_into(&b, k, &mut out);
         assert_eq!(out, a.add_scaled(&b, k));
-        a.mul_into(&b, &mut out);
-        assert_eq!(out, a.mul(&b));
     }
 
     #[test]
@@ -346,34 +296,6 @@ mod tests {
         // hours 8759, 0, 1 → values 0, 1, 1.
         let m = s.wrapping_window_mean(HOURS_PER_YEAR - 1, 3);
         assert!((m - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rolling_mean_matches_naive() {
-        let s = HourlySeries::from_fn(|h| ((h * 31) % 17) as f64);
-        let w = 5;
-        let r = s.rolling_mean(w);
-        for h in [0usize, 1, 4, 100, HOURS_PER_YEAR - 1] {
-            let naive: f64 = (0..w)
-                .map(|i| s.get((h + HOURS_PER_YEAR - i) % HOURS_PER_YEAR))
-                .sum::<f64>()
-                / w as f64;
-            assert!((r.get(h) - naive).abs() < 1e-9, "hour {h}");
-        }
-        // Window 1 is the identity.
-        assert_eq!(s.rolling_mean(1), s);
-    }
-
-    #[test]
-    fn lag_and_mae() {
-        let s = HourlySeries::from_fn(|h| h as f64);
-        let l = s.lagged(24);
-        assert_eq!(l.get(24), 0.0);
-        assert_eq!(l.get(25), 1.0);
-        assert_eq!(l.get(0), (HOURS_PER_YEAR - 24) as f64);
-        assert_eq!(s.mae(&s), 0.0);
-        let shifted = s.map(|v| v + 2.0);
-        assert!((s.mae(&shifted) - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //!   machine utilization from job logs and estimate the energy
 //!   consumption ... using the hardware's thermal design power");
 //! * [`miniamr`] — a rayon-parallel block-structured AMR stencil kernel
-//!   standing in for the miniAMR mini-app of the Fig. 13 experiment;
-//! * [`swf`] — Standard Workload Format import/export, so sites holding
-//!   real production logs can feed them to the same pipeline.
+//!   standing in for the miniAMR mini-app of the Fig. 13 experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,10 +23,8 @@
 mod cluster;
 pub mod miniamr;
 mod power;
-pub mod swf;
 mod trace;
 
 pub use cluster::{ClusterSim, ClusterStats};
 pub use power::PowerModel;
-pub use swf::{parse_swf, to_swf, SwfImport};
 pub use trace::{Job, TraceConfig, TraceGenerator};
