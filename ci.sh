@@ -19,7 +19,8 @@
 #   ./ci.sh batch-smoke    # the 101,250-cell streaming top-N sweep through
 #                          # the batched K-lane kernel at
 #                          # THIRSTYFLOPS_THREADS=1 and 8; the two JSON
-#                          # reports must be byte-identical
+#                          # reports and their --profile counts must be
+#                          # byte-identical
 #   ./ci.sh obs-smoke      # observability gate: the siting sweep with
 #                          # --profile --json at 1 and 8 threads — stdout
 #                          # untouched, profiled counts byte-identical —
@@ -182,21 +183,34 @@ batch_smoke() {
   # thread and at eight, and the two reports must match byte for byte
   # (docs/CONCURRENCY.md; the scalar-vs-batched bit-identity itself is
   # tests/batch.rs' job — the scalar oracle at this cell count is far
-  # too slow for a smoke target).
+  # too slow for a smoke target). Both runs are profiled: this sweep's
+  # 198 chunks are the only smoke where several workers hit the shared
+  # workload memo layer at once, and its counts (the `_ns` lines
+  # stripped, as in obs-smoke) must be byte-identical too.
   step "batch smoke (101,250-cell top-N sweep at THIRSTYFLOPS_THREADS=1 vs 8)"
   cargo build --release -q
   local bin=target/release/thirstyflops
   local spec=examples/scenarios/sweep_siting_large.json
   mkdir -p target
-  THIRSTYFLOPS_THREADS=1 "$bin" scenario sweep "$spec" --json > target/batch_smoke_t1.json
-  THIRSTYFLOPS_THREADS=8 "$bin" scenario sweep "$spec" --json > target/batch_smoke_t8.json
+  THIRSTYFLOPS_THREADS=1 "$bin" scenario sweep "$spec" --json --profile \
+    > target/batch_smoke_t1.json 2> target/batch_smoke_profile_t1.json
+  THIRSTYFLOPS_THREADS=8 "$bin" scenario sweep "$spec" --json --profile \
+    > target/batch_smoke_t8.json 2> target/batch_smoke_profile_t8.json
   if ! cmp -s target/batch_smoke_t1.json target/batch_smoke_t8.json; then
     echo "batch smoke: 1-thread and 8-thread sweep reports differ" >&2
     exit 1
   fi
   grep -q '"scenario_count": 101250' target/batch_smoke_t1.json
   grep -q '"top_n": 24' target/batch_smoke_t1.json
-  printf '  ok 101250 cells -> 24 rows, byte-identical at 1 and 8 threads\n'
+  grep -v '_ns"' target/batch_smoke_profile_t1.json > target/batch_smoke_counts_t1.json
+  grep -v '_ns"' target/batch_smoke_profile_t8.json > target/batch_smoke_counts_t8.json
+  if ! cmp -s target/batch_smoke_counts_t1.json target/batch_smoke_counts_t8.json; then
+    echo "batch smoke: profiled counts differ at 1 vs 8 threads" >&2
+    diff target/batch_smoke_counts_t1.json target/batch_smoke_counts_t8.json >&2 || true
+    exit 1
+  fi
+  grep -q 'thirstyflops_workload_jobs_simulated_total' target/batch_smoke_counts_t1.json
+  printf '  ok 101250 cells -> 24 rows, byte-identical at 1 and 8 threads, profiled counts too\n'
 }
 
 if [[ "$mode" == "batch-smoke" ]]; then
@@ -465,8 +479,9 @@ chaos_smoke() {
       echo "chaos smoke: run $i has no per-site fault accounting" >&2
       exit 1
     fi
-    # Poisoned lookups are the one runtime path where a served year is
-    # recomputed (and then byte-verified), so the replay must hit it.
+    # Poisoned workload lookups are the one runtime path where a served
+    # workload year is recomputed (and the response then byte-verified),
+    # so the replay must hit it.
     local poisoned
     poisoned=$(grep -A1 '"site": "simcache_poison"' "target/chaos_section_$i.json" \
       | sed -n 's/.*"injected": \([0-9]*\).*/\1/p')

@@ -128,7 +128,8 @@ fn main() {
         std::hint::black_box(GridRegion::preset(RegionId::NorthernIllinois).simulate_year());
     });
 
-    // Warm path: prime once, then every repeat must be an Arc clone.
+    // Warm path: prime once, then every repeat is three cache hits and
+    // five series copies.
     let _prime = SystemYear::simulate(SystemId::Polaris, 77);
     let warm_ns = median_ns(iters.max(101), || {
         std::hint::black_box(SystemYear::simulate(SystemId::Polaris, 77));

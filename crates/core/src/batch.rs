@@ -17,10 +17,13 @@
 //! like [`HourlySeries::scale`], and every reduction folds hours in
 //! ascending order like the scalar kernels. The shared sub-simulations
 //! (workload, grid and climate → WUE series) always come from the
-//! process-wide memo layers. `tests/batch.rs` proves the batched
-//! aggregates bit-identical to the scalar reductions over the
+//! process-wide memo layers of [`crate::simcache`], which the scalar
+//! path reads too. `tests/batch.rs` proves the batched aggregates
+//! bit-identical to the scalar reductions over the
 //! [`SystemYear::simulate_uncached`] oracle on proptest-random spec
 //! batches, and compiled sweeps row-identical to per-cell evaluation.
+//!
+//! [`HourlySeries::scale`]: thirstyflops_timeseries::HourlySeries::scale
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -32,12 +35,12 @@ use thirstyflops_obs::Counter;
 use thirstyflops_catalog::SystemSpec;
 use thirstyflops_grid::RegionId;
 use thirstyflops_timeseries::lanes::{self, LaneSource};
-use thirstyflops_timeseries::{DistributionSummary, HourlySeries};
+use thirstyflops_timeseries::DistributionSummary;
 use thirstyflops_units::Liters;
 
 use crate::operational::OperationalBreakdown;
-use crate::simcache::{self, MemoCache};
-use crate::simulate::SystemYear;
+use crate::simcache;
+use crate::simulate::{SystemYear, WorkloadKey};
 
 pub use thirstyflops_timeseries::lanes::LaneAggregates;
 
@@ -135,49 +138,15 @@ pub struct LaneRequest {
     pub carbon_scale: Option<f64>,
 }
 
-/// The memo key for one lane's seed-dependent workload simulation: the
-/// spec fields the jobs → utilization → energy path actually reads
-/// (identity, node count, target utilization, per-node hardware) plus
-/// the seed. Region/climate/PUE/WSI lanes share one energy series.
+/// A lane's workload memo key, rendered. Lanes that differ only in
+/// climate, region, PUE or WSI share one key and one energy series.
 pub fn energy_key(spec: &SystemSpec, seed: u64) -> String {
-    format!(
-        "{}|{}|{:016x}|{}|{seed}",
-        spec.id.slug(),
-        spec.nodes,
-        spec.mean_utilization.to_bits(),
-        serde_json::to_string(&spec.node).expect("node configs serialize"),
-    )
-}
-
-/// The process-wide workload-series cache behind [`BatchContext`]: keyed
-/// by [`energy_key`], so repeated sweeps (the server's
-/// `POST /v1/scenarios/sweep` burst shape) stop repaying the ChaCha12
-/// workload simulation once it is warm. LRU-bounded like the simcache
-/// layers (a huge `nodes` axis would otherwise pin one year-long series
-/// per value); an evicted entry recomputes to identical bytes.
-fn global_energy() -> &'static MemoCache<String, HourlySeries> {
-    static CACHE: OnceLock<MemoCache<String, HourlySeries>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let (hits, misses, evictions) = simcache::layer_counters("batch_energy");
-        MemoCache::new(8, 256).with_counters(hits, misses, evictions)
-    })
-}
-
-/// The hourly energy series for one lane, memoized by [`energy_key`].
-/// Single source of truth: the same `workload_series` helper the scalar
-/// path calls.
-fn energy_of(spec: &SystemSpec, seed: u64) -> Arc<HourlySeries> {
-    // Demand-level span: counts energy-series *requests*, hit or miss.
-    let _span = span::span(span::CACHE_LOOKUP);
-    global_energy().get_or_compute(energy_key(spec, seed), || {
-        crate::simulate::workload_series(spec, seed).1
-    })
+    format!("{:?}", WorkloadKey::new(spec, seed))
 }
 
 /// A batch evaluation. Every sub-simulation it reads resolves through
-/// the process-wide single-flight layers — the workload series above,
-/// the grid and climate → WUE layers of [`crate::simcache`] — so sweeps
-/// keep warming the server's caches across requests.
+/// the process-wide single-flight layers of [`crate::simcache`], so
+/// sweeps keep warming the server's caches across requests.
 #[derive(Debug, Default)]
 pub struct BatchContext;
 
@@ -216,7 +185,7 @@ impl BatchContext {
             .iter()
             .map(|req| {
                 (
-                    energy_of(&req.spec, req.seed),
+                    simcache::workload(&req.spec, req.seed),
                     simcache::wue_series(req.spec.climate),
                     simcache::grid_year(req.spec.region),
                 )
@@ -225,8 +194,8 @@ impl BatchContext {
         let sources: Vec<LaneSource<'_>> = resolved
             .iter()
             .zip(block)
-            .map(|((energy, wue, grid), req)| LaneSource {
-                energy: energy.values(),
+            .map(|((workload, wue, grid), req)| LaneSource {
+                energy: workload.1.values(),
                 wue: wue.values(),
                 ewf: grid.ewf().values(),
                 carbon: grid.carbon().values(),

@@ -2,16 +2,18 @@
 //!
 //! Every footprint report, figure, scenario sweep, and cold HTTP request
 //! bottoms out in [`SystemYear::simulate`] — an 8760-hour telemetry
-//! simulation. Two of its three sub-simulations are *deterministic per
-//! configuration and independent of the caller's seed*:
+//! simulation assembled from three sub-simulations, each memoized here
+//! on exactly what it reads (no layer caches whole years):
 //!
+//! * the workload year (jobs → utilization → IT energy) depends only on
+//!   `WorkloadKey`: the seed and the few spec fields the workload
+//!   reads. The K-lane kernel ([`crate::batch`]) reads the same layer;
 //! * the grid year ([`GridRegion::simulate_year`]) depends only on the
 //!   region preset;
 //! * the climate → WUE series depends only on the
 //!   [`ClimatePreset`].
 //!
-//! This module memoizes both, plus whole simulated years keyed by
-//! `(spec fingerprint, seed)`, in sharded process-wide caches:
+//! Each layer is a sharded process-wide cache:
 //!
 //! * **Single-flight first touch** — concurrent misses on one key block
 //!   on a shared [`OnceLock`] slot, so each key is computed exactly once
@@ -24,7 +26,7 @@
 //! * **Observability** — per-layer hit/miss/entry/eviction counters,
 //!   exposed via [`stats`] and served at `GET /v1/cache/stats`.
 //!
-//! The whole-year layer is bounded (LRU on whole entries) because seeds
+//! The workload layer is bounded (LRU on whole entries) because seeds
 //! are caller-controlled and therefore unbounded; the grid and WUE
 //! layers are keyed by small closed enums and need no bound.
 //!
@@ -46,7 +48,7 @@ use thirstyflops_obs::Counter;
 use thirstyflops_timeseries::HourlySeries;
 use thirstyflops_weather::ClimatePreset;
 
-use crate::simulate::SystemYear;
+use crate::simulate::{workload_series, WorkloadKey};
 
 /// `DefaultHasher::default()` is SipHash with fixed keys — deterministic
 /// across processes, unlike `RandomState`.
@@ -248,7 +250,8 @@ impl<K: Eq + Hash + Clone, V> MemoCache<K, V> {
 /// `docs/PERFORMANCE.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SimCacheStats {
-    /// Whole `Arc<SystemYear>`s keyed by `(spec fingerprint, seed)`.
+    /// Workload years `(utilization, energy)` keyed by `WorkloadKey`:
+    /// one lookup per demanded year and per K-lane kernel lane.
     pub system_years: LayerStats,
     /// `GridYear`s keyed by region preset.
     pub grid_years: LayerStats,
@@ -280,10 +283,13 @@ pub(crate) fn layer_counters(layer: &'static str) -> (Counter, Counter, Counter)
     )
 }
 
-fn year_cache() -> &'static MemoCache<(String, u64), SystemYear> {
-    static CACHE: OnceLock<MemoCache<(String, u64), SystemYear>> = OnceLock::new();
-    // ~350 KB per cached year ⇒ the 256-entry bound caps the layer near
-    // 90 MB even under an adversarial seed sweep.
+/// A workload year: hourly utilization and IT energy.
+type Workload = (HourlySeries, HourlySeries);
+
+fn workload_cache() -> &'static MemoCache<WorkloadKey, Workload> {
+    static CACHE: OnceLock<MemoCache<WorkloadKey, Workload>> = OnceLock::new();
+    // ~140 KB per workload year ⇒ the 256-entry bound caps the layer
+    // near 36 MB even under an adversarial seed sweep.
     CACHE.get_or_init(|| {
         let (hits, misses, evictions) = layer_counters("system_years");
         MemoCache::new(8, 256).with_counters(hits, misses, evictions)
@@ -306,36 +312,24 @@ fn wue_cache() -> &'static MemoCache<ClimatePreset, HourlySeries> {
     })
 }
 
-/// The cache key of a spec: its canonical JSON rendering. Collision-free
-/// by construction (distinct specs render distinctly), deterministic
-/// across processes, and cheap next to an 8760-hour simulation.
-pub fn spec_fingerprint(spec: &SystemSpec) -> String {
-    serde_json::to_string(spec).expect("catalog specs always serialize")
-}
-
-/// The memoized simulated year for `(spec, seed)` — the engine behind
-/// [`SystemYear::simulate`](crate::SystemYear::simulate). A repeat call
-/// is an `Arc` clone; a miss computes once (single-flight) through the
-/// shared grid/WUE layers so that cold-but-related specs still reuse
-/// sub-simulations.
-pub fn system_year(spec: SystemSpec, seed: u64) -> Arc<SystemYear> {
+/// The memoized workload year of `(spec, seed)`: the one lookup both
+/// `SystemYear::simulate_spec` and the K-lane kernel make.
+pub(crate) fn workload(spec: &SystemSpec, seed: u64) -> Arc<Workload> {
     // The span covers the demand (hit, miss or poisoned recompute), so
-    // its invocation count is the number of system-years *asked for* — a
-    // pure function of the command, identical at every thread count.
+    // its invocation count is the number of workload years *asked for* —
+    // a pure function of the command, identical at every thread count.
     let _span = span::span(span::CACHE_LOOKUP);
     // Injected cache poisoning (`docs/ROBUSTNESS.md`): a fired
     // `simcache_poison` fault forces this lookup down the uncached
     // recompute path — exercising the miss machinery under load without
     // ever storing a wrong value. Because hits and misses return
-    // byte-identical years (the determinism contract above), poisoning
+    // byte-identical series (the determinism contract above), poisoning
     // must never change any response body; chaos replays verify that.
-    // The site lives only here, on the whole-year layer — the grid/WUE
-    // layers below it are reached through this entry point.
+    // The one site covers both the scalar year and the K-lane kernel.
     if thirstyflops_faults::global_simcache_poisoned() {
-        return Arc::new(SystemYear::compute(spec, seed, false));
+        return Arc::new(workload_series(spec, seed));
     }
-    let key = (spec_fingerprint(&spec), seed);
-    year_cache().get_or_compute(key, move || SystemYear::compute(spec, seed, true))
+    workload_cache().get_or_compute(WorkloadKey::new(spec, seed), || workload_series(spec, seed))
 }
 
 /// The memoized grid year for a region preset. Seed-independent: every
@@ -357,7 +351,7 @@ pub fn wue_series(preset: ClimatePreset) -> Arc<HourlySeries> {
 /// Counters for all layers.
 pub fn stats() -> SimCacheStats {
     SimCacheStats {
-        system_years: year_cache().stats(),
+        system_years: workload_cache().stats(),
         grid_years: grid_cache().stats(),
         wue_series: wue_cache().stats(),
     }
@@ -496,15 +490,5 @@ mod tests {
             .wue_model()
             .hourly_series(&ClimatePreset::Kobe.generate());
         assert_eq!(a.values(), direct.values());
-    }
-
-    #[test]
-    fn fingerprints_distinguish_specs() {
-        use thirstyflops_catalog::SystemId;
-        let a = SystemSpec::reference(SystemId::Polaris);
-        let mut b = SystemSpec::reference(SystemId::Polaris);
-        b.nodes += 1;
-        assert_ne!(spec_fingerprint(&a), spec_fingerprint(&b));
-        assert_eq!(spec_fingerprint(&a), spec_fingerprint(&a.clone()));
     }
 }

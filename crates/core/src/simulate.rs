@@ -2,9 +2,10 @@
 //! and evaluate the full footprint models over it.
 //!
 //! Simulation goes through the memoized substrate in [`crate::simcache`]:
-//! [`SystemYear::simulate`] returns an `Arc<SystemYear>` so a repeated
-//! `(system, seed)` is a pointer clone, and even a cold year reuses the
-//! seed-independent grid and climate → WUE sub-simulations. There is no
+//! [`SystemYear::simulate`] assembles a year from the workload layer
+//! (keyed by `WorkloadKey`), the grid layer and the climate → WUE
+//! layer, so a PUE, climate, region or WSI variant of a simulated year
+//! re-simulates nothing it shares with that year. There is no
 //! switch to turn the memo layers off: the uncached reference
 //! ([`SystemYear::simulate_uncached`]) is a test oracle, and
 //! `tests/simcache.rs` checks that both give the same bits.
@@ -13,6 +14,7 @@ use std::sync::Arc;
 
 use thirstyflops_catalog::{SystemId, SystemSpec};
 use thirstyflops_grid::GridRegion;
+use thirstyflops_obs::span;
 use thirstyflops_timeseries::HourlySeries;
 use thirstyflops_units::{Fraction, KilowattHours, Liters, LitersPerKilowattHour};
 use thirstyflops_workload::{ClusterSim, PowerModel, TraceConfig, TraceGenerator};
@@ -54,16 +56,47 @@ fn trace_shape(id: SystemId) -> (f64, f64) {
     }
 }
 
+/// The memo key of one workload year: exactly what [`workload_series`]
+/// reads, every `f64` as its bits. The trace generator and scheduler
+/// read the id, node count, target utilization and seed; [`PowerModel`]
+/// reads the node only through `NodeConfig::power_at_utilization_watts`,
+/// which reads only the peak node power and the idle fraction, so nodes
+/// with equal peaks give bit-identical energy. Climate, region, PUE,
+/// WSI, plant fleet, storage, DRAM and IC count never reach the workload,
+/// so specs that differ only there share one simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct WorkloadKey {
+    id: SystemId,
+    nodes: u32,
+    mean_utilization: u64,
+    peak_power_watts: u64,
+    idle_fraction: u64,
+    seed: u64,
+}
+
+impl WorkloadKey {
+    /// The key of `spec`'s workload year under `seed`.
+    pub(crate) fn new(spec: &SystemSpec, seed: u64) -> WorkloadKey {
+        WorkloadKey {
+            id: spec.id,
+            nodes: spec.nodes,
+            mean_utilization: spec.mean_utilization.to_bits(),
+            peak_power_watts: spec.node.peak_power_watts().to_bits(),
+            idle_fraction: spec.node.idle_fraction.to_bits(),
+            seed,
+        }
+    }
+}
+
 /// The seed-dependent workload path: jobs → utilization → IT energy.
 /// This is the single source of truth for the per-lane ChaCha12 seeding
-/// (`seed ^ id·φ64`) — both the scalar [`SystemYear::compute`] path and
-/// the batched kernel ([`crate::batch`]) call it, so their RNG draws
-/// cannot drift apart.
+/// (`seed ^ id·φ64`): the workload memo layer and
+/// [`SystemYear::simulate_uncached`] both call it.
 pub(crate) fn workload_series(spec: &SystemSpec, seed: u64) -> (HourlySeries, HourlySeries) {
     // Spans the actual trace + scheduling + power simulation — the cold
     // path's dominant stage. Invocations count simulations that truly
     // ran (memoized repeats don't re-enter).
-    let _span = thirstyflops_obs::span::span(thirstyflops_obs::span::WORKLOAD_SIM);
+    let _span = span::span(span::WORKLOAD_SIM);
     let (duration, width) = trace_shape(spec.id);
     let trace = TraceGenerator::new(TraceConfig {
         cluster_nodes: spec.nodes,
@@ -86,8 +119,8 @@ impl SystemYear {
     /// decorrelates years (use the calendar year, e.g. 2023); all
     /// sub-simulators stay deterministic.
     ///
-    /// Memoized: a repeated `(system, seed)` call returns an `Arc` clone
-    /// of the first result — no re-simulation (observable through
+    /// Memoized: a repeated `(system, seed)` call simulates nothing, it
+    /// copies five series out of the memo layers (observable through
     /// [`crate::simcache::stats`]). The telemetry is bit-identical to
     /// [`SystemYear::simulate_uncached`], the oracle `tests/simcache.rs`
     /// compares against.
@@ -97,10 +130,27 @@ impl SystemYear {
 
     /// Simulates a year for an arbitrary specification — custom node
     /// counts, regions, climates (e.g. synthetic fleet members or
-    /// what-if variants of a reference system). Memoized by
-    /// `(spec fingerprint, seed)` like [`SystemYear::simulate`].
+    /// what-if variants of a reference system). Assembled from the
+    /// workload, grid and WUE memo layers like [`SystemYear::simulate`].
     pub fn simulate_spec(spec: SystemSpec, seed: u64) -> Arc<SystemYear> {
-        crate::simcache::system_year(spec, seed)
+        let workload = crate::simcache::workload(&spec, seed);
+        // Demand-level spans: one per year asked for, hit or miss.
+        let wue = {
+            let _span = span::span(span::WUE_SERIES);
+            crate::simcache::wue_series(spec.climate)
+        };
+        let grid = {
+            let _span = span::span(span::GRID_KERNEL);
+            crate::simcache::grid_year(spec.region)
+        };
+        Arc::new(SystemYear {
+            spec,
+            utilization: workload.0.clone(),
+            energy: workload.1.clone(),
+            wue: (*wue).clone(),
+            ewf: grid.ewf().clone(),
+            carbon: grid.carbon().clone(),
+        })
     }
 
     /// The fully uncached simulation: recomputes every sub-simulation and
@@ -109,50 +159,24 @@ impl SystemYear {
     /// (`tests/simcache.rs`) and the cold-path workload
     /// `./ci.sh bench-json` tracks.
     pub fn simulate_uncached(spec: SystemSpec, seed: u64) -> SystemYear {
-        Self::compute(spec, seed, false)
-    }
-
-    /// The actual simulation. With `shared_parts` the seed-independent
-    /// grid and climate → WUE series come from [`crate::simcache`]'s
-    /// sub-caches (values are byte-identical either way — each
-    /// sub-simulator owns an independent RNG stream seeded from its own
-    /// config, so sharing cannot perturb anything).
-    pub(crate) fn compute(spec: SystemSpec, seed: u64, shared_parts: bool) -> SystemYear {
-        use thirstyflops_obs::span;
-
-        // Weather → WUE.
         let wue = {
             let _span = span::span(span::WUE_SERIES);
-            if shared_parts {
-                (*crate::simcache::wue_series(spec.climate)).clone()
-            } else {
-                let climate = spec.climate.generate();
-                spec.climate.wue_model().hourly_series(&climate)
-            }
+            spec.climate
+                .wue_model()
+                .hourly_series(&spec.climate.generate())
         };
-
-        // Grid → EWF + carbon intensity.
-        let (ewf, carbon) = {
+        let grid = {
             let _span = span::span(span::GRID_KERNEL);
-            if shared_parts {
-                let grid_year = crate::simcache::grid_year(spec.region);
-                (grid_year.ewf().clone(), grid_year.carbon().clone())
-            } else {
-                let grid_year = GridRegion::preset(spec.region).simulate_year();
-                (grid_year.ewf().clone(), grid_year.carbon().clone())
-            }
+            GridRegion::preset(spec.region).simulate_year()
         };
-
-        // Jobs → utilization → energy (shared with the batched kernel).
         let (utilization, energy) = workload_series(&spec, seed);
-
         SystemYear {
             spec,
             utilization,
             energy,
             wue,
-            ewf,
-            carbon,
+            ewf: grid.ewf().clone(),
+            carbon: grid.carbon().clone(),
         }
     }
 

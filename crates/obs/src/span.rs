@@ -30,7 +30,8 @@ pub const WORKLOAD_SIM: usize = 0;
 pub const GRID_KERNEL: usize = 1;
 /// Hourly WUE series synthesis from a climate preset.
 pub const WUE_SERIES: usize = 2;
-/// Simulation-cache lookup (hit or miss) for a demanded system-year.
+/// Workload memo-layer lookup (hit or miss) for a demanded year or
+/// kernel lane.
 pub const CACHE_LOOKUP: usize = 3;
 /// One fused multi-lane annual reduction pass.
 pub const FUSED_REDUCTION: usize = 4;

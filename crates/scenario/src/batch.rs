@@ -153,9 +153,9 @@ fn wue_scale(cell: &Cell<'_>) -> Option<f64> {
 
 /// Everything a cell's kernel aggregates depend on; rows sharing a key
 /// share one lane. Within one sweep the system, utilization, node
-/// hardware and seed are fixed, so of the `energy_key` inputs only the
-/// node count varies; the rest are the series identities and the bits
-/// of their scales.
+/// hardware and seed are fixed, so of the workload memo key's inputs
+/// only the node count varies; the rest are the series identities and
+/// the bits of their scales.
 type LaneKey = (
     u32,
     ClimatePreset,

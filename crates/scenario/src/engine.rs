@@ -4,9 +4,10 @@
 //! Evaluation is built to be *cache-shaped*: every override that changes
 //! the simulated physics (climate preset, grid region, PUE, node count,
 //! site WSI) is applied as a [`SystemSpec`] transform, so the year flows
-//! through the memoized `SystemYear::simulate_spec` — a sweep of 25
-//! scenarios over one base system re-simulates only what actually
-//! differs, and repeated scenarios are `Arc` clones. Overrides that
+//! through the memoized `SystemYear::simulate_spec`, which assembles it
+//! from the workload, grid and WUE memo layers — a sweep of 25 scenarios
+//! over one base system re-simulates only what actually differs (its
+//! climates and regions never reach the workload key). Overrides that
 //! reinterpret the simulated series (WUE scaling, mix changes, prices,
 //! scarcity weighting, lifecycle projection) are pure post-processing on
 //! the shared year. Cached and uncached evaluation are byte-identical
@@ -163,8 +164,8 @@ pub fn compare(a: &ScenarioSpec, b: &ScenarioSpec) -> Result<ScenarioComparison,
 }
 
 /// The `SystemSpec` transform: every override that changes the simulated
-/// physics, applied as plain field replacement so the memoized
-/// `(spec fingerprint, seed)` key captures exactly what changed.
+/// physics, applied as plain field replacement, so each memo layer's key
+/// (workload, grid region, climate preset) sees exactly what changed.
 pub fn apply_spec_overrides(base: &SystemSpec, o: &Overrides) -> Result<SystemSpec, ScenarioError> {
     let mut spec = base.clone();
     if let Some(c) = &o.climate {

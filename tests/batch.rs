@@ -392,31 +392,48 @@ fn lanes_are_the_distinct_resolved_keys_per_chunk() {
         std::process::id()
     ));
     std::fs::write(&path, SECTIONED_SWEEP).expect("spec writes");
-    let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
-        .args([
-            "scenario",
-            "sweep",
-            path.to_str().expect("UTF-8 path"),
-            "--json",
-            "--profile",
-        ])
-        .output()
-        .expect("CLI binary runs");
+    let lanes = profiled_counter(
+        &["scenario", "sweep", path.to_str().expect("UTF-8 path")],
+        "thirstyflops_batch_lanes_total",
+    );
     std::fs::remove_file(&path).ok();
-    assert!(out.status.success(), "{out:?}");
-    let profile: ProfileReport =
-        serde_json::from_str(&String::from_utf8(out.stderr).expect("UTF-8 stderr"))
-            .expect("stderr is a profile report");
-    let lanes = profile
-        .counters
-        .iter()
-        .find(|c| c.name == "thirstyflops_batch_lanes_total")
-        .expect("lane counter registered")
-        .value;
     assert_eq!(lanes, expected as u64);
     assert!(
         expected < keys.len() / 100,
         "{expected} lanes for {} cells",
         keys.len()
     );
+}
+
+/// One counter of a CLI run's `--profile --json` report. The run is a
+/// subprocess, so no sibling test's work reaches the counter.
+fn profiled_counter(args: &[&str], name: &str) -> u64 {
+    let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
+        .args(args)
+        .args(["--json", "--profile"])
+        .output()
+        .expect("CLI binary runs");
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    let profile: ProfileReport =
+        serde_json::from_str(&String::from_utf8(out.stderr).expect("UTF-8 stderr"))
+            .expect("stderr is a profile report");
+    profile
+        .counters
+        .iter()
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("{name} registered"))
+        .value
+}
+
+/// A siting sweep's baseline year and its kernel lanes read one workload
+/// layer, and climate/region variants never reach the workload key: the
+/// whole 25-cell sweep simulates exactly the jobs of one Polaris year.
+#[test]
+fn a_siting_sweep_simulates_its_workload_year_once() {
+    let jobs = "thirstyflops_workload_jobs_simulated_total";
+    let sweep = spec_path("sweep_siting.json");
+    let swept = profiled_counter(&["scenario", "sweep", sweep.as_str()], jobs);
+    let one_year = profiled_counter(&["footprint", "polaris"], jobs);
+    assert!(one_year > 0);
+    assert_eq!(swept, one_year);
 }

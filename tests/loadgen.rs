@@ -172,7 +172,7 @@ fn cli_loadgen_smoke_mix_exits_zero() {
 }
 
 /// CLI: recomputed simulations change nothing on the wire. A chaos plan
-/// that poisons every whole-year lookup (`simcache_poison` at rate 1)
+/// that poisons every workload lookup (`simcache_poison` at rate 1)
 /// sends each one down the uncached recompute path, and the replay stays
 /// mismatch-free at one worker and at eight.
 #[test]
