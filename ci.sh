@@ -15,7 +15,10 @@
 #                          # mix at --workers 1 and 8: every response
 #                          # body byte-verified, zero mismatches required
 #   ./ci.sh scenario-smoke # run every spec in examples/scenarios/ through
-#                          # the scenario engine (run or sweep by name)
+#                          # the scenario engine (run or sweep by name);
+#                          # run specs at THIRSTYFLOPS_THREADS=1 and 8
+#                          # must give byte-identical JSON and --profile
+#                          # counts
 #   ./ci.sh batch-smoke    # the 101,250-cell streaming top-N sweep through
 #                          # the batched K-lane kernel at
 #                          # THIRSTYFLOPS_THREADS=1 and 8; the two JSON
@@ -152,16 +155,38 @@ fi
 scenario_smoke() {
   # Every spec in the shipped library must evaluate: sweep_* files go
   # through `scenario sweep`, everything else through `scenario run`.
-  # JSON output is rendered (and discarded) so the full engine +
-  # serialization path runs, not just validation.
-  step "scenario smoke (every spec in examples/scenarios/)"
+  # JSON output is rendered so the full engine + serialization path
+  # runs, not just validation. Single runs reduce through the K-lane
+  # kernel like sweeps do, so each run spec is evaluated at
+  # THIRSTYFLOPS_THREADS=1 and 8: the --json reports must match byte
+  # for byte, and so must the --profile counts (the `_ns` lines
+  # stripped, as in obs-smoke).
+  step "scenario smoke (every spec in examples/scenarios/; run specs at 1 and 8 threads)"
   cargo build --release -q
   local bin=target/release/thirstyflops
   local count=0
+  mkdir -p target
   for spec in examples/scenarios/*.json; do
     case "$(basename "$spec")" in
       sweep_*) "$bin" scenario sweep "$spec" --json > /dev/null ;;
-      *)       "$bin" scenario run   "$spec" --json > /dev/null ;;
+      *)
+        for threads in 1 8; do
+          THIRSTYFLOPS_THREADS=$threads "$bin" scenario run "$spec" --json --profile \
+            > "target/scenario_smoke_t$threads.json" \
+            2> "target/scenario_smoke_profile_t$threads.json"
+          grep -v '_ns"' "target/scenario_smoke_profile_t$threads.json" \
+            > "target/scenario_smoke_counts_t$threads.json"
+        done
+        if ! cmp -s target/scenario_smoke_t1.json target/scenario_smoke_t8.json; then
+          echo "scenario smoke: $spec reports differ at 1 vs 8 threads" >&2
+          exit 1
+        fi
+        if ! cmp -s target/scenario_smoke_counts_t1.json target/scenario_smoke_counts_t8.json; then
+          echo "scenario smoke: $spec profiled counts differ at 1 vs 8 threads" >&2
+          diff target/scenario_smoke_counts_t1.json target/scenario_smoke_counts_t8.json >&2 || true
+          exit 1
+        fi
+        ;;
     esac
     count=$((count + 1))
     printf '  ok %s\n' "$spec"

@@ -1,13 +1,14 @@
 //! Batched K-lane evaluation: score K system configurations in one pass
 //! over the hour axis instead of K scalar walks.
 //!
-//! The single-scenario path simulates a [`SystemYear`] per configuration
-//! and reduces it with the fused `timeseries` kernels. A sweep of 10⁵
-//! cells would repeat those reductions cell by cell. This module recasts
-//! the loop as matrix-shaped batch computation: every annual reduction
-//! the scenario engine needs (`Σe`, `Σe·w`, `Σe·f`, `Σe·c`, means,
-//! monthly sums) runs for K lanes in one pass of the K-lane kernel
-//! ([`thirstyflops_timeseries::lanes::annual_reductions_scaled`]).
+//! Every scenario measurement — a single run's baseline and scenario, a
+//! sweep's baseline and each of its cells — is the same set of annual
+//! reductions (`Σe`, `Σe·w`, `Σe·f`, `Σe·c`, means, monthly sums) over
+//! hourly series the memo layers already hold. This module runs them
+//! for K lanes in one pass of the K-lane kernel
+//! ([`thirstyflops_timeseries::lanes::annual_reductions_scaled`]),
+//! reading the shared series in place and applying each lane's
+//! reinterpretation scales on the fly, so no lane copies a year.
 //!
 //! **Bit-identity contract.** The batch path is *invisible*: per lane it
 //! performs the exact operation sequence of the scalar expressions —
@@ -17,11 +18,13 @@
 //! like [`HourlySeries::scale`], and every reduction folds hours in
 //! ascending order like the scalar kernels. The shared sub-simulations
 //! (workload, grid and climate → WUE series) always come from the
-//! process-wide memo layers of [`crate::simcache`], which the scalar
-//! path reads too. `tests/batch.rs` proves the batched aggregates
-//! bit-identical to the scalar reductions over the
+//! process-wide memo layers of [`crate::simcache`], which
+//! [`SystemYear::simulate`] reads too. `tests/batch.rs` proves the
+//! batched aggregates bit-identical to the scalar reductions over the
 //! [`SystemYear::simulate_uncached`] oracle on proptest-random spec
-//! batches, and compiled sweeps row-identical to per-cell evaluation.
+//! batches, and compiled sweeps row-identical to per-cell evaluation;
+//! `tests/scenario_oracle.rs` holds whole scenario evaluations to the
+//! scalar expressions.
 //!
 //! [`HourlySeries::scale`]: thirstyflops_timeseries::HourlySeries::scale
 
@@ -62,7 +65,7 @@ fn lanes_counter() -> &'static Counter {
     C.get_or_init(|| {
         thirstyflops_obs::registry::global().counter(
             "thirstyflops_batch_lanes_total",
-            "Lanes aggregated by the K-lane kernel.",
+            "Lanes aggregated by the K-lane kernel (scenario runs, sweep baselines and cells, experiment years).",
         )
     })
 }
@@ -123,7 +126,7 @@ pub fn stats() -> BatchStats {
 /// One lane of a batch: a system configuration plus the series
 /// reinterpretation scales the scenario engine applies post-simulation.
 /// `None` means "use the raw series" — identity is decided by the
-/// *presence* of a scale, mirroring the scalar override branches.
+/// *presence* of a scale, mirroring the override being set or not.
 #[derive(Debug, Clone)]
 pub struct LaneRequest {
     /// The (already transformed) system specification.
@@ -156,9 +159,10 @@ impl BatchContext {
         BatchContext
     }
 
-    /// Annual means of the region's *unscaled* EWF and carbon series —
-    /// what the scalar path reads as `year.ewf.mean()` /
-    /// `year.carbon.mean()` when pinning a grid-mix override.
+    /// Annual means of the region's *unscaled* EWF and carbon series
+    /// (bit-identical to a simulated year's `year.ewf.mean()` /
+    /// `year.carbon.mean()`), which a grid-mix override's scale factors
+    /// divide by.
     pub fn region_means(&self, region: RegionId) -> (f64, f64) {
         let grid = simcache::grid_year(region);
         (grid.ewf().mean(), grid.carbon().mean())

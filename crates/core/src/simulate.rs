@@ -91,7 +91,10 @@ impl WorkloadKey {
 /// The seed-dependent workload path: jobs → utilization → IT energy.
 /// This is the single source of truth for the per-lane ChaCha12 seeding
 /// (`seed ^ id·φ64`): the workload memo layer and
-/// [`SystemYear::simulate_uncached`] both call it.
+/// [`SystemYear::simulate_uncached`] both call it. The trace is
+/// generated and scheduled one calendar month at a time
+/// ([`ClusterSim::simulate_generated`]), so no year-long job list is
+/// ever held.
 pub(crate) fn workload_series(spec: &SystemSpec, seed: u64) -> (HourlySeries, HourlySeries) {
     // Spans the actual trace + scheduling + power simulation — the cold
     // path's dominant stage. Invocations count simulations that truly
@@ -105,11 +108,10 @@ pub(crate) fn workload_series(spec: &SystemSpec, seed: u64) -> (HourlySeries, Ho
         mean_width_fraction: width,
         seed: seed ^ (spec.id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
     })
-    .expect("catalog trace configs are valid")
-    .generate_year();
+    .expect("catalog trace configs are valid");
     let (utilization, _stats) = ClusterSim::new(spec.nodes)
         .expect("catalog systems have nodes")
-        .simulate_year(&trace);
+        .simulate_generated(&trace);
     let energy = PowerModel::new(spec).energy_series(&utilization);
     (utilization, energy)
 }

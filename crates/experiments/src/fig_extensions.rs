@@ -4,10 +4,12 @@
 
 use std::sync::OnceLock;
 
+use rayon::prelude::*;
 use thirstyflops_catalog::{SystemId, SystemSpec};
 use thirstyflops_core::uncertainty::{mix_ewf_interval, operational_interval, Interval};
 use thirstyflops_core::{AnnualReport, FootprintModel, LifecycleModel};
 use thirstyflops_grid::GridRegion;
+use thirstyflops_obs::trace::propagate;
 use thirstyflops_timeseries::Frame;
 
 use crate::{Experiment, SEED};
@@ -15,12 +17,15 @@ use crate::{Experiment, SEED};
 static REPORTS: OnceLock<Vec<AnnualReport>> = OnceLock::new();
 
 /// Annual reports for all six cataloged systems (paper + extensions),
-/// computed once.
+/// computed once, the independent years in parallel and merged in
+/// `SystemId::ALL` order.
 fn all_reports() -> &'static [AnnualReport] {
     REPORTS.get_or_init(|| {
         SystemId::ALL
-            .iter()
-            .map(|&id| FootprintModel::reference(id).annual_report(SEED))
+            .par_iter()
+            .map(propagate(|&id: &SystemId| {
+                FootprintModel::reference(id).annual_report(SEED)
+            }))
             .collect()
     })
 }

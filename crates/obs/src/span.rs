@@ -38,10 +38,11 @@ pub const FUSED_REDUCTION: usize = 4;
 /// One sweep chunk: prepare, aggregate, fold.
 pub const SWEEP_CHUNK: usize = 5;
 /// Synthetic job-trace generation (`workload::TraceGenerator`), nested
-/// inside [`WORKLOAD_SIM`].
+/// inside [`WORKLOAD_SIM`], one span per simulated month.
 pub const TRACE_GEN: usize = 6;
 /// FCFS + EASY-backfill cluster-year scheduling
-/// (`workload::ClusterSim`), nested inside [`WORKLOAD_SIM`].
+/// (`workload::ClusterSim`), nested inside [`WORKLOAD_SIM`], one span
+/// per simulated month.
 pub const CLUSTER_SIM: usize = 7;
 /// Utilization → hourly power/energy conversion
 /// (`workload::PowerModel`), nested inside [`WORKLOAD_SIM`].

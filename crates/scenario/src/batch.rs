@@ -264,8 +264,8 @@ fn evaluate_chunk(shared: &Shared<'_>, start: usize, end: usize) -> Result<Fold,
     // resolution makes them pure functions of the expansion; the cost is
     // re-aggregating keys that span a chunk boundary, a few hundred
     // cheap lane reductions on the flagship 10⁵-cell sweep (the
-    // expensive workload simulations stay deduplicated by the batch
-    // context's energy cache). See `docs/PERFORMANCE.md`.
+    // expensive workload simulations stay deduplicated by the workload
+    // memo layer). See `docs/PERFORMANCE.md`.
     let aggregates = shared.ctx.aggregate(&requests);
 
     let _topn = span::span(span::TOPN);
@@ -290,9 +290,8 @@ pub(crate) fn evaluate_sweep_streaming(sweep: &SweepSpec) -> Result<SweepReport,
         ScenarioError::Invalid(format!("{e} — `thirstyflops systems` lists the catalog"))
     })?;
     let base_spec = SystemSpec::reference(base_id);
-    // The shared baseline: the single-scenario path, exactly as
-    // `evaluate` would compute it (one row — batching buys nothing).
-    let baseline = engine::metrics(&base_spec, sweep.seed, &Overrides::default())?;
+    // The shared baseline, exactly as `evaluate` computes it.
+    let [baseline] = engine::metrics([(&base_spec, sweep.seed, &Overrides::default())])?;
     let ctx = BatchContext::new();
     let (plan, compiled) = SweepPlan::compile(sweep);
     let sections = compiled

@@ -3,23 +3,21 @@
 //!
 //! Evaluation is built to be *cache-shaped*: every override that changes
 //! the simulated physics (climate preset, grid region, PUE, node count,
-//! site WSI) is applied as a [`SystemSpec`] transform, so the year flows
-//! through the memoized `SystemYear::simulate_spec`, which assembles it
-//! from the workload, grid and WUE memo layers — a sweep of 25 scenarios
-//! over one base system re-simulates only what actually differs (its
-//! climates and regions never reach the workload key). Overrides that
-//! reinterpret the simulated series (WUE scaling, mix changes, prices,
-//! scarcity weighting, lifecycle projection) are pure post-processing on
-//! the shared year. Cached and uncached evaluation are byte-identical
-//! (`tests/scenario.rs`).
+//! site WSI) is applied as a [`SystemSpec`] transform, so each memo
+//! layer (workload, grid, WUE) sees exactly what differs — a sweep of 25
+//! scenarios over one base system re-simulates only that (its climates
+//! and regions never reach the workload key). Overrides that
+//! reinterpret the simulated series (WUE scaling, mix changes) become
+//! per-lane scales of the K-lane kernel, which reduces the shared
+//! series in place; prices, scarcity weighting and the lifecycle
+//! projection are arithmetic on the reduced aggregates. Cached and
+//! uncached evaluation are byte-identical (`tests/scenario.rs`).
 
 use thirstyflops_catalog::SystemSpec;
-use thirstyflops_core::batch::LaneAggregates;
+use thirstyflops_core::batch::{BatchContext, LaneAggregates, LaneRequest};
 use thirstyflops_core::embodied::EmbodiedBreakdown;
 use thirstyflops_core::lifecycle::gpu_upgrade_water;
-use thirstyflops_core::SystemYear;
 use thirstyflops_grid::EnergyMix;
-use thirstyflops_timeseries::{HourlySeries, Month};
 use thirstyflops_units::Pue;
 
 use crate::spec::{
@@ -135,9 +133,11 @@ pub fn evaluate(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioError> {
     spec.validate()?;
     let base_id = spec.base_id()?;
     let base_spec = SystemSpec::reference(base_id);
-    let baseline = metrics(&base_spec, spec.seed, &Overrides::default())?;
     let transformed = apply_spec_overrides(&base_spec, &spec.overrides)?;
-    let scenario = metrics(&transformed, spec.seed, &spec.overrides)?;
+    let [baseline, scenario] = metrics([
+        (&base_spec, spec.seed, &Overrides::default()),
+        (&transformed, spec.seed, &spec.overrides),
+    ])?;
     let deltas = deltas(&baseline, &scenario);
     Ok(ScenarioOutcome {
         name: spec.name.clone(),
@@ -207,11 +207,9 @@ pub fn apply_spec_overrides(base: &SystemSpec, o: &Overrides) -> Result<SystemSp
 /// `docs/SCENARIOS.md` for the semantics: `mix` pins the annual mean to
 /// the replacement mix's factors, `mix_delta` shifts the simulated level
 /// by the ratio of shifted-to-base annual-mix factors). Takes the
-/// annual means of the *unscaled* region series — the single-scenario
-/// path reads them off the simulated year, the sweep path off its per-region
-/// mean cache; the grid sub-simulation is deterministic, so the bits
-/// agree either way.
-pub(crate) fn grid_factors(
+/// annual means of the *unscaled* region series
+/// ([`BatchContext::region_means`]).
+pub fn grid_factors(
     g: &GridOverride,
     sys: &SystemSpec,
     ewf_mean: f64,
@@ -248,50 +246,46 @@ fn parse_mix_pairs(
         .collect())
 }
 
-/// Measures one configuration: simulate (memoized), post-process the
-/// series per the overrides, and aggregate. Pure — identical inputs
-/// produce identical bytes at any thread count, cached or not. This is
-/// the single-scenario path and every sweep's baseline; sweep cells
-/// take their aggregates from the batched kernel instead
-/// (`crate::batch`).
-pub(crate) fn metrics(
-    sys: &SystemSpec,
-    seed: u64,
-    o: &Overrides,
-) -> Result<ScenarioMetrics, ScenarioError> {
-    let year = SystemYear::simulate_spec(sys.clone(), seed);
-
-    // Series reinterpretation: WUE scaling and grid-mix factors.
-    let wue: HourlySeries = match o.climate.as_ref().and_then(|c| c.wue_scale) {
-        Some(k) => year.wue.scale(k),
-        None => year.wue.clone(),
-    };
-    let (ewf, carbon) = match o.grid.as_ref() {
-        Some(g) => match grid_factors(g, sys, year.ewf.mean(), year.carbon.mean())? {
-            Some((k_ewf, k_ci)) => (year.ewf.scale(k_ewf), year.carbon.scale(k_ci)),
-            None => (year.ewf.clone(), year.carbon.clone()),
-        },
-        None => (year.ewf.clone(), year.carbon.clone()),
-    };
-
-    let monthly = year.energy.mul(&wue).monthly_sum();
-    let agg = LaneAggregates {
-        energy_kwh: year.energy.total(),
-        direct_l: year.energy.dot(&wue),
-        indirect_per_pue_l: year.energy.dot(&ewf),
-        carbon_g: year.energy.dot(&carbon),
-        mean_wue: wue.mean(),
-        mean_ewf: ewf.mean(),
-        mean_carbon: carbon.mean(),
-        monthly_direct_l: Month::ALL.map(|month| monthly.get(month)),
-    };
-    Ok(finish_metrics(
-        sys,
-        o.reclaimed.as_ref(),
-        o.water_price.as_ref(),
-        o.fleet_upgrade.as_ref(),
-        &agg,
-    ))
+/// Measures configurations — each a (transformed) system, a seed and
+/// the overrides that reinterpret its series — in one pass of the
+/// K-lane kernel (`core::batch`), which reads the memoized workload,
+/// grid and WUE series in place. Single runs and sweep baselines come
+/// through here; sweep cells call the same kernel from `crate::batch`.
+/// `tests/scenario_oracle.rs` holds it to the scalar series expressions
+/// bit for bit. Pure — identical inputs produce identical bytes at any
+/// thread count.
+pub(crate) fn metrics<const N: usize>(
+    configs: [(&SystemSpec, u64, &Overrides); N],
+) -> Result<[ScenarioMetrics; N], ScenarioError> {
+    let ctx = BatchContext::new();
+    let mut lanes = Vec::with_capacity(N);
+    for (sys, seed, o) in configs {
+        let factors = match &o.grid {
+            Some(g) => {
+                let (ewf_mean, carbon_mean) = ctx.region_means(sys.region);
+                grid_factors(g, sys, ewf_mean, carbon_mean)?
+            }
+            None => None,
+        };
+        lanes.push(LaneRequest {
+            spec: sys.clone(),
+            seed,
+            wue_scale: o.climate.as_ref().and_then(|c| c.wue_scale),
+            ewf_scale: factors.map(|(k_ewf, _)| k_ewf),
+            carbon_scale: factors.map(|(_, k_ci)| k_ci),
+        });
+    }
+    let aggregates = ctx.aggregate(&lanes);
+    Ok(std::array::from_fn(|i| {
+        let (sys, _, o) = configs[i];
+        finish_metrics(
+            sys,
+            o.reclaimed.as_ref(),
+            o.water_price.as_ref(),
+            o.fleet_upgrade.as_ref(),
+            &aggregates[i],
+        )
+    }))
 }
 
 /// The shared metric arithmetic on top of the annual aggregates: the
@@ -300,7 +294,7 @@ pub(crate) fn metrics(
 /// the only ones left once `sys` and the aggregates carry the rest.
 /// Single-scenario and sweep evaluation both end here, so the two paths
 /// cannot diverge downstream of the reductions.
-pub(crate) fn finish_metrics(
+pub fn finish_metrics(
     sys: &SystemSpec,
     reclaimed: Option<&ReclaimedOverride>,
     water_price: Option<&WaterPriceOverride>,

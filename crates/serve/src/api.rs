@@ -7,10 +7,12 @@
 //! canonical serializer, [`to_json`]. Nothing here touches the network —
 //! it is pure "model results → serde types".
 
+use rayon::prelude::*;
 use thirstyflops_catalog::{SystemId, SystemSpec};
 use thirstyflops_core::uncertainty::{mix_ewf_interval, operational_interval};
 use thirstyflops_core::{AnnualReport, FootprintModel, Interval, SystemYear};
 use thirstyflops_grid::{GridRegion, Scenario};
+use thirstyflops_obs::trace::propagate;
 use thirstyflops_units::{GramsCo2PerKwh, LitersPerKilowattHour};
 
 /// The canonical JSON rendering: 2-space pretty with a trailing newline
@@ -137,11 +139,15 @@ pub struct RankPayload {
     pub entries: Vec<RankEntry>,
 }
 
-/// Builds the Water500-style ranking (worst first, like the CLI).
+/// Builds the Water500-style ranking (worst first, like the CLI). The
+/// six systems' years are independent, so they simulate in parallel;
+/// the reports merge in `SystemId::ALL` order before the sort.
 pub fn rank_payload(adjusted: bool, seed: u64) -> RankPayload {
     let mut reports: Vec<AnnualReport> = SystemId::ALL
-        .iter()
-        .map(|&id| FootprintModel::reference(id).annual_report(seed))
+        .par_iter()
+        .map(propagate(|&id: &SystemId| {
+            FootprintModel::reference(id).annual_report(seed)
+        }))
         .collect();
     if adjusted {
         reports.sort_by(|x, y| {

@@ -6,15 +6,24 @@
 //! reservation) is the de-facto standard batch policy, so the resulting
 //! utilization texture — high steady load with backfill ripples — matches
 //! what the M100/Fugaku log studies report.
+//!
+//! The running set is a ring of node counts indexed by end hour
+//! ([`EndRing`]): completing the jobs of an hour is one slot, and the
+//! head's reservation (the shadow time and the nodes free at it) is one
+//! walk up the ring from the current hour. A year is scheduled one chunk
+//! of hours at a time ([`ClusterYear::advance`]), so a generated trace
+//! streams through month by month without ever existing as a year-long
+//! job list ([`ClusterSim::simulate_generated`]).
 
-use std::collections::VecDeque;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
 
 use thirstyflops_obs::span;
 use thirstyflops_obs::Counter;
 use thirstyflops_timeseries::{HourlySeries, HOURS_PER_YEAR};
 
-use crate::trace::Job;
+use crate::trace::{month_ends, Job, TraceGenerator, MAX_DURATION_HOURS};
 
 /// Jobs fed into cluster-year simulations, registered once in the
 /// workspace metrics registry. Deterministic: simulation demand is a
@@ -27,13 +36,6 @@ fn jobs_simulated() -> &'static Counter {
             "Jobs fed into cluster-year scheduling simulations.",
         )
     })
-}
-
-/// A running job's remaining reservation.
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    end_hour: usize,
-    nodes: u32,
 }
 
 /// Summary statistics from a simulated year.
@@ -80,111 +82,272 @@ impl ClusterSim {
     }
 
     /// Runs one year of FCFS + EASY backfill over `jobs` (any order;
-    /// sorted internally by submit hour). Returns the hourly busy-node
-    /// utilization in `[0, 1]` and summary stats.
+    /// a trace not already in `(submit_hour, id)` order is sorted into
+    /// a copy). Returns the hourly busy-node utilization in `[0, 1]` and
+    /// summary stats.
     ///
-    /// Jobs wider than the cluster are rejected (counted as unstarted).
+    /// Jobs wider than the cluster are rejected (counted as unstarted),
+    /// as are jobs submitted after the year's last hour.
     pub fn simulate_year(&self, jobs: &[Job]) -> (HourlySeries, ClusterStats) {
+        let order = |j: &Job| (j.submit_hour, j.id);
+        let sorted: Cow<'_, [Job]> = if jobs.windows(2).all(|w| order(&w[0]) <= order(&w[1])) {
+            Cow::Borrowed(jobs)
+        } else {
+            let mut copy = jobs.to_vec();
+            copy.sort_by_key(order);
+            Cow::Owned(copy)
+        };
+        let longest = jobs.iter().map(|j| j.duration_hours).max().unwrap_or(0);
+        let mut year = ClusterYear::new(self, longest);
+        let mut rest: &[Job] = &sorted;
+        for until in month_ends() {
+            let arrived = rest.partition_point(|j| j.submit_hour < until);
+            year.advance(&rest[..arrived], until);
+            rest = &rest[arrived..];
+        }
+        jobs_simulated().add(rest.len() as u64);
+        let (series, mut stats) = year.finish();
+        stats.unstarted_jobs += rest.len();
+        (series, stats)
+    }
+
+    /// Generates `generator`'s year and schedules it one calendar month
+    /// at a time: the generator and the scheduler keep their state
+    /// across months, so no year-long job list exists. Bit-identical to
+    /// `self.simulate_year(&generator.generate_year())`
+    /// (`crates/workload/tests/scheduler_oracle.rs`).
+    pub fn simulate_generated(&self, generator: &TraceGenerator) -> (HourlySeries, ClusterStats) {
+        let mut trace = generator.stream();
+        let mut year = ClusterYear::new(self, MAX_DURATION_HOURS);
+        let mut jobs = Vec::new();
+        for until in month_ends() {
+            jobs.clear();
+            trace.generate_until(until, &mut jobs);
+            year.advance(&jobs, until);
+        }
+        year.finish()
+    }
+}
+
+/// The longest job the end-hour ring holds; a reservation walks at most
+/// this many slots.
+const RING_HOURS: usize = 1024;
+
+/// Nodes held by running jobs, indexed by end hour.
+///
+/// With the window at `now`, slot `end % len` holds the nodes of the
+/// jobs ending at hour `end`, for every `end` in `[now, now + len)`. A
+/// job ending past the window — only a duration longer than the ring,
+/// which is at most [`RING_HOURS`] long — waits in `beyond` until the
+/// window reaches its end hour.
+#[derive(Debug)]
+struct EndRing {
+    slots: Vec<u32>,
+    beyond: BTreeMap<usize, u32>,
+}
+
+impl EndRing {
+    /// A ring whose window holds every job of up to `longest` hours
+    /// (capped at [`RING_HOURS`]).
+    fn new(longest: u32) -> EndRing {
+        let len = (longest as usize).min(RING_HOURS) + 1;
+        EndRing {
+            slots: vec![0; len],
+            beyond: BTreeMap::new(),
+        }
+    }
+
+    /// Holds `nodes` until `end`, with the window at `now ≤ end`.
+    fn hold(&mut self, now: usize, end: usize, nodes: u32) {
+        let len = self.slots.len();
+        if end - now < len {
+            self.slots[end % len] += nodes;
+        } else {
+            *self.beyond.entry(end).or_insert(0) += nodes;
+        }
+    }
+
+    /// Empties the slot of the jobs ending at `end`, returning their
+    /// nodes.
+    fn release(&mut self, end: usize) -> u32 {
+        let len = self.slots.len();
+        std::mem::take(&mut self.slots[end % len])
+    }
+
+    /// Moves the window from `[now, now + len)` to one hour later; the
+    /// slot of `now` must be empty.
+    fn slide(&mut self, now: usize) {
+        let len = self.slots.len();
+        if let Some(nodes) = self.beyond.remove(&(now + len)) {
+            self.slots[now % len] = nodes;
+        }
+    }
+
+    /// The queue head's reservation at hour `now`: the earliest end hour
+    /// by which `needed` nodes are free (the shadow time), and the nodes
+    /// free then, counting every job that ends by it. One walk up the
+    /// ring from `now`.
+    fn reservation(&self, now: usize, mut free: u32, needed: u32) -> (usize, u32) {
+        let split = now % self.slots.len();
+        let ring = self.slots[split..].iter().chain(&self.slots[..split]);
+        let ends = (now..).zip(ring.copied());
+        for (end, nodes) in ends.chain(self.beyond.iter().map(|(&end, &nodes)| (end, nodes))) {
+            free += nodes;
+            if free >= needed {
+                return (end, free);
+            }
+        }
+        unreachable!("a queued job fits the whole cluster")
+    }
+}
+
+/// The nodes of a cluster mid-year: the free count, the running jobs'
+/// end-hour ring, and the accounting of every job started so far.
+#[derive(Debug)]
+struct Machine {
+    free: u32,
+    ends: EndRing,
+    started: usize,
+    total_wait: u64,
+    max_wait: u32,
+}
+
+impl Machine {
+    fn start(&mut self, job: &Job, hour: usize) {
+        self.free -= job.nodes;
+        self.ends
+            .hold(hour, hour + job.duration_hours as usize, job.nodes);
+        self.started += 1;
+        let wait = (hour - job.submit_hour) as u32;
+        self.total_wait += wait as u64;
+        self.max_wait = self.max_wait.max(wait);
+    }
+}
+
+/// One cluster year being scheduled, hour by hour, in chunks: the queue
+/// and the machine carry over from one [`ClusterYear::advance`] to the
+/// next.
+#[derive(Debug)]
+struct ClusterYear {
+    nodes: u32,
+    backfill: bool,
+    hour: usize,
+    queue: VecDeque<Job>,
+    machine: Machine,
+    rejected: usize,
+    utilization: Vec<f64>,
+}
+
+impl ClusterYear {
+    /// An empty machine at hour 0, its ring sized for jobs of up to
+    /// `longest` hours (longer ones stay exact, just off the ring).
+    fn new(sim: &ClusterSim, longest: u32) -> ClusterYear {
+        ClusterYear {
+            nodes: sim.nodes,
+            backfill: sim.backfill,
+            hour: 0,
+            queue: VecDeque::new(),
+            machine: Machine {
+                free: sim.nodes,
+                ends: EndRing::new(longest),
+                started: 0,
+                total_wait: 0,
+                max_wait: 0,
+            },
+            rejected: 0,
+            utilization: Vec::with_capacity(HOURS_PER_YEAR),
+        }
+    }
+
+    /// Schedules every hour before `until`. `arrivals` are the jobs
+    /// submitted in those hours, in `(submit_hour, id)` order.
+    fn advance(&mut self, arrivals: &[Job], until: usize) {
         let _span = span::span(span::CLUSTER_SIM);
-        jobs_simulated().add(jobs.len() as u64);
-        let mut sorted: Vec<Job> = jobs.to_vec();
-        sorted.sort_by_key(|j| (j.submit_hour, j.id));
-
-        let mut queue: VecDeque<Job> = VecDeque::new();
-        let mut running: Vec<Running> = Vec::new();
-        let mut free = self.nodes;
-        let mut next_arrival = 0usize;
-
-        let mut utilization = Vec::with_capacity(HOURS_PER_YEAR);
-        let mut started = 0usize;
-        let mut rejected = 0usize;
-        let mut total_wait = 0u64;
-        let mut max_wait = 0u32;
-
-        for hour in 0..HOURS_PER_YEAR {
+        jobs_simulated().add(arrivals.len() as u64);
+        let mut arrivals = arrivals.iter().peekable();
+        while self.hour < until {
+            let hour = self.hour;
             // Complete jobs.
-            running.retain(|r| {
-                if r.end_hour <= hour {
-                    free += r.nodes;
-                    false
-                } else {
-                    true
-                }
-            });
+            self.machine.free += self.machine.ends.release(hour);
 
             // Accept arrivals.
-            while next_arrival < sorted.len() && sorted[next_arrival].submit_hour <= hour {
-                let j = sorted[next_arrival];
+            while let Some(j) = arrivals.next_if(|j| j.submit_hour <= hour) {
                 if j.nodes > self.nodes {
-                    rejected += 1;
+                    self.rejected += 1;
                 } else {
-                    queue.push_back(j);
+                    self.queue.push_back(*j);
                 }
-                next_arrival += 1;
             }
 
             // FCFS head starts.
-            while let Some(&head) = queue.front() {
-                if head.nodes <= free {
-                    queue.pop_front();
-                    free -= head.nodes;
-                    running.push(Running {
-                        end_hour: hour + head.duration_hours as usize,
-                        nodes: head.nodes,
-                    });
-                    started += 1;
-                    let wait = (hour - head.submit_hour) as u32;
-                    total_wait += wait as u64;
-                    max_wait = max_wait.max(wait);
-                } else {
+            while let Some(head) = self.queue.front() {
+                if head.nodes > self.machine.free {
                     break;
                 }
+                self.machine.start(head, hour);
+                self.queue.pop_front();
             }
 
-            // EASY backfill: reserve the earliest feasible start for the
-            // head, then let later jobs run if they cannot delay it.
-            if !self.backfill {
-                utilization.push((self.nodes - free) as f64 / self.nodes as f64);
-                continue;
+            if self.backfill {
+                self.backfill(hour);
             }
-            if let Some(&head) = queue.front() {
-                let shadow = Self::shadow_time(&running, free, head.nodes, hour);
-                // Nodes that will be free at shadow time beyond what the
-                // head needs ("extra" nodes a long backfill job may hold).
-                let free_at_shadow = self.free_at(&running, shadow);
-                let extra = free_at_shadow.saturating_sub(head.nodes);
+            self.utilization
+                .push((self.nodes - self.machine.free) as f64 / self.nodes as f64);
 
-                let mut i = 1; // skip the head
-                while i < queue.len() {
-                    let cand = queue[i];
-                    let fits_now = cand.nodes <= free;
-                    let ends_before_shadow = hour + cand.duration_hours as usize <= shadow;
-                    let within_extra = cand.nodes <= extra.min(free);
-                    if fits_now && (ends_before_shadow || within_extra) {
-                        free -= cand.nodes;
-                        running.push(Running {
-                            end_hour: hour + cand.duration_hours as usize,
-                            nodes: cand.nodes,
-                        });
-                        started += 1;
-                        let wait = (hour - cand.submit_hour) as u32;
-                        total_wait += wait as u64;
-                        max_wait = max_wait.max(wait);
-                        queue.remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-
-            utilization.push((self.nodes - free) as f64 / self.nodes as f64);
+            // Zero-hour jobs started this hour end with it.
+            self.machine.free += self.machine.ends.release(hour);
+            self.machine.ends.slide(hour);
+            self.hour += 1;
         }
+        debug_assert!(
+            arrivals.next().is_none(),
+            "an arrival submitted at or after `until`"
+        );
+    }
 
-        let unstarted = queue.len() + (sorted.len() - next_arrival) + rejected;
-        let series = HourlySeries::from_vec(utilization);
+    /// EASY backfill: reserve the earliest feasible start for the
+    /// blocked head, then let later jobs run if they cannot delay it.
+    fn backfill(&mut self, hour: usize) {
+        let Some(head) = self.queue.front() else {
+            return;
+        };
+        let (shadow, free_at_shadow) =
+            self.machine
+                .ends
+                .reservation(hour, self.machine.free, head.nodes);
+        // Nodes free at shadow time beyond what the head needs ("extra"
+        // nodes a long backfill job may hold).
+        let extra = free_at_shadow.saturating_sub(head.nodes);
+        let machine = &mut self.machine;
+        let mut is_head = true;
+        self.queue.retain(|cand| {
+            if std::mem::take(&mut is_head) {
+                return true;
+            }
+            let fits_now = cand.nodes <= machine.free;
+            let ends_before_shadow = hour + cand.duration_hours as usize <= shadow;
+            let within_extra = cand.nodes <= extra.min(machine.free);
+            let starts = fits_now && (ends_before_shadow || within_extra);
+            if starts {
+                machine.start(cand, hour);
+            }
+            !starts
+        });
+    }
+
+    /// The utilization series and stats of a fully scheduled year.
+    fn finish(self) -> (HourlySeries, ClusterStats) {
+        assert_eq!(self.hour, HOURS_PER_YEAR, "a year is scheduled in full");
+        let Machine {
+            started,
+            total_wait,
+            max_wait,
+            ..
+        } = self.machine;
+        let series = HourlySeries::from_vec(self.utilization);
         let stats = ClusterStats {
             started_jobs: started,
-            unstarted_jobs: unstarted,
+            unstarted_jobs: self.queue.len() + self.rejected,
             mean_wait_hours: if started > 0 {
                 total_wait as f64 / started as f64
             } else {
@@ -194,33 +357,6 @@ impl ClusterSim {
             mean_utilization: series.mean(),
         };
         (series, stats)
-    }
-
-    /// Earliest hour at which `needed` nodes will be simultaneously free,
-    /// given the current running set.
-    fn shadow_time(running: &[Running], mut free: u32, needed: u32, now: usize) -> usize {
-        if needed <= free {
-            return now;
-        }
-        let mut ends: Vec<Running> = running.to_vec();
-        ends.sort_by_key(|r| r.end_hour);
-        for r in ends {
-            free += r.nodes;
-            if free >= needed {
-                return r.end_hour;
-            }
-        }
-        now // unreachable if needed ≤ cluster size
-    }
-
-    /// Free nodes at a future hour assuming no new starts.
-    fn free_at(&self, running: &[Running], hour: usize) -> u32 {
-        let busy: u32 = running
-            .iter()
-            .filter(|r| r.end_hour > hour)
-            .map(|r| r.nodes)
-            .sum();
-        self.nodes - busy
     }
 }
 

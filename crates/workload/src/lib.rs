@@ -9,7 +9,9 @@
 //!   with seasonal/weekly/diurnal demand cycles, log-normal durations,
 //!   heavy-tailed node counts);
 //! * [`ClusterSim`] — an hour-stepped FCFS + EASY-backfill cluster
-//!   simulator turning a trace into a machine-utilization series;
+//!   simulator turning a trace into a machine-utilization series, or
+//!   generating and scheduling a trace one month at a time
+//!   ([`ClusterSim::simulate_generated`]);
 //! * [`PowerModel`] — utilization × TDP → hourly power and energy (the
 //!   paper's own fallback when power logs are missing: "we calculate the
 //!   machine utilization from job logs and estimate the energy

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use thirstyflops_obs::span;
-use thirstyflops_timeseries::{SimCalendar, HOURS_PER_YEAR};
+use thirstyflops_timeseries::{Month, SimCalendar};
 
 /// One batch job in a trace.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -19,7 +19,7 @@ pub struct Job {
     pub submit_hour: usize,
     /// Nodes requested.
     pub nodes: u32,
-    /// Runtime in whole hours (≥ 1).
+    /// Runtime in whole hours (1 to 168 in generated traces).
     pub duration_hours: u32,
 }
 
@@ -107,36 +107,81 @@ impl TraceGenerator {
 
     /// Generates one year of jobs.
     pub fn generate_year(&self) -> Vec<Job> {
-        let _span = span::span(span::TRACE_GEN);
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut stream = self.stream();
+        let mut jobs = Vec::new();
+        for until in month_ends() {
+            stream.generate_until(until, &mut jobs);
+        }
+        jobs
+    }
 
+    /// The year's trace as a stream of hours, starting at hour 0.
+    pub(crate) fn stream(&self) -> TraceStream {
+        let cfg = &self.config;
         // Offered load: jobs/hour so that E[width·duration]·λ equals the
         // target node-hours per hour.
         let mean_width = (cfg.mean_width_fraction * cfg.cluster_nodes as f64).max(1.0);
         let node_hours_per_job = mean_width * cfg.mean_duration_hours;
-        let lambda_base = cfg.target_utilization * cfg.cluster_nodes as f64 / node_hours_per_job;
+        TraceStream {
+            rng: StdRng::seed_from_u64(cfg.seed),
+            lambda_base: cfg.target_utilization * cfg.cluster_nodes as f64 / node_hours_per_job,
+            mean_width,
+            mean_duration_hours: cfg.mean_duration_hours,
+            cluster_nodes: cfg.cluster_nodes,
+            hour: 0,
+            next_id: 0,
+        }
+    }
+}
 
-        let mut jobs = Vec::new();
-        let mut id = 0u64;
-        for hour in 0..HOURS_PER_YEAR {
-            let lambda = lambda_base * Self::demand_multiplier(hour);
-            let n = poisson(&mut rng, lambda);
+/// A year's trace generated a chunk of hours at a time: the RNG, the
+/// next hour and the next job id carry over between chunks, so the draws
+/// and the jobs are those of one uninterrupted pass.
+#[derive(Debug)]
+pub(crate) struct TraceStream {
+    rng: StdRng,
+    lambda_base: f64,
+    mean_width: f64,
+    mean_duration_hours: f64,
+    cluster_nodes: u32,
+    hour: usize,
+    next_id: u64,
+}
+
+impl TraceStream {
+    /// Appends to `jobs` the jobs submitted in every hour before
+    /// `until` not generated yet.
+    pub(crate) fn generate_until(&mut self, until: usize, jobs: &mut Vec<Job>) {
+        let _span = span::span(span::TRACE_GEN);
+        for hour in self.hour..until {
+            let lambda = self.lambda_base * TraceGenerator::demand_multiplier(hour);
+            let n = poisson(&mut self.rng, lambda);
             for _ in 0..n {
-                let duration = sample_duration(&mut rng, cfg.mean_duration_hours);
-                let nodes = sample_width(&mut rng, mean_width, cfg.cluster_nodes);
+                let duration = sample_duration(&mut self.rng, self.mean_duration_hours);
+                let nodes = sample_width(&mut self.rng, self.mean_width, self.cluster_nodes);
                 jobs.push(Job {
-                    id,
+                    id: self.next_id,
                     submit_hour: hour,
                     nodes,
                     duration_hours: duration,
                 });
-                id += 1;
+                self.next_id += 1;
             }
         }
-        jobs
+        self.hour = self.hour.max(until);
     }
 }
+
+/// The exclusive end hour of each calendar month: the chunks a year is
+/// generated and scheduled in.
+pub(crate) fn month_ends() -> impl Iterator<Item = usize> {
+    Month::ALL
+        .into_iter()
+        .map(|month| SimCalendar.month_end_hour(month))
+}
+
+/// The longest generated job, hours.
+pub(crate) const MAX_DURATION_HOURS: u32 = 168;
 
 /// Poisson sample via inversion (λ is small per hour) with a normal
 /// approximation fallback for large λ.
@@ -164,13 +209,14 @@ fn poisson(rng: &mut StdRng, lambda: f64) -> u64 {
     }
 }
 
-/// Log-normal duration with the requested mean, clamped to [1, 168] hours.
+/// Log-normal duration with the requested mean, clamped to
+/// [1, [`MAX_DURATION_HOURS`]].
 fn sample_duration(rng: &mut StdRng, mean_hours: f64) -> u32 {
     let sigma = 1.0f64;
     // For LogNormal(μ, σ): mean = exp(μ + σ²/2).
     let mu = mean_hours.ln() - sigma * sigma / 2.0;
     let d = (mu + sigma * gaussian(rng)).exp();
-    d.round().clamp(1.0, 168.0) as u32
+    d.round().clamp(1.0, MAX_DURATION_HOURS as f64) as u32
 }
 
 /// Heavy-tailed width biased to powers of two, capped at the cluster.
@@ -203,6 +249,7 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thirstyflops_timeseries::HOURS_PER_YEAR;
 
     fn config() -> TraceConfig {
         TraceConfig {
