@@ -14,23 +14,17 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use thirstyflops_bench::small_system_year;
-use thirstyflops_core::{OperationalBreakdown, ScarcityAdjustment, WaterIntensity};
+use thirstyflops_core::{FootprintModel, OperationalBreakdown, ScarcityAdjustment, WaterIntensity};
 use thirstyflops_units::{KilowattHours, LitersPerKilowattHour, WaterScarcityIndex};
 use thirstyflops_workload::{ClusterSim, TraceConfig, TraceGenerator};
 
 fn bench_accounting_granularity(c: &mut Criterion) {
     let year = small_system_year();
     let mut group = c.benchmark_group("accounting_granularity");
-    group.bench_function("hourly", |b| {
-        b.iter(|| {
-            black_box(OperationalBreakdown::from_series(
-                &year.energy,
-                &year.wue,
-                year.spec.pue,
-                &year.ewf,
-            ))
-        })
-    });
+    // The runtime's hourly path: one K-lane kernel lane over the
+    // memoized series of the same year (`small_system_year`'s seed).
+    let model = FootprintModel::from_spec(year.spec.clone());
+    group.bench_function("hourly", |b| b.iter(|| black_box(model.annual_report(77))));
     group.bench_function("monthly", |b| {
         b.iter(|| {
             let e = year.energy.monthly_sum();

@@ -5,10 +5,7 @@ use std::hint::black_box;
 use thirstyflops_bench::small_system_year;
 use thirstyflops_catalog::{SystemId, SystemSpec};
 use thirstyflops_core::withdrawal::{withdrawal_report, WithdrawalParams};
-use thirstyflops_core::{
-    AnnualReport, EmbodiedBreakdown, OperationalBreakdown, RatioGrid, ScarcityAdjustment,
-    WaterIntensity,
-};
+use thirstyflops_core::{EmbodiedBreakdown, RatioGrid, ScarcityAdjustment, WaterIntensity};
 use thirstyflops_units::{Fraction, Liters, LitersPerKilowattHour, Pue, WaterScarcityIndex};
 
 fn bench_embodied(c: &mut Criterion) {
@@ -21,20 +18,6 @@ fn bench_embodied(c: &mut Criterion) {
             for spec in &specs {
                 black_box(EmbodiedBreakdown::for_system(spec));
             }
-        })
-    });
-}
-
-fn bench_operational_series(c: &mut Criterion) {
-    let year = small_system_year();
-    c.bench_function("operational_from_hourly_series", |b| {
-        b.iter(|| {
-            black_box(OperationalBreakdown::from_series(
-                &year.energy,
-                &year.wue,
-                year.spec.pue,
-                &year.ewf,
-            ))
         })
     });
 }
@@ -52,13 +35,6 @@ fn bench_intensity_and_scarcity(c: &mut Criterion) {
     let adj = ScarcityAdjustment::uniform(WaterScarcityIndex::new(0.55).unwrap());
     c.bench_function("scarcity_adjust_point", |b| {
         b.iter(|| black_box(adj.adjust(black_box(wi))))
-    });
-}
-
-fn bench_annual_report(c: &mut Criterion) {
-    let year = small_system_year();
-    c.bench_function("annual_report_from_year", |b| {
-        b.iter(|| black_box(AnnualReport::from_year(&year)))
     });
 }
 
@@ -87,7 +63,6 @@ criterion_group! {
     name = models;
     config = Criterion::default().sample_size(20);
     targets =
-        bench_embodied, bench_operational_series, bench_intensity_and_scarcity,
-        bench_annual_report, bench_ratio_grid, bench_withdrawal
+        bench_embodied, bench_intensity_and_scarcity, bench_ratio_grid, bench_withdrawal
 }
 criterion_main!(models);

@@ -4,7 +4,7 @@
 //!
 //! * `paper_artifacts` — regenerates every paper table/figure
 //!   (Fig. 1–14, Tables 1–3) and measures regeneration cost;
-//! * `models` — core model evaluation throughput (embodied, operational,
+//! * `models` — core model evaluation throughput (embodied,
 //!   intensity, scarcity, withdrawal);
 //! * `timeseries_ops` — the dataframe substrate's kernels;
 //! * `miniamr_scaling` — strong scaling of the AMR stencil kernel over

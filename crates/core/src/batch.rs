@@ -1,11 +1,11 @@
 //! Batched K-lane evaluation: score K system configurations in one pass
 //! over the hour axis instead of K scalar walks.
 //!
-//! Every scenario measurement — a single run's baseline and scenario, a
-//! sweep's baseline and each of its cells — is the same set of annual
-//! reductions (`Σe`, `Σe·w`, `Σe·f`, `Σe·c`, means, monthly sums) over
-//! hourly series the memo layers already hold. This module runs them
-//! for K lanes in one pass of the K-lane kernel
+//! Every annual measurement — a footprint report, a scenario run's
+//! baseline and scenario, a sweep's baseline and each of its cells — is
+//! the same set of annual reductions (`Σe`, `Σe·w`, `Σe·f`, `Σe·c`,
+//! means, monthly sums) over hourly series the memo layers already hold.
+//! This module runs them for K lanes in one pass of the K-lane kernel
 //! ([`thirstyflops_timeseries::lanes::annual_reductions_scaled`]),
 //! reading the shared series in place and applying each lane's
 //! reinterpretation scales on the fly, so no lane copies a year.
@@ -23,8 +23,8 @@
 //! batched aggregates bit-identical to the scalar reductions over the
 //! [`SystemYear::simulate_uncached`] oracle on proptest-random spec
 //! batches, and compiled sweeps row-identical to per-cell evaluation;
-//! `tests/scenario_oracle.rs` holds whole scenario evaluations to the
-//! scalar expressions.
+//! `tests/scenario_oracle.rs` holds whole scenario evaluations and
+//! `tests/simcache.rs` whole annual reports to the scalar expressions.
 //!
 //! [`HourlySeries::scale`]: thirstyflops_timeseries::HourlySeries::scale
 
@@ -35,15 +35,13 @@ use std::sync::{Arc, OnceLock};
 use thirstyflops_obs::span;
 use thirstyflops_obs::Counter;
 
+use crate::operational::OperationalBreakdown;
+use crate::simcache;
+use crate::simulate::{SystemYear, WorkloadKey};
 use thirstyflops_catalog::SystemSpec;
 use thirstyflops_grid::RegionId;
 use thirstyflops_timeseries::lanes::{self, LaneSource};
 use thirstyflops_timeseries::DistributionSummary;
-use thirstyflops_units::Liters;
-
-use crate::operational::OperationalBreakdown;
-use crate::simcache;
-use crate::simulate::{SystemYear, WorkloadKey};
 
 pub use thirstyflops_timeseries::lanes::LaneAggregates;
 
@@ -65,7 +63,7 @@ fn lanes_counter() -> &'static Counter {
     C.get_or_init(|| {
         thirstyflops_obs::registry::global().counter(
             "thirstyflops_batch_lanes_total",
-            "Lanes aggregated by the K-lane kernel (scenario runs, sweep baselines and cells, experiment years).",
+            "Lanes aggregated by the K-lane kernel (annual reports, scenario runs, sweep baselines and cells, experiment years).",
         )
     })
 }
@@ -249,7 +247,7 @@ pub struct YearLaneStats {
 
 /// Computes [`YearLaneStats`] for a batch of years in one K-lane kernel
 /// pass over the years' own series. Bit-identical to the scalar
-/// per-year expressions (`year.operational()`,
+/// per-year expressions (`year.energy.dot(&year.wue)`,
 /// `year.water_intensity().mean()`, `year.wue.mean()`, …) — the
 /// experiments' golden values pin this.
 ///
@@ -273,10 +271,7 @@ pub fn year_lane_stats(years: &[Arc<SystemYear>]) -> YearLaneStats {
         operational: aggregates
             .iter()
             .zip(years)
-            .map(|(a, y)| OperationalBreakdown {
-                direct: Liters::new(a.direct_l),
-                indirect: Liters::new(a.indirect_per_pue_l * y.spec.pue.value()),
-            })
+            .map(|(a, y)| OperationalBreakdown::from_aggregates(a, y.spec.pue))
             .collect(),
         wi_mean: years.iter().map(|y| y.water_intensity().mean()).collect(),
         wue_mean: aggregates.iter().map(|a| a.mean_wue).collect(),

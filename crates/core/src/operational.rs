@@ -3,9 +3,10 @@
 //! `W_direct = E · WUE` (cooling water at the facility) and
 //! `W_indirect = E · PUE · EWF` (water consumed generating the
 //! facility's electricity). Both are pointwise in time, so hourly energy
-//! and intensity series multiply elementwise and sum.
+//! and intensity series multiply elementwise and sum — in the K-lane
+//! kernel (`crate::batch`), whose sums [`OperationalBreakdown::from_aggregates`] reads.
 
-use thirstyflops_timeseries::HourlySeries;
+use thirstyflops_timeseries::lanes::LaneAggregates;
 use thirstyflops_units::{Fraction, KilowattHours, Liters, Pue};
 
 /// Direct/indirect operational water for a period.
@@ -32,22 +33,14 @@ impl OperationalBreakdown {
         }
     }
 
-    /// Series evaluation: hourly IT energy (kWh per hour) against hourly
-    /// WUE and EWF. This is the faithful path — the paper stresses that
-    /// WUE and EWF move hour by hour. The single-pass
-    /// [`HourlySeries::dot`] kernel replaces the two intermediate
-    /// year-long product series, bit-identically.
-    pub fn from_series(
-        energy: &HourlySeries,
-        wue: &HourlySeries,
-        pue: Pue,
-        ewf: &HourlySeries,
-    ) -> Self {
-        let direct = energy.dot(wue);
-        let indirect = energy.dot(ewf) * pue.value();
+    /// Series evaluation from a lane's hourly sums: direct water is
+    /// `Σ E·WUE`, indirect water `Σ E·EWF` times `pue`. This is the
+    /// faithful path — the paper stresses that WUE and EWF move hour by
+    /// hour — and the one place Eq. 7's PUE factor meets an hourly sum.
+    pub fn from_aggregates(aggregates: &LaneAggregates, pue: Pue) -> Self {
         Self {
-            direct: Liters::new(direct),
-            indirect: Liters::new(indirect),
+            direct: Liters::new(aggregates.direct_l),
+            indirect: Liters::new(aggregates.indirect_per_pue_l * pue.value()),
         }
     }
 
@@ -74,7 +67,24 @@ impl OperationalBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thirstyflops_timeseries::HourlySeries;
     use thirstyflops_units::LitersPerKilowattHour;
+
+    /// Eq. 6–7 over hourly series: the lane sums `Σ E·WUE` and `Σ E·EWF`.
+    fn from_series(
+        energy: &HourlySeries,
+        wue: &HourlySeries,
+        pue: Pue,
+        ewf: &HourlySeries,
+    ) -> OperationalBreakdown {
+        let (direct_l, indirect_per_pue_l) = (energy.dot(wue), energy.dot(ewf));
+        let sums = LaneAggregates {
+            direct_l,
+            indirect_per_pue_l,
+            ..Default::default()
+        };
+        OperationalBreakdown::from_aggregates(&sums, pue)
+    }
 
     #[test]
     fn totals_match_eq6_eq7() {
@@ -97,7 +107,7 @@ mod tests {
         let wue = HourlySeries::constant(2.5);
         let ewf = HourlySeries::constant(1.2);
         let pue = Pue::new(1.25).unwrap();
-        let series = OperationalBreakdown::from_series(&energy, &wue, pue, &ewf);
+        let series = from_series(&energy, &wue, pue, &ewf);
         let scalar = OperationalBreakdown::from_totals(
             KilowattHours::new(energy.total()),
             LitersPerKilowattHour::new(2.5),
@@ -117,7 +127,7 @@ mod tests {
         let wue = HourlySeries::from_fn(|h| if h % 2 == 0 { 4.0 } else { 0.0 });
         let ewf = HourlySeries::constant(0.0);
         let pue = Pue::new(1.0).unwrap();
-        let b = OperationalBreakdown::from_series(&energy, &wue, pue, &ewf);
+        let b = from_series(&energy, &wue, pue, &ewf);
         let naive = energy.total() * wue.mean();
         assert!(b.direct.value() > naive * 1.5);
     }
@@ -127,7 +137,7 @@ mod tests {
         let zero = HourlySeries::constant(0.0);
         let wue = HourlySeries::constant(3.0);
         let ewf = HourlySeries::constant(2.0);
-        let b = OperationalBreakdown::from_series(&zero, &wue, Pue::new(1.2).unwrap(), &ewf);
+        let b = from_series(&zero, &wue, Pue::new(1.2).unwrap(), &ewf);
         assert_eq!(b.total(), Liters::ZERO);
         assert_eq!(b.direct_share(), Fraction::ZERO);
     }

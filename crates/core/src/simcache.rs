@@ -335,6 +335,8 @@ pub(crate) fn workload(spec: &SystemSpec, seed: u64) -> Arc<Workload> {
 /// The memoized grid year for a region preset. Seed-independent: every
 /// system in `region` shares one computation.
 pub fn grid_year(region: RegionId) -> Arc<GridYear> {
+    // One demand span per lookup, hit or miss, like `CACHE_LOOKUP`.
+    let _span = span::span(span::GRID_KERNEL);
     grid_cache().get_or_compute(region, move || GridRegion::preset(region).simulate_year())
 }
 
@@ -342,6 +344,8 @@ pub fn grid_year(region: RegionId) -> Arc<GridYear> {
 /// Seed-independent: every system with `preset`'s climate shares one
 /// weather + WUE computation.
 pub fn wue_series(preset: ClimatePreset) -> Arc<HourlySeries> {
+    // One demand span per lookup, hit or miss, like `CACHE_LOOKUP`.
+    let _span = span::span(span::WUE_SERIES);
     wue_cache().get_or_compute(preset, move || {
         let climate = preset.generate();
         preset.wue_model().hourly_series(&climate)

@@ -5,10 +5,11 @@
 //! [`SystemYear::simulate`] assembles a year from the workload layer
 //! (keyed by `WorkloadKey`), the grid layer and the climate → WUE
 //! layer, so a PUE, climate, region or WSI variant of a simulated year
-//! re-simulates nothing it shares with that year. There is no
-//! switch to turn the memo layers off: the uncached reference
+//! re-simulates nothing it shares with that year; reports reduce one
+//! K-lane kernel lane ([`crate::batch`]) over the same layers. There is
+//! no switch to turn the memo layers off: the uncached reference
 //! ([`SystemYear::simulate_uncached`]) is a test oracle, and
-//! `tests/simcache.rs` checks that both give the same bits.
+//! `tests/simcache.rs` checks years and reports against it bit for bit.
 
 use std::sync::Arc;
 
@@ -19,6 +20,7 @@ use thirstyflops_timeseries::HourlySeries;
 use thirstyflops_units::{Fraction, KilowattHours, Liters, LitersPerKilowattHour};
 use thirstyflops_workload::{ClusterSim, PowerModel, TraceConfig, TraceGenerator};
 
+use crate::batch::{BatchContext, LaneAggregates, LaneRequest};
 use crate::embodied::EmbodiedBreakdown;
 use crate::intensity::{self, WaterIntensity};
 use crate::operational::OperationalBreakdown;
@@ -136,15 +138,8 @@ impl SystemYear {
     /// workload, grid and WUE memo layers like [`SystemYear::simulate`].
     pub fn simulate_spec(spec: SystemSpec, seed: u64) -> Arc<SystemYear> {
         let workload = crate::simcache::workload(&spec, seed);
-        // Demand-level spans: one per year asked for, hit or miss.
-        let wue = {
-            let _span = span::span(span::WUE_SERIES);
-            crate::simcache::wue_series(spec.climate)
-        };
-        let grid = {
-            let _span = span::span(span::GRID_KERNEL);
-            crate::simcache::grid_year(spec.region)
-        };
+        let wue = crate::simcache::wue_series(spec.climate);
+        let grid = crate::simcache::grid_year(spec.region);
         Arc::new(SystemYear {
             spec,
             utilization: workload.0.clone(),
@@ -198,16 +193,6 @@ impl SystemYear {
     /// allocations and 8760 fused multiply-adds).
     fn hourly_water_with(&self, water_intensity: &HourlySeries) -> HourlySeries {
         self.energy.mul(water_intensity)
-    }
-
-    /// Annual IT energy.
-    pub fn annual_energy(&self) -> KilowattHours {
-        KilowattHours::new(self.energy.total())
-    }
-
-    /// Operational breakdown over the year (series-faithful).
-    pub fn operational(&self) -> OperationalBreakdown {
-        OperationalBreakdown::from_series(&self.energy, &self.wue, self.spec.pue, &self.ewf)
     }
 
     /// Exports the hourly telemetry as a [`Frame`](thirstyflops_timeseries::Frame) (hour, utilization,
@@ -299,17 +284,40 @@ impl FootprintModel {
         &self.spec
     }
 
-    /// Simulates a telemetry year (see [`SystemYear::simulate`]) —
-    /// memoized, so repeated reports on one `(spec, seed)` share a year.
-    pub fn simulate_year(&self, seed: u64) -> Arc<SystemYear> {
-        SystemYear::simulate_spec(self.spec.clone(), seed)
+    /// The year's annual sums and means: one unscaled lane of the K-lane
+    /// kernel over the memoized workload, grid and WUE series, so
+    /// repeated calls on one `(spec, seed)` simulate nothing twice.
+    pub fn annual_aggregates(&self, seed: u64) -> LaneAggregates {
+        let lane = LaneRequest {
+            spec: self.spec.clone(),
+            seed,
+            wue_scale: None,
+            ewf_scale: None,
+            carbon_scale: None,
+        };
+        BatchContext::new().aggregate(&[lane]).remove(0)
     }
 
     /// Full annual report: embodied + operational + intensities +
-    /// scarcity adjustment.
+    /// scarcity adjustment, from [`FootprintModel::annual_aggregates`].
     pub fn annual_report(&self, seed: u64) -> AnnualReport {
-        let year = self.simulate_year(seed);
-        AnnualReport::from_year(&year)
+        let spec = &self.spec;
+        let lane = self.annual_aggregates(seed);
+        let operational = OperationalBreakdown::from_aggregates(&lane, spec.pue);
+        let mean_wue = LitersPerKilowattHour::new(lane.mean_wue);
+        let mean_ewf = LitersPerKilowattHour::new(lane.mean_ewf);
+        let wi = WaterIntensity::new(mean_wue, spec.pue, mean_ewf);
+        AnnualReport {
+            id: spec.id,
+            embodied: EmbodiedBreakdown::for_system(spec),
+            operational,
+            energy: KilowattHours::new(lane.energy_kwh),
+            mean_wue,
+            mean_ewf,
+            mean_wi: wi.total(),
+            adjusted_wi: ScarcityAdjustment::from_fleet(spec.site_wsi, &spec.fleet).adjust(wi),
+            direct_share: operational.direct_share(),
+        }
     }
 }
 
@@ -337,27 +345,6 @@ pub struct AnnualReport {
 }
 
 impl AnnualReport {
-    /// Evaluates all models over a simulated year.
-    pub fn from_year(year: &SystemYear) -> AnnualReport {
-        let embodied = EmbodiedBreakdown::for_system(&year.spec);
-        let operational = year.operational();
-        let mean_wue = LitersPerKilowattHour::new(year.wue.mean());
-        let mean_ewf = LitersPerKilowattHour::new(year.ewf.mean());
-        let wi = WaterIntensity::new(mean_wue, year.spec.pue, mean_ewf);
-        let adjustment = ScarcityAdjustment::from_fleet(year.spec.site_wsi, &year.spec.fleet);
-        AnnualReport {
-            id: year.spec.id,
-            embodied,
-            operational,
-            energy: year.annual_energy(),
-            mean_wue,
-            mean_ewf,
-            mean_wi: wi.total(),
-            adjusted_wi: adjustment.adjust(wi),
-            direct_share: operational.direct_share(),
-        }
-    }
-
     /// Total embodied water.
     pub fn embodied_total(&self) -> Liters {
         self.embodied.total()
@@ -379,7 +366,7 @@ mod tests {
         // Utilization bounded, energy positive, intensities positive.
         assert!(year.utilization.max() <= 1.0 + 1e-12);
         assert!(year.utilization.min() >= 0.0);
-        assert!(year.annual_energy().value() > 0.0);
+        assert!(year.energy.total() > 0.0);
         assert!(year.wue.min() >= 0.0);
         assert!(year.ewf.min() > 0.0);
         // WI = WUE + PUE·EWF pointwise.
@@ -388,10 +375,8 @@ mod tests {
         let expected = year.wue.get(h) + year.spec.pue.value() * year.ewf.get(h);
         assert!((wi.get(h) - expected).abs() < 1e-12);
         // Hourly water sums to the operational total.
-        let op = year.operational();
-        assert!(
-            (year.hourly_water().total() - op.total().value()).abs() < 1e-6 * op.total().value()
-        );
+        let op = year.energy.dot(&year.wue) + year.energy.dot(&year.ewf) * year.spec.pue.value();
+        assert!((year.hourly_water().total() - op).abs() < 1e-6 * op);
     }
 
     #[test]
@@ -438,7 +423,8 @@ mod tests {
         assert_eq!(monthly.n_rows(), 12);
         // Monthly water sums to the operational total.
         let water: f64 = monthly.numbers("water_l").unwrap().iter().sum();
-        assert!((water - year.operational().total().value()).abs() < 1e-6 * water);
+        let op = year.energy.dot(&year.wue) + year.energy.dot(&year.ewf) * year.spec.pue.value();
+        assert!((water - op).abs() < 1e-6 * water);
         // CSV round-trips structurally.
         let csv = monthly.to_csv();
         assert!(csv.starts_with("month,"));

@@ -13,8 +13,11 @@
 //! non-negative quantities these models use (volumes, intensities,
 //! energies): sums add endpoints, products multiply the matching extremes.
 
-use thirstyflops_grid::EnergyMix;
+use thirstyflops_catalog::SystemSpec;
+use thirstyflops_grid::{EnergyMix, GridRegion};
 use thirstyflops_units::Pue;
+
+use crate::simulate::AnnualReport;
 
 /// A `[lo, mid, hi]` uncertainty band. Invariant: `lo ≤ mid ≤ hi`.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -139,6 +142,15 @@ pub fn operational_interval(
 ) -> Interval {
     let wi = wue.add(&ewf.scale(pue.value()));
     energy_kwh.mul(&wi)
+}
+
+/// The band on a report's annual operational water (liters): `spec`'s
+/// grid-mix EWF band and a ±15 % WUE tolerance around the report's
+/// energy — what `compare` and ext02 print.
+pub fn operational_band(spec: &SystemSpec, report: &AnnualReport) -> Interval {
+    let ewf = mix_ewf_interval(&GridRegion::preset(spec.region).annual_mix());
+    let wue = Interval::with_tolerance(report.mean_wue.value(), 0.15).expect("static tolerance");
+    operational_interval(Interval::exact(report.energy.value()), wue, spec.pue, ewf)
 }
 
 #[cfg(test)]

@@ -35,9 +35,10 @@ pub fn paper_years() -> &'static [Arc<SystemYear>] {
 
 /// The K-lane annual statistics over [`paper_years`] (operational
 /// splits, WI/WUE/EWF means, distribution summaries), computed by one
-/// `core::batch` kernel pass per reduction and shared by fig06/07/08.
-/// Bit-identical to the per-year scalar expressions the figures used to
-/// evaluate — the golden tests pin both paths to the same values.
+/// `core::batch` kernel pass and shared by fig06/07/08 and table03.
+/// Bit-identical to the scalar expressions over each year's series
+/// (`energy.dot(&wue)`, `wue.mean()`, …), which the test below keeps as
+/// its oracle; the golden tests pin the values.
 pub fn paper_lane_stats() -> &'static YearLaneStats {
     LANE_STATS.get_or_init(|| year_lane_stats(paper_years()))
 }
@@ -58,7 +59,12 @@ mod tests {
     fn lane_stats_match_the_scalar_expressions_bit_for_bit() {
         let stats = paper_lane_stats();
         for (lane, year) in paper_years().iter().enumerate() {
-            assert_eq!(stats.operational[lane], year.operational());
+            let op = stats.operational[lane];
+            assert_eq!(op.direct.value(), year.energy.dot(&year.wue));
+            assert_eq!(
+                op.indirect.value(),
+                year.energy.dot(&year.ewf) * year.spec.pue.value()
+            );
             assert_eq!(stats.wi_mean[lane], year.water_intensity().mean());
             assert_eq!(stats.wue_mean[lane], year.wue.mean());
             assert_eq!(stats.ewf_mean[lane], year.ewf.mean());

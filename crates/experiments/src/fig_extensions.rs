@@ -6,9 +6,8 @@ use std::sync::OnceLock;
 
 use rayon::prelude::*;
 use thirstyflops_catalog::{SystemId, SystemSpec};
-use thirstyflops_core::uncertainty::{mix_ewf_interval, operational_interval, Interval};
+use thirstyflops_core::uncertainty::operational_band;
 use thirstyflops_core::{AnnualReport, FootprintModel, LifecycleModel};
-use thirstyflops_grid::GridRegion;
 use thirstyflops_obs::trace::propagate;
 use thirstyflops_timeseries::Frame;
 
@@ -94,11 +93,7 @@ pub fn ext02_uncertainty() -> Experiment {
     let mut hi = Vec::new();
     let mut rel = Vec::new();
     for r in reports {
-        let spec = SystemSpec::reference(r.id);
-        let mix = GridRegion::preset(spec.region).annual_mix();
-        let ewf = mix_ewf_interval(&mix);
-        let wue = Interval::with_tolerance(r.mean_wue.value(), 0.15).expect("static tolerance");
-        let band = operational_interval(Interval::exact(r.energy.value()), wue, spec.pue, ewf);
+        let band = operational_band(&SystemSpec::reference(r.id), r);
         systems.push(r.id.to_string());
         lo.push(band.lo / 1e6);
         mid.push(band.mid / 1e6);

@@ -21,7 +21,7 @@ use thirstyflops_scenario::{GridOverride, ScenarioSpec};
 use thirstyflops_timeseries::Frame;
 use thirstyflops_units::{Fraction, Liters};
 
-use crate::context::paper_years;
+use crate::context::paper_lane_stats;
 use crate::{Experiment, SEED};
 
 /// The engine spec of one Fig. 14 what-if: the paper system with its
@@ -114,9 +114,8 @@ pub fn fig14() -> Experiment {
 /// Table 3: the water-withdrawal parameters, demonstrated on a
 /// Marconi-like facility year.
 pub fn table03() -> Experiment {
-    let years = paper_years();
-    let marconi = &years[0];
-    let consumption = marconi.operational().total();
+    // Lane 0 of the shared lane statistics is Marconi (Table 1 order).
+    let consumption = paper_lane_stats().operational[0].total();
     // Representative facility reporting: discharge roughly 2× consumption
     // (most withdrawn cooling water returns), river outfall, mild
     // pollutant load, 30 % reuse, 70 % potable supply.

@@ -26,9 +26,11 @@
 /// `core::simulate::workload_series`) — one span per uniquely computed
 /// (system, seed) trace.
 pub const WORKLOAD_SIM: usize = 0;
-/// Carbon-intensity grid kernel over an hourly series.
+/// Grid-year demand: one grid memo-layer lookup (hit or miss), or the
+/// uncached grid kernel.
 pub const GRID_KERNEL: usize = 1;
-/// Hourly WUE series synthesis from a climate preset.
+/// WUE-series demand: one climate → WUE memo-layer lookup (hit or
+/// miss), or the uncached synthesis.
 pub const WUE_SERIES: usize = 2;
 /// Workload memo-layer lookup (hit or miss) for a demanded year or
 /// kernel lane.

@@ -17,6 +17,7 @@ use thirstyflops_catalog::SystemSpec;
 use thirstyflops_core::batch::{BatchContext, LaneAggregates, LaneRequest};
 use thirstyflops_core::embodied::EmbodiedBreakdown;
 use thirstyflops_core::lifecycle::gpu_upgrade_water;
+use thirstyflops_core::OperationalBreakdown;
 use thirstyflops_grid::EnergyMix;
 use thirstyflops_units::Pue;
 
@@ -289,7 +290,8 @@ pub(crate) fn metrics<const N: usize>(
 }
 
 /// The shared metric arithmetic on top of the annual aggregates: the
-/// PUE factor on indirect water, scarcity weighting, seasonal pricing,
+/// PUE factor on indirect water (through
+/// `OperationalBreakdown::from_aggregates`), scarcity weighting, seasonal pricing,
 /// the lifecycle projection — the three override sections read here are
 /// the only ones left once `sys` and the aggregates carry the rest.
 /// Single-scenario and sweep evaluation both end here, so the two paths
@@ -301,11 +303,9 @@ pub fn finish_metrics(
     fleet_upgrade: Option<&FleetUpgradeOverride>,
     a: &LaneAggregates,
 ) -> ScenarioMetrics {
-    let direct = a.direct_l;
-    // The expression `OperationalBreakdown::from_series` evaluates, so
-    // `indirect_water_l` keeps its bits.
-    let indirect = a.indirect_per_pue_l * sys.pue.value();
-    let operational = direct + indirect;
+    let water = OperationalBreakdown::from_aggregates(a, sys.pue);
+    let (direct, indirect) = (water.direct.value(), water.indirect.value());
+    let operational = water.total().value();
     let energy_kwh = a.energy_kwh;
     let carbon_kg = a.carbon_g / 1000.0;
 

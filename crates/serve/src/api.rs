@@ -9,9 +9,9 @@
 
 use rayon::prelude::*;
 use thirstyflops_catalog::{SystemId, SystemSpec};
-use thirstyflops_core::uncertainty::{mix_ewf_interval, operational_interval};
-use thirstyflops_core::{AnnualReport, FootprintModel, Interval, SystemYear};
-use thirstyflops_grid::{GridRegion, Scenario};
+use thirstyflops_core::uncertainty::operational_band;
+use thirstyflops_core::{AnnualReport, FootprintModel, Interval};
+use thirstyflops_grid::Scenario;
 use thirstyflops_obs::trace::propagate;
 use thirstyflops_units::{GramsCo2PerKwh, LitersPerKilowattHour};
 
@@ -201,24 +201,12 @@ pub struct ComparePayload {
     pub bands_overlap: bool,
 }
 
-/// The EWF/WUE uncertainty band on a system's annual operational water
-/// (liters), as printed by `thirstyflops compare`.
-pub fn operational_band(id: SystemId, report: &AnnualReport) -> Interval {
-    let spec = SystemSpec::reference(id);
-    let mix = GridRegion::preset(spec.region).annual_mix();
-    let ewf = mix_ewf_interval(&mix);
-    let wue =
-        Interval::with_tolerance(report.mean_wue.value(), 0.15).expect("static tolerance is valid");
-    let energy = Interval::exact(report.energy.value());
-    operational_interval(energy, wue, spec.pue, ewf)
-}
-
 /// Builds the side-by-side comparison payload.
 pub fn compare_payload(a: SystemId, b: SystemId, seed: u64) -> ComparePayload {
     let pa = footprint_payload(a, seed);
     let pb = footprint_payload(b, seed);
-    let band_a = operational_band(a, &pa.report);
-    let band_b = operational_band(b, &pb.report);
+    let band_a = operational_band(&SystemSpec::reference(a), &pa.report);
+    let band_b = operational_band(&SystemSpec::reference(b), &pb.report);
     ComparePayload {
         seed,
         operational_band_a: band_a,
@@ -274,11 +262,12 @@ pub struct ScenarioPayload {
 
 /// Builds the Fig. 14 energy-source what-ifs for one system.
 pub fn scenario_payload(id: SystemId, seed: u64) -> ScenarioPayload {
-    let year = SystemYear::simulate(id, seed);
-    let ci_mix = GramsCo2PerKwh::new(year.carbon.mean());
-    let ewf_mix = LitersPerKilowattHour::new(year.ewf.mean());
-    let wue = year.wue.mean();
-    let pue = year.spec.pue.value();
+    let model = FootprintModel::reference(id);
+    let lane = model.annual_aggregates(seed);
+    let pue = model.spec().pue.value();
+    let ci_mix = GramsCo2PerKwh::new(lane.mean_carbon);
+    let ewf_mix = LitersPerKilowattHour::new(lane.mean_ewf);
+    let wue = lane.mean_wue;
     let wi_mix = wue + pue * ewf_mix.value();
     let scenarios = [
         Scenario::AllCoal,

@@ -7,13 +7,13 @@
 //! ```
 
 use thirstyflops::catalog::SystemId;
-use thirstyflops::core::{AnnualReport, SystemYear};
+use thirstyflops::core::{AnnualReport, FootprintModel};
 
 fn main() {
     println!("=== Water500: water footprint ranking of cataloged systems ===\n");
     let mut reports: Vec<AnnualReport> = SystemId::ALL
         .iter()
-        .map(|&id| AnnualReport::from_year(&SystemYear::simulate(id, 2023)))
+        .map(|&id| FootprintModel::reference(id).annual_report(2023))
         .collect();
 
     println!("-- By annual operational water (the classic 'who drinks most') --\n");

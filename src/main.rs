@@ -528,20 +528,18 @@ fn cmd_compare(inv: &Invocation) -> Result<i32, String> {
     let a = system(&inv.args[0])?;
     let b = system(&inv.args[1])?;
     let seed = seed(inv)?;
+    let payload = api::compare_payload(a, b, seed);
     if inv.has("--json") {
-        print!("{}", api::to_json(&api::compare_payload(a, b, seed)));
+        print!("{}", api::to_json(&payload));
         return Ok(0);
     }
-    let ra = FootprintModel::reference(a).annual_report(seed);
-    let rb = FootprintModel::reference(b).annual_report(seed);
-    print_report(&ra);
+    print_report(&payload.a.report);
     println!();
-    print_report(&rb);
+    print_report(&payload.b.report);
 
     // Uncertainty overlap: can we actually rank these two on operational
     // water, given the per-source EWF bands?
-    let ia = api::operational_band(a, &ra);
-    let ib = api::operational_band(b, &rb);
+    let (ia, ib) = (payload.operational_band_a, payload.operational_band_b);
     println!();
     println!(
         "operational bands: {a} [{:.0}, {:.0}, {:.0}] ML vs {b} [{:.0}, {:.0}, {:.0}] ML",

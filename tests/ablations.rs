@@ -3,7 +3,9 @@
 //! the uniform scarcity form.
 
 use thirstyflops::catalog::SystemId;
-use thirstyflops::core::{OperationalBreakdown, ScarcityAdjustment, SystemYear, WaterIntensity};
+use thirstyflops::core::{
+    FootprintModel, OperationalBreakdown, ScarcityAdjustment, SystemYear, WaterIntensity,
+};
 use thirstyflops::timeseries::Month;
 use thirstyflops::units::{KilowattHours, LitersPerKilowattHour, WaterScarcityIndex};
 use thirstyflops::workload::{ClusterSim, TraceConfig, TraceGenerator};
@@ -14,10 +16,10 @@ use thirstyflops::workload::{ClusterSim, TraceConfig, TraceGenerator};
 fn accounting_granularity_error_ordering() {
     for id in [SystemId::Marconi, SystemId::Frontier] {
         let year = SystemYear::simulate(id, 11);
-        let hourly =
-            OperationalBreakdown::from_series(&year.energy, &year.wue, year.spec.pue, &year.ewf)
-                .total()
-                .value();
+        let hourly = FootprintModel::reference(id)
+            .annual_report(11)
+            .operational_total()
+            .value();
 
         let e_m = year.energy.monthly_sum();
         let wue_m = year.wue.monthly_mean();

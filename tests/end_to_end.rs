@@ -4,7 +4,7 @@
 
 use thirstyflops::carbon;
 use thirstyflops::catalog::SystemId;
-use thirstyflops::core::{AnnualReport, FootprintModel, SystemYear};
+use thirstyflops::core::{FootprintModel, SystemYear};
 use thirstyflops::scheduler::{GeoBalancer, Policy, SiteSeries};
 use thirstyflops::units::Liters;
 
@@ -38,7 +38,10 @@ fn operational_water_equals_energy_times_intensity() {
     // with hourly covariance the series total and the means product must
     // still agree within the covariance term (< 15 % here).
     let year = SystemYear::simulate(SystemId::Marconi, 1);
-    let op = year.operational().total().value();
+    let op = FootprintModel::reference(SystemId::Marconi)
+        .annual_report(1)
+        .operational_total()
+        .value();
     let means_product = year.energy.total() * year.water_intensity().mean();
     let rel = (op - means_product).abs() / op;
     assert!(rel < 0.15, "covariance term {rel}");
@@ -65,12 +68,13 @@ fn different_years_change_energy_not_embodied() {
 #[test]
 fn carbon_and_water_pipelines_share_the_same_energy() {
     let year = SystemYear::simulate(SystemId::Frontier, 5);
-    let water = year.operational();
+    let water = FootprintModel::reference(SystemId::Frontier).annual_report(5);
     let co2 = carbon::system_year_carbon(&year);
-    // Facility energy from the carbon side must equal PUE × IT energy.
-    let expected = year.annual_energy().value() * year.spec.pue.value();
+    // Facility energy from the carbon side must equal PUE × the water
+    // report's IT energy.
+    let expected = water.energy.value() * year.spec.pue.value();
     assert!((co2.facility_energy.value() - expected).abs() < 1e-6 * expected);
-    assert!(water.total().value() > 0.0 && co2.total.value() > 0.0);
+    assert!(water.operational_total().value() > 0.0 && co2.total.value() > 0.0);
 }
 
 #[test]
@@ -103,9 +107,10 @@ fn synthetic_fleet_runs_through_the_pipeline() {
     let fleet = thirstyflops::catalog::synthesize_fleet(3, 77);
     for spec in fleet {
         let nodes = spec.nodes;
+        let report = FootprintModel::from_spec(spec.clone()).annual_report(1);
         let year = SystemYear::simulate_spec(spec, 1);
         assert_eq!(year.spec.nodes, nodes, "custom node count must be honored");
-        let report = AnnualReport::from_year(&year);
+        assert_eq!(report.energy.value(), year.energy.total());
         assert!(report.operational_total().value() > 0.0);
         assert!(report.embodied_total().value() > 0.0);
     }
@@ -129,7 +134,7 @@ fn custom_spec_changes_the_simulation() {
 fn extension_systems_are_usable() {
     // §6: Aurora and El Capitan run through the same pipeline.
     for id in [SystemId::Aurora, SystemId::ElCapitan] {
-        let report = AnnualReport::from_year(&SystemYear::simulate(id, 9));
+        let report = FootprintModel::reference(id).annual_report(9);
         assert!(report.operational_total().value() > 0.0, "{id}");
         assert!(report.adjusted_wi.value() > 0.0, "{id}");
     }

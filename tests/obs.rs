@@ -90,27 +90,64 @@ fn profile_counts_are_identical_across_thread_counts() {
 
 /// The fig06–08 lane statistics (`core::batch::year_lane_stats`) run one
 /// fused kernel pass over the four paper years, and a `fig07` profile
-/// counts the same stages and counters at 1 and 8 threads.
+/// counts the same stages and counters at 1 and 8 threads. A cold
+/// `rank` reduces each of its six reports as one kernel lane, with one
+/// grid and one WUE demand per report.
 #[test]
 fn fig07_lane_stats_profile_is_thread_count_independent() {
     const FIG07: [&str; 4] = ["experiments", "fig07", "--json", "--profile"];
-    let one = run(&[&FIG07[..], &["--threads", "1"]].concat());
-    let eight = run(&[&FIG07[..], &["--threads", "8"]].concat());
-    assert_eq!(one.stdout, eight.stdout, "fig07 output depends on threads");
-    let (stages_1, counters_1) = counts(&profile(&one));
-    let (stages_8, counters_8) = counts(&profile(&eight));
-    assert_eq!(stages_1, stages_8, "span counts depend on thread count");
-    assert_eq!(counters_1, counters_8, "counters depend on thread count");
-    let count = |list: &Counts, name: &str| {
-        list.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("{name} missing from {list:?}"))
-    };
-    assert_eq!(count(&stages_1, "fused_reduction"), 1);
-    assert_eq!(count(&counters_1, "thirstyflops_batch_lanes_total"), 4);
-    assert_eq!(
-        count(&counters_1, "thirstyflops_batch_kernel_passes_total"),
-        1
-    );
+    const RANK: [&str; 3] = ["rank", "--json", "--profile"];
+    type Expected = &'static [(&'static str, u64)];
+    let cases: [(&[&str], Expected, Expected); 2] = [
+        (
+            &FIG07,
+            &[("fused_reduction", 1)],
+            &[
+                ("thirstyflops_batch_lanes_total", 4),
+                ("thirstyflops_batch_kernel_passes_total", 1),
+            ],
+        ),
+        (
+            &RANK,
+            &[
+                ("fused_reduction", 6),
+                ("wue_series", 6),
+                ("grid_kernel", 6),
+            ],
+            &[
+                ("thirstyflops_batch_lanes_total", 6),
+                ("thirstyflops_batch_kernel_passes_total", 6),
+            ],
+        ),
+    ];
+    for (command, stages, counters) in cases {
+        let one = run(&[command, &["--threads", "1"]].concat());
+        let eight = run(&[command, &["--threads", "8"]].concat());
+        assert_eq!(
+            one.stdout, eight.stdout,
+            "{command:?} output depends on threads"
+        );
+        let (stages_1, counters_1) = counts(&profile(&one));
+        let (stages_8, counters_8) = counts(&profile(&eight));
+        assert_eq!(
+            stages_1, stages_8,
+            "{command:?}: span counts depend on thread count"
+        );
+        assert_eq!(
+            counters_1, counters_8,
+            "{command:?}: counters depend on thread count"
+        );
+        let count = |list: &Counts, name: &str| {
+            list.iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("{name} missing from {list:?}"))
+        };
+        for &(name, want) in stages {
+            assert_eq!(count(&stages_1, name), want, "{command:?}: {name}");
+        }
+        for &(name, want) in counters {
+            assert_eq!(count(&counters_1, name), want, "{command:?}: {name}");
+        }
+    }
 }

@@ -11,10 +11,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use thirstyflops::catalog::{SystemId, SystemSpec};
 use thirstyflops::core::batch::energy_key;
-use thirstyflops::core::{simcache, AnnualReport, SystemYear};
+use thirstyflops::core::{
+    simcache, AnnualReport, EmbodiedBreakdown, FootprintModel, OperationalBreakdown,
+    ScarcityAdjustment, SystemYear, WaterIntensity,
+};
 use thirstyflops::grid::RegionId;
 use thirstyflops::scenario::{engine, ScenarioSpec};
-use thirstyflops::units::{Pue, WaterScarcityIndex};
+use thirstyflops::units::{KilowattHours, Liters, LitersPerKilowattHour, Pue, WaterScarcityIndex};
 use thirstyflops::weather::ClimatePreset;
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -208,11 +211,39 @@ fn oracle_inputs() -> Vec<(String, SystemSpec, u64)> {
     inputs
 }
 
+/// The scalar annual report over a year's series — `dot`, `total` and
+/// `mean`, Eq. 6–7 with the PUE factor applied after the sum. The
+/// runtime reduces reports through the K-lane kernel instead; this is
+/// the expression it must match bit for bit.
+fn report_oracle(year: &SystemYear) -> AnnualReport {
+    let spec = &year.spec;
+    let operational = OperationalBreakdown {
+        direct: Liters::new(year.energy.dot(&year.wue)),
+        indirect: Liters::new(year.energy.dot(&year.ewf) * spec.pue.value()),
+    };
+    let mean_wue = LitersPerKilowattHour::new(year.wue.mean());
+    let mean_ewf = LitersPerKilowattHour::new(year.ewf.mean());
+    let wi = WaterIntensity::new(mean_wue, spec.pue, mean_ewf);
+    AnnualReport {
+        id: spec.id,
+        embodied: EmbodiedBreakdown::for_system(spec),
+        operational,
+        energy: KilowattHours::new(year.energy.total()),
+        mean_wue,
+        mean_ewf,
+        mean_wi: wi.total(),
+        adjusted_wi: ScarcityAdjustment::from_fleet(spec.site_wsi, &spec.fleet).adjust(wi),
+        direct_share: operational.direct_share(),
+    }
+}
+
 /// The memoized path gives the same bits as the fully uncached
 /// reference [`SystemYear::simulate_uncached`] — telemetry, reports and
 /// figure frames — on a cold lookup and again on the warm repeat. This
 /// is the cache-invisibility oracle: there is no runtime switch to turn
 /// the memo layers off, so this comparison is what keeps them honest.
+/// The annual report, reduced by the K-lane kernel, equals
+/// [`report_oracle`] over the uncached year.
 #[test]
 fn cached_and_uncached_results_are_bit_identical() {
     let _guard = lock();
@@ -220,7 +251,7 @@ fn cached_and_uncached_results_are_bit_identical() {
         let uncached = SystemYear::simulate_uncached(spec.clone(), seed);
         let cold = SystemYear::simulate_spec(spec.clone(), seed);
         let before = simcache::stats();
-        let warm = SystemYear::simulate_spec(spec, seed);
+        let warm = SystemYear::simulate_spec(spec.clone(), seed);
         let after = simcache::stats();
         assert_eq!(
             after.system_years.misses, before.system_years.misses,
@@ -231,8 +262,8 @@ fn cached_and_uncached_results_are_bit_identical() {
         assert_same_series(cached, &uncached, &name);
         // Reports and frame exports (the figure inputs) agree exactly.
         assert_eq!(
-            AnnualReport::from_year(cached),
-            AnnualReport::from_year(&uncached),
+            FootprintModel::from_spec(spec.clone()).annual_report(seed),
+            report_oracle(&uncached),
             "{name}"
         );
         assert_eq!(

@@ -6,7 +6,7 @@ use thirstyflops::catalog::hardware::Medium;
 use thirstyflops::catalog::{SystemId, SystemSpec};
 use thirstyflops::core::embodied::capacity_water;
 use thirstyflops::core::{
-    EmbodiedBreakdown, RatioGrid, ScarcityAdjustment, SystemYear, WaterIntensity,
+    EmbodiedBreakdown, FootprintModel, RatioGrid, ScarcityAdjustment, SystemYear, WaterIntensity,
 };
 use thirstyflops::grid::{EnergySource, Scenario};
 use thirstyflops::scheduler::capping::SourceOffer;
@@ -67,12 +67,13 @@ fn takeaway_03_green_energy_can_be_thirsty_and_volatile() {
 /// Takeaway 4: indirect operational water is comparable to direct.
 #[test]
 fn takeaway_04_indirect_water_is_material() {
-    for year in years() {
-        let op = year.operational();
+    for id in SystemId::PAPER {
+        let op = FootprintModel::reference(id)
+            .annual_report(2023)
+            .operational;
         assert!(
             op.indirect_share().value() > 0.40,
-            "{}: indirect {:.0}%",
-            year.spec.id,
+            "{id}: indirect {:.0}%",
             op.indirect_share().percent()
         );
     }

@@ -63,11 +63,14 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 /// same rollup summed by leaf.
 #[test]
 fn folded_shape_is_identical_across_thread_counts() {
-    let commands: [&[&str]; 4] = [
+    let commands: [&[&str]; 7] = [
         &SWEEP,
         &["experiments", "fig06", "fig14"],
         &["rank"],
         &["experiments", "fig13"],
+        &["footprint", "fugaku"],
+        &["compare", "polaris", "frontier"],
+        &["scenario", "fugaku"],
     ];
     for command in commands {
         let runs: Vec<(Output, ProfileReport)> = ["1", "2", "8", "8"]
