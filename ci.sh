@@ -209,9 +209,9 @@ batch_smoke() {
   # (docs/CONCURRENCY.md; the scalar-vs-batched bit-identity itself is
   # tests/batch.rs' job — the scalar oracle at this cell count is far
   # too slow for a smoke target). Both runs are profiled: this sweep's
-  # 198 chunks are the only smoke where several workers hit the shared
-  # workload memo layer at once, and its counts (the `_ns` lines
-  # stripped, as in obs-smoke) must be byte-identical too.
+  # 198 chunks and two kernel passes run on several workers at once,
+  # and its counts (the `_ns` lines stripped, as in obs-smoke) must be
+  # byte-identical too.
   step "batch smoke (101,250-cell top-N sweep at THIRSTYFLOPS_THREADS=1 vs 8)"
   cargo build --release -q
   local bin=target/release/thirstyflops
@@ -235,7 +235,20 @@ batch_smoke() {
     exit 1
   fi
   grep -q 'thirstyflops_workload_jobs_simulated_total' target/batch_smoke_counts_t1.json
-  printf '  ok 101250 cells -> 24 rows, byte-identical at 1 and 8 threads, profiled counts too\n'
+  # Lane-major evaluation reduces each of the sweep's 50 lane
+  # sub-combinations once, plus the baseline lane, in two 32-lane passes
+  # plus the baseline's; per-chunk re-aggregation would count 248 lanes.
+  local name want got
+  for pin in 'thirstyflops_batch_lanes_total 51' 'thirstyflops_batch_kernel_passes_total 3'; do
+    read -r name want <<< "$pin"
+    got=$(grep -A1 "\"name\": \"$name\"" target/batch_smoke_counts_t1.json \
+      | sed -n 's/.*"value": \([0-9]*\).*/\1/p')
+    if [[ "$got" != "$want" ]]; then
+      echo "batch smoke: $name is '${got}', want $want" >&2
+      exit 1
+    fi
+  done
+  printf '  ok 101250 cells -> 24 rows over 51 lanes in 3 passes, byte-identical at 1 and 8 threads, profiled counts too\n'
 }
 
 if [[ "$mode" == "batch-smoke" ]]; then

@@ -32,7 +32,9 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
+use rayon::prelude::*;
 use thirstyflops_obs::span;
+use thirstyflops_obs::trace::propagate;
 use thirstyflops_obs::Counter;
 
 use crate::operational::OperationalBreakdown;
@@ -55,7 +57,7 @@ const LANES_PER_PASS: usize = 32;
 // All three live in the workspace metrics registry (exposed both here
 // via [`stats`] and in Prometheus form at `GET /v1/metrics`). Their
 // values are deterministic: lanes/passes are pure functions of the
-// sweep expansion (each sweep chunk dedups and aggregates its own rows,
+// command (a sweep reduces each lane sub-combination once per window,
 // see `scenario::batch`), and top-N pushes count offered rows.
 
 fn lanes_counter() -> &'static Counter {
@@ -167,46 +169,37 @@ impl BatchContext {
     }
 
     /// Evaluates a batch of lanes: every annual reduction of the
-    /// (scaled) hourly series, once per `LANES_PER_PASS`-lane kernel
-    /// pass. Per lane the result is bit-identical to the scalar
-    /// expressions over [`SystemYear::simulate_uncached`] telemetry
-    /// (`tests/batch.rs`).
+    /// (scaled) hourly series, in parallel `LANES_PER_PASS`-lane kernel
+    /// passes. The lanes' series resolve first, once per distinct key
+    /// (`simcache::resolve`); the kernel reads them in place. Per lane
+    /// the result is bit-identical to the scalar expressions over
+    /// [`SystemYear::simulate_uncached`] telemetry (`tests/batch.rs`).
     pub fn aggregate(&self, requests: &[LaneRequest]) -> Vec<LaneAggregates> {
-        requests
-            .chunks(LANES_PER_PASS)
-            .flat_map(|block| self.aggregate_block(block))
-            .collect()
-    }
-
-    fn aggregate_block(&self, block: &[LaneRequest]) -> Vec<LaneAggregates> {
-        // Resolve shared sub-simulations. Lanes overwhelmingly alias a
-        // handful of unique series (energy per workload key, WUE per
-        // climate, EWF/carbon per region), which the kernel reads in
-        // place.
-        let resolved: Vec<_> = block
-            .iter()
-            .map(|req| {
-                (
-                    simcache::workload(&req.spec, req.seed),
-                    simcache::wue_series(req.spec.climate),
-                    simcache::grid_year(req.spec.region),
-                )
-            })
+        let demands: Vec<_> = requests.iter().map(|req| (&req.spec, req.seed)).collect();
+        let parts = simcache::resolve(&demands);
+        let passes: Vec<Vec<LaneAggregates>> = requests
+            .par_chunks(LANES_PER_PASS)
+            .zip(parts.par_chunks(LANES_PER_PASS))
+            .map(propagate(
+                |(block, parts): (&[LaneRequest], &[simcache::Parts])| {
+                    let sources: Vec<LaneSource<'_>> = block
+                        .iter()
+                        .zip(parts)
+                        .map(|(req, part)| LaneSource {
+                            energy: part.workload.1.values(),
+                            wue: part.wue.values(),
+                            ewf: part.grid.ewf().values(),
+                            carbon: part.grid.carbon().values(),
+                            wue_scale: req.wue_scale,
+                            ewf_scale: req.ewf_scale,
+                            carbon_scale: req.carbon_scale,
+                        })
+                        .collect();
+                    fused_pass(&sources)
+                },
+            ))
             .collect();
-        let sources: Vec<LaneSource<'_>> = resolved
-            .iter()
-            .zip(block)
-            .map(|((workload, wue, grid), req)| LaneSource {
-                energy: workload.1.values(),
-                wue: wue.values(),
-                ewf: grid.ewf().values(),
-                carbon: grid.carbon().values(),
-                wue_scale: req.wue_scale,
-                ewf_scale: req.ewf_scale,
-                carbon_scale: req.carbon_scale,
-            })
-            .collect();
-        fused_pass(&sources)
+        passes.into_iter().flatten().collect()
     }
 }
 

@@ -26,6 +26,11 @@
 //! * **Observability** — per-layer hit/miss/entry/eviction counters,
 //!   exposed via [`stats`] and served at `GET /v1/cache/stats`.
 //!
+//! `SystemYear::simulate_spec` and the K-lane kernel read the layers
+//! through one resolver, `resolve`: each distinct key of a call is
+//! looked up once, warm entries answer inline, and the cold rest compute
+//! concurrently in one fan-out.
+//!
 //! The workload layer is bounded (LRU on whole entries) because seeds
 //! are caller-controlled and therefore unbounded; the grid and WUE
 //! layers are keyed by small closed enums and need no bound.
@@ -41,9 +46,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use rayon::prelude::*;
 use thirstyflops_catalog::SystemSpec;
 use thirstyflops_grid::{GridRegion, GridYear, RegionId};
 use thirstyflops_obs::span;
+use thirstyflops_obs::trace::propagate;
 use thirstyflops_obs::Counter;
 use thirstyflops_timeseries::HourlySeries;
 use thirstyflops_weather::ClimatePreset;
@@ -231,6 +238,25 @@ impl<K: Eq + Hash + Clone, V> MemoCache<K, V> {
         Arc::clone(cell.get_or_init(|| Arc::new(compute())))
     }
 
+    /// The completed value for `key`, counting a hit, or `None`
+    /// (counting nothing) when the key is absent, still being computed
+    /// or expired. [`resolve`] answers warm keys through it, so a warm
+    /// lookup never blocks on another thread's compute; a `None` goes
+    /// on to [`get_or_compute`](MemoCache::get_or_compute), which counts
+    /// it.
+    pub(crate) fn get_ready(&self, key: &K) -> Option<Arc<V>> {
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
+        let mut map = self.shard(key).lock().expect("simcache shard poisoned");
+        let slot = map.get_mut(key)?;
+        if self.ttl.is_some_and(|ttl| slot.inserted.elapsed() >= ttl) {
+            return None;
+        }
+        let value = Arc::clone(slot.cell.get()?);
+        slot.last_used = tick;
+        self.hits.inc();
+        Some(value)
+    }
+
     /// Current counters.
     pub fn stats(&self) -> LayerStats {
         LayerStats {
@@ -312,44 +338,207 @@ fn wue_cache() -> &'static MemoCache<ClimatePreset, HourlySeries> {
     })
 }
 
-/// The memoized workload year of `(spec, seed)`: the one lookup both
-/// `SystemYear::simulate_spec` and the K-lane kernel make.
-pub(crate) fn workload(spec: &SystemSpec, seed: u64) -> Arc<Workload> {
-    // The span covers the demand (hit, miss or poisoned recompute), so
-    // its invocation count is the number of workload years *asked for* —
-    // a pure function of the command, identical at every thread count.
-    let _span = span::span(span::CACHE_LOOKUP);
-    // Injected cache poisoning (`docs/ROBUSTNESS.md`): a fired
-    // `simcache_poison` fault forces this lookup down the uncached
-    // recompute path — exercising the miss machinery under load without
-    // ever storing a wrong value. Because hits and misses return
-    // byte-identical series (the determinism contract above), poisoning
-    // must never change any response body; chaos replays verify that.
-    // The one site covers both the scalar year and the K-lane kernel.
-    if thirstyflops_faults::global_simcache_poisoned() {
-        return Arc::new(workload_series(spec, seed));
-    }
-    workload_cache().get_or_compute(WorkloadKey::new(spec, seed), || workload_series(spec, seed))
-}
-
 /// The memoized grid year for a region preset. Seed-independent: every
 /// system in `region` shares one computation.
 pub fn grid_year(region: RegionId) -> Arc<GridYear> {
-    // One demand span per lookup, hit or miss, like `CACHE_LOOKUP`.
-    let _span = span::span(span::GRID_KERNEL);
-    grid_cache().get_or_compute(region, move || GridRegion::preset(region).simulate_year())
+    // Every memo lookup opens `CACHE_LOOKUP`, so a compute nests under
+    // the same path whichever racing caller runs it.
+    let _span = span::span(span::CACHE_LOOKUP);
+    grid_cache().get_or_compute(region, || grid_compute(region))
 }
 
-/// The memoized climate → WUE hourly series for a climate preset.
-/// Seed-independent: every system with `preset`'s climate shares one
-/// weather + WUE computation.
-pub fn wue_series(preset: ClimatePreset) -> Arc<HourlySeries> {
-    // One demand span per lookup, hit or miss, like `CACHE_LOOKUP`.
+/// A grid year's compute, under a compute span like `WORKLOAD_SIM`:
+/// hits never open it. `SystemYear::simulate_uncached` calls it too.
+pub(crate) fn grid_compute(region: RegionId) -> GridYear {
+    let _span = span::span(span::GRID_KERNEL);
+    GridRegion::preset(region).simulate_year()
+}
+
+/// A WUE series' compute: the climate year, then the WUE map.
+pub(crate) fn wue_compute(preset: ClimatePreset) -> HourlySeries {
     let _span = span::span(span::WUE_SERIES);
-    wue_cache().get_or_compute(preset, move || {
-        let climate = preset.generate();
-        preset.wue_model().hourly_series(&climate)
-    })
+    preset.wue_model().hourly_series(&preset.generate())
+}
+
+/// The memo-layer values one lane reads.
+pub(crate) struct Parts {
+    /// The workload year of the lane's `(spec, seed)`.
+    pub(crate) workload: Arc<Workload>,
+    /// The WUE series of the lane's climate.
+    pub(crate) wue: Arc<HourlySeries>,
+    /// The grid year of the lane's region.
+    pub(crate) grid: Arc<GridYear>,
+}
+
+/// One layer's distinct keys in a [`resolve`] call, in first-appearance
+/// order, each with the value it resolves to.
+struct Distinct<K, D, V> {
+    slots: HashMap<K, usize, FixedState>,
+    demands: Vec<D>,
+    values: Vec<OnceLock<Arc<V>>>,
+}
+
+impl<K: Eq + Hash, D, V> Distinct<K, D, V> {
+    fn new() -> Self {
+        Distinct {
+            slots: HashMap::default(),
+            demands: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// The slot of `key`, adding `demand` on its first appearance.
+    fn slot(&mut self, key: K, demand: D) -> usize {
+        let next = self.demands.len();
+        *self.slots.entry(key).or_insert_with(|| {
+            self.demands.push(demand);
+            self.values.push(OnceLock::new());
+            next
+        })
+    }
+
+    /// Records `slot`'s value; each slot is filled exactly once.
+    fn fill(&self, slot: usize, value: Arc<V>) {
+        let filled = self.values[slot].set(value);
+        debug_assert!(filled.is_ok(), "slot {slot} filled twice");
+    }
+
+    fn value(&self, slot: usize) -> Arc<V> {
+        Arc::clone(self.values[slot].get().expect("every slot resolves"))
+    }
+}
+
+/// A lookup [`resolve`] could not answer inline, by layer and slot.
+enum Cold<'a> {
+    /// `poisoned`: a fired `simcache_poison` fault, so the year is
+    /// recomputed without touching the cache.
+    Workload {
+        slot: usize,
+        spec: &'a SystemSpec,
+        seed: u64,
+        poisoned: bool,
+    },
+    Wue {
+        slot: usize,
+        preset: ClimatePreset,
+    },
+    Grid {
+        slot: usize,
+        region: RegionId,
+    },
+}
+
+/// The memoized workload year, WUE series and grid year of every
+/// `(spec, seed)` lane: the one lookup path of
+/// `SystemYear::simulate_spec` and the K-lane kernel.
+///
+/// Each distinct workload key, climate and region of the call is looked
+/// up once. A warm entry answers inline on the calling thread, so a warm
+/// call never forks. The cold rest compute in one fan-out, the workload
+/// first (the longest compute), so a cold lane's workload year, climate
+/// and grid year build concurrently — unless the call already runs
+/// inside a fan-out, whose workers are busy: then they compute in turn
+/// on the calling worker. One `CACHE_LOOKUP` span covers the
+/// call; the computes nest in it as `WORKLOAD_SIM`, `WUE_SERIES` and
+/// `GRID_KERNEL`, and its self time is lookup plus any wait on another
+/// thread's compute of the same key.
+pub(crate) fn resolve(lanes: &[(&SystemSpec, u64)]) -> Vec<Parts> {
+    let _span = span::span(span::CACHE_LOOKUP);
+    let mut workloads = Distinct::new();
+    let mut climates = Distinct::new();
+    let mut regions = Distinct::new();
+    let slots: Vec<[usize; 3]> = lanes
+        .iter()
+        .map(|&(spec, seed)| {
+            [
+                workloads.slot(WorkloadKey::new(spec, seed), (spec, seed)),
+                climates.slot(spec.climate, spec.climate),
+                regions.slot(spec.region, spec.region),
+            ]
+        })
+        .collect();
+
+    let mut cold = Vec::new();
+    for (slot, &(spec, seed)) in workloads.demands.iter().enumerate() {
+        // Injected cache poisoning (`docs/ROBUSTNESS.md`): a fired
+        // `simcache_poison` fault forces this lookup down the uncached
+        // recompute path — exercising the miss machinery under load
+        // without ever storing a wrong value. Because hits and misses
+        // return byte-identical series (the determinism contract above),
+        // poisoning must never change any response body; chaos replays
+        // verify that. The one site covers both the scalar year and the
+        // K-lane kernel.
+        let poisoned = thirstyflops_faults::global_simcache_poisoned();
+        let warm = if poisoned {
+            None
+        } else {
+            workload_cache().get_ready(&WorkloadKey::new(spec, seed))
+        };
+        match warm {
+            Some(value) => workloads.fill(slot, value),
+            None => cold.push(Cold::Workload {
+                slot,
+                spec,
+                seed,
+                poisoned,
+            }),
+        }
+    }
+    for (slot, &preset) in climates.demands.iter().enumerate() {
+        match wue_cache().get_ready(&preset) {
+            Some(value) => climates.fill(slot, value),
+            None => cold.push(Cold::Wue { slot, preset }),
+        }
+    }
+    for (slot, &region) in regions.demands.iter().enumerate() {
+        match grid_cache().get_ready(&region) {
+            Some(value) => regions.fill(slot, value),
+            None => cold.push(Cold::Grid { slot, region }),
+        }
+    }
+    let compute = |lookup: &Cold<'_>| match *lookup {
+        Cold::Workload {
+            slot,
+            spec,
+            seed,
+            poisoned,
+        } => {
+            let value = if poisoned {
+                Arc::new(workload_series(spec, seed))
+            } else {
+                workload_cache()
+                    .get_or_compute(WorkloadKey::new(spec, seed), || workload_series(spec, seed))
+            };
+            workloads.fill(slot, value);
+        }
+        Cold::Wue { slot, preset } => {
+            let value = wue_cache().get_or_compute(preset, || wue_compute(preset));
+            climates.fill(slot, value);
+        }
+        Cold::Grid { slot, region } => {
+            let value = grid_cache().get_or_compute(region, || grid_compute(region));
+            regions.fill(slot, value);
+        }
+    };
+    // A one-item fan-out runs on the calling thread, so only two or
+    // more cold lookups fork, and only outside an enclosing fan-out:
+    // inside one (a cold `rank` resolves each system's year in its own
+    // task) the workers are already busy, and a fork would only take
+    // cores from the enclosing fan-out's longest task.
+    if rayon::current_thread_index().is_some() {
+        cold.iter().for_each(compute);
+    } else {
+        cold.par_iter().for_each(propagate(compute));
+    }
+
+    slots
+        .into_iter()
+        .map(|[workload, climate, region]| Parts {
+            workload: workloads.value(workload),
+            wue: climates.value(climate),
+            grid: regions.value(region),
+        })
+        .collect()
 }
 
 /// Counters for all layers.
@@ -486,13 +675,24 @@ mod tests {
 
     #[test]
     fn wue_layer_shares_one_computation_per_preset() {
-        let a = wue_series(ClimatePreset::Kobe);
-        let b = wue_series(ClimatePreset::Kobe);
-        assert!(Arc::ptr_eq(&a, &b));
+        let mut spec = SystemSpec::reference(thirstyflops_catalog::SystemId::Polaris);
+        spec.climate = ClimatePreset::Kobe;
+        spec.nodes = 64;
+        let lanes = resolve(&[(&spec, 1), (&spec, 2)]);
+        let again = resolve(&[(&spec, 1)]);
+        assert!(
+            Arc::ptr_eq(&lanes[0].wue, &lanes[1].wue),
+            "one lookup per call"
+        );
+        assert!(
+            Arc::ptr_eq(&lanes[0].wue, &again[0].wue),
+            "a repeat is an Arc clone"
+        );
+        assert!(Arc::ptr_eq(&lanes[0].workload, &again[0].workload));
         // Same bytes as the direct computation.
         let direct = ClimatePreset::Kobe
             .wue_model()
             .hourly_series(&ClimatePreset::Kobe.generate());
-        assert_eq!(a.values(), direct.values());
+        assert_eq!(lanes[0].wue.values(), direct.values());
     }
 }

@@ -14,7 +14,6 @@
 use std::sync::Arc;
 
 use thirstyflops_catalog::{SystemId, SystemSpec};
-use thirstyflops_grid::GridRegion;
 use thirstyflops_obs::span;
 use thirstyflops_timeseries::HourlySeries;
 use thirstyflops_units::{Fraction, KilowattHours, Liters, LitersPerKilowattHour};
@@ -137,16 +136,16 @@ impl SystemYear {
     /// what-if variants of a reference system). Assembled from the
     /// workload, grid and WUE memo layers like [`SystemYear::simulate`].
     pub fn simulate_spec(spec: SystemSpec, seed: u64) -> Arc<SystemYear> {
-        let workload = crate::simcache::workload(&spec, seed);
-        let wue = crate::simcache::wue_series(spec.climate);
-        let grid = crate::simcache::grid_year(spec.region);
+        let parts = crate::simcache::resolve(&[(&spec, seed)])
+            .pop()
+            .expect("one lane resolves to one set of parts");
         Arc::new(SystemYear {
+            utilization: parts.workload.0.clone(),
+            energy: parts.workload.1.clone(),
+            wue: (*parts.wue).clone(),
+            ewf: parts.grid.ewf().clone(),
+            carbon: parts.grid.carbon().clone(),
             spec,
-            utilization: workload.0.clone(),
-            energy: workload.1.clone(),
-            wue: (*wue).clone(),
-            ewf: grid.ewf().clone(),
-            carbon: grid.carbon().clone(),
         })
     }
 
@@ -156,16 +155,8 @@ impl SystemYear {
     /// (`tests/simcache.rs`) and the cold-path workload
     /// `./ci.sh bench-json` tracks.
     pub fn simulate_uncached(spec: SystemSpec, seed: u64) -> SystemYear {
-        let wue = {
-            let _span = span::span(span::WUE_SERIES);
-            spec.climate
-                .wue_model()
-                .hourly_series(&spec.climate.generate())
-        };
-        let grid = {
-            let _span = span::span(span::GRID_KERNEL);
-            GridRegion::preset(spec.region).simulate_year()
-        };
+        let wue = crate::simcache::wue_compute(spec.climate);
+        let grid = crate::simcache::grid_compute(spec.region);
         let (utilization, energy) = workload_series(&spec, seed);
         SystemYear {
             spec,

@@ -26,18 +26,18 @@
 /// `core::simulate::workload_series`) — one span per uniquely computed
 /// (system, seed) trace.
 pub const WORKLOAD_SIM: usize = 0;
-/// Grid-year demand: one grid memo-layer lookup (hit or miss), or the
-/// uncached grid kernel.
+/// One grid-year compute: a grid memo-layer miss, nested in its
+/// [`CACHE_LOOKUP`], or the uncached grid kernel.
 pub const GRID_KERNEL: usize = 1;
-/// WUE-series demand: one climate → WUE memo-layer lookup (hit or
-/// miss), or the uncached synthesis.
+/// One climate → WUE series compute, placed like [`GRID_KERNEL`].
 pub const WUE_SERIES: usize = 2;
-/// Workload memo-layer lookup (hit or miss) for a demanded year or
-/// kernel lane.
+/// One memo-layer call (`core::simcache`): the lookups of one year or
+/// one kernel call's lanes, or one grid lookup, with its computes
+/// nested inside.
 pub const CACHE_LOOKUP: usize = 3;
 /// One fused multi-lane annual reduction pass.
 pub const FUSED_REDUCTION: usize = 4;
-/// One sweep chunk: prepare, aggregate, fold.
+/// One 512-cell sweep chunk: the fold of its cells.
 pub const SWEEP_CHUNK: usize = 5;
 /// Synthetic job-trace generation (`workload::TraceGenerator`), nested
 /// inside [`WORKLOAD_SIM`], one span per simulated month.
@@ -49,9 +49,9 @@ pub const CLUSTER_SIM: usize = 7;
 /// Utilization → hourly power/energy conversion
 /// (`workload::PowerModel`), nested inside [`WORKLOAD_SIM`].
 pub const POWER_MODEL: usize = 8;
-/// One sweep chunk's preparation (`scenario::batch`): combination index
-/// → compiled section picks and lane keys. Nested inside
-/// [`SWEEP_CHUNK`], opened once per chunk.
+/// One sweep lane window's preparation (`scenario::batch`): lane
+/// sub-combination → compiled section picks and the window's kernel
+/// requests. Opened once per window.
 pub const SWEEP_PREPARE: usize = 9;
 /// One sweep chunk's finish (`scenario::batch`): metric arithmetic on
 /// the resolved lanes and the top-N (or row) fold. Nested inside

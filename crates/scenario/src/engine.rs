@@ -237,6 +237,22 @@ pub fn grid_factors(
     Ok(None)
 }
 
+/// [`grid_factors`] for a lane of `sys`, reading the region's series
+/// means only where a `mix` divides by them: a region or `mix_delta`
+/// override looks up no grid year before the kernel resolves the lane.
+pub(crate) fn lane_grid_factors(
+    g: &GridOverride,
+    sys: &SystemSpec,
+    ctx: &BatchContext,
+) -> Result<Option<(f64, f64)>, ScenarioError> {
+    // Without a `mix`, `grid_factors` never reads the means.
+    let (ewf_mean, carbon_mean) = match g.mix {
+        Some(_) => ctx.region_means(sys.region),
+        None => (1.0, 1.0),
+    };
+    grid_factors(g, sys, ewf_mean, carbon_mean)
+}
+
 fn parse_mix_pairs(
     mix: &std::collections::BTreeMap<String, f64>,
 ) -> Result<Vec<(thirstyflops_grid::EnergySource, f64)>, ScenarioError> {
@@ -262,10 +278,7 @@ pub(crate) fn metrics<const N: usize>(
     let mut lanes = Vec::with_capacity(N);
     for (sys, seed, o) in configs {
         let factors = match &o.grid {
-            Some(g) => {
-                let (ewf_mean, carbon_mean) = ctx.region_means(sys.region);
-                grid_factors(g, sys, ewf_mean, carbon_mean)?
-            }
+            Some(g) => lane_grid_factors(g, sys, &ctx)?,
             None => None,
         };
         lanes.push(LaneRequest {

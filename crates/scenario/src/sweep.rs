@@ -581,6 +581,10 @@ pub(crate) struct SweepPlan {
     axes: Vec<PlanAxis>,
     /// Per axis and value: the `path=value` name label.
     labels: Vec<Vec<String>>,
+    /// Per section and sub-combination: its share of the expansion
+    /// index. A combination's index is the sum of its picks' shares,
+    /// because every axis belongs to one section.
+    offsets: Vec<Vec<usize>>,
 }
 
 impl SweepPlan {
@@ -626,12 +630,38 @@ impl SweepPlan {
                     .collect()
             })
             .collect();
+        let offsets = counts
+            .iter()
+            .enumerate()
+            .map(|(section, &count)| {
+                (0..count)
+                    .map(|sub| {
+                        let mut offset = 0;
+                        let mut weight = 1;
+                        for axis in axes.iter().rev() {
+                            if axis.section == Some(section) {
+                                offset += sub / axis.stride % axis.len * weight;
+                            }
+                            weight *= axis.len;
+                        }
+                        offset
+                    })
+                    .collect()
+            })
+            .collect();
         let plan = SweepPlan {
             name: sweep.name.clone(),
             axes,
             labels,
+            offsets,
         };
         (plan, sections)
+    }
+
+    /// Section `section`'s sub-combination `sub`'s share of the
+    /// expansion index.
+    pub(crate) fn offset(&self, section: usize, sub: usize) -> usize {
+        self.offsets[section][sub]
     }
 
     /// The compiled section each section contributes to combination
@@ -655,8 +685,15 @@ impl SweepPlan {
     }
 
     /// The first combination, in expansion order, that picks a section
-    /// which failed to compile.
+    /// which failed to compile. Every sub-combination meets every other
+    /// in the cross product, so when every axis has a section and every
+    /// section compiled there is none, and nothing is scanned.
     pub(crate) fn first_invalid<T>(&self, sections: &[Variants<T>], count: usize) -> Option<usize> {
+        let valid = self.axes.iter().all(|axis| axis.section.is_some())
+            && sections.iter().flatten().all(Option::is_some);
+        if valid {
+            return None;
+        }
         (0..count).find(|&index| self.pick(sections, index).is_none())
     }
 
@@ -672,9 +709,10 @@ impl SweepPlan {
     }
 }
 
-/// Evaluates a sweep: chunked streaming evaluation through the batched
-/// K-lane kernel, rows merged back in expansion order — bit-identical at
-/// every thread count and chunk size (`docs/CONCURRENCY.md`).
+/// Evaluates a sweep: lane-major streaming evaluation through the
+/// batched K-lane kernel, rows merged back in expansion order —
+/// bit-identical at every thread count, window and chunk size
+/// (`docs/CONCURRENCY.md`).
 ///
 /// The expansion ceiling is enforced *here as well as* in
 /// [`SweepSpec::from_json`]: code-built sweeps (and any future caller

@@ -51,6 +51,32 @@ thread_local! {
     /// Worker count installed on this thread by [`ThreadPool::install`];
     /// 0 means "no override".
     static INSTALLED_THREADS: Cell<usize> = const { Cell::new(0) };
+
+    /// This thread's worker index while it runs items of a multi-worker
+    /// operation ([`current_thread_index`]).
+    static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The calling thread's worker index while it runs items of a parallel
+/// operation that uses more than one worker (the caller is worker 0);
+/// `None` elsewhere, including inline single-worker runs. Mirrors
+/// `rayon::current_thread_index`: code that would fork again can ask
+/// whether an enclosing fan-out already keeps the workers busy.
+pub fn current_thread_index() -> Option<usize> {
+    WORKER_INDEX.with(Cell::get)
+}
+
+/// Runs `f` as worker `index`, restoring the previous index afterwards
+/// (also when `f` panics).
+fn as_worker<R>(index: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WORKER_INDEX.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(WORKER_INDEX.with(|w| w.replace(Some(index))));
+    f()
 }
 
 /// Reads a positive integer from an environment variable.
@@ -124,12 +150,12 @@ where
         // The calling thread is worker 0 (so `threads` configured means
         // `threads` running, and one fewer spawn per operation); panics
         // from the spawned workers propagate when the scope joins them.
-        for _ in 1..threads {
+        for worker in 1..threads {
             let tx = tx.clone();
             let drain_chunks = &drain_chunks;
-            scope.spawn(move || drain_chunks(tx));
+            scope.spawn(move || as_worker(worker, || drain_chunks(tx)));
         }
-        drain_chunks(tx.clone());
+        as_worker(0, || drain_chunks(tx.clone()));
     });
     drop(tx);
 
@@ -163,8 +189,8 @@ where
         (ra, rb)
     } else {
         std::thread::scope(|scope| {
-            let handle = scope.spawn(oper_b);
-            let ra = oper_a();
+            let handle = scope.spawn(|| as_worker(1, oper_b));
+            let ra = as_worker(0, oper_a);
             let rb = handle
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
@@ -499,6 +525,27 @@ mod tests {
             pool(4).install(|| a.par_iter().zip(b.par_iter()).map(|(x, y)| x + y).collect());
         assert!(got.iter().all(|&s| s == 256), "{got:?}");
         assert_eq!(got.len(), 257);
+    }
+
+    #[test]
+    fn worker_index_is_set_only_inside_multi_worker_operations() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        assert_eq!(current_thread_index(), None);
+        let inside: Vec<Option<usize>> = pool.install(|| {
+            [0, 1, 2]
+                .par_iter()
+                .map(|_| current_thread_index())
+                .collect()
+        });
+        assert!(
+            inside.iter().all(|i| matches!(i, Some(0 | 1))),
+            "{inside:?}"
+        );
+        assert_eq!(current_thread_index(), None, "restored after the operation");
+        let single = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let inline: Vec<Option<usize>> =
+            single.install(|| [0, 1].par_iter().map(|_| current_thread_index()).collect());
+        assert_eq!(inline, [None, None], "an inline run is not a fan-out");
     }
 
     #[test]

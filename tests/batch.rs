@@ -14,16 +14,17 @@
 //! total order, independent of push or merge order
 //! (docs/CONCURRENCY.md).
 
-use std::collections::HashSet;
 use std::process::Command;
 
 use proptest::prelude::*;
 use rayon::prelude::*;
 use thirstyflops::catalog::{SystemId, SystemSpec};
-use thirstyflops::core::batch::{energy_key, BatchContext, LaneRequest, TopN};
+use thirstyflops::core::batch::{BatchContext, LaneRequest, TopN};
 use thirstyflops::core::SystemYear;
 use thirstyflops::obs::report::ProfileReport;
-use thirstyflops::scenario::{engine, evaluate, evaluate_sweep, ScenarioOutcome, SweepSpec};
+use thirstyflops::scenario::{
+    evaluate, evaluate_sweep, ScenarioError, ScenarioOutcome, SweepReport, SweepSpec,
+};
 use thirstyflops::timeseries::Month;
 
 /// A proptest-shaped spec perturbation: system pick, node count,
@@ -360,51 +361,204 @@ fn compiled_sweep_rows_equal_the_per_cell_oracle() {
     }
 }
 
-/// The kernel aggregates exactly one lane per distinct resolved key per
-/// 512-cell chunk — alias spellings resolve to one key — plus one for
-/// the sweep's baseline, which goes through the same kernel. The count
-/// is read off a `--profile --json` run, where no other test's kernel
-/// calls can interleave with it.
-#[test]
-fn lanes_are_the_distinct_resolved_keys_per_chunk() {
-    let sweep = SweepSpec::from_json(SECTIONED_SWEEP).expect("sweep parses");
-    let base = SystemSpec::reference(SystemId::Polaris);
-    let keys: Vec<_> = (0..sweep.combination_count())
-        .map(|i| {
-            let cell = sweep.combination(i).expect("valid cell");
-            let system = engine::apply_spec_overrides(&base, &cell.overrides).expect("applies");
-            let wue_scale = cell.overrides.climate.as_ref().and_then(|c| c.wue_scale);
-            (
-                energy_key(&system, cell.seed),
-                system.climate,
-                wue_scale.map(f64::to_bits),
-                system.region,
-                serde_json::to_string(&cell.overrides.grid).expect("grid renders"),
-            )
-        })
-        .collect();
-    let expected: usize = keys
-        .chunks(512)
-        .map(|chunk| chunk.iter().collect::<HashSet<_>>().len())
-        .sum();
+/// The sections whose picks decide a cell's kernel lane.
+const LANE_SECTIONS: [&str; 3] = ["nodes", "climate", "grid"];
 
-    let path = std::env::temp_dir().join(format!(
-        "thirstyflops_sectioned_sweep_{}.json",
-        std::process::id()
-    ));
-    std::fs::write(&path, SECTIONED_SWEEP).expect("spec writes");
-    let lanes = profiled_counter(
-        &["scenario", "sweep", path.to_str().expect("UTF-8 path")],
-        "thirstyflops_batch_lanes_total",
-    );
-    std::fs::remove_file(&path).ok();
-    let baseline_lane = 1;
-    assert_eq!(lanes, expected as u64 + baseline_lane);
+/// A sweep's lane sub-combinations: the product of its lane-section
+/// axis lengths. Alias spellings count apart — sections are compiled
+/// per sub-combination, not per resolved key.
+fn lane_subcombinations(sweep: &SweepSpec) -> usize {
+    sweep
+        .axes
+        .iter()
+        .filter(|axis| LANE_SECTIONS.contains(&axis.path.split('.').next().unwrap_or("")))
+        .map(|axis| axis.values.len())
+        .product()
+}
+
+/// A `top_n` sweep with more lane sub-combinations than one 4,096-lane
+/// window: 4,100 descending `climate.wue_scale` values, so the best
+/// rows sit in both windows.
+fn two_window_text() -> String {
+    let values: Vec<String> = (0..4100u32)
+        .rev()
+        .map(|i| format!("{}", 0.5 + f64::from(i) / 4096.0))
+        .collect();
+    format!(
+        r#"{{"name": "two-windows", "base": "polaris", "top_n": 9,
+            "axes": {{"climate.wue_scale": [{}]}}}}"#,
+        values.join(", ")
+    )
+}
+
+/// The kernel aggregates one lane per lane sub-combination — each pick
+/// of the `nodes`, `climate` and `grid` sections — plus one for the
+/// sweep's baseline, which goes through the same kernel. Lanes reduce in
+/// 32-lane passes per 4,096-lane window. The counts are read off
+/// `--profile --json` runs, where no other test's kernel calls can
+/// interleave with them.
+#[test]
+fn lanes_are_the_lane_subcombinations_per_window() {
+    for text in [SECTIONED_SWEEP.to_string(), two_window_text()] {
+        let sweep = SweepSpec::from_json(&text).expect("sweep parses");
+        let lanes = lane_subcombinations(&sweep);
+        let passes: usize = (0..lanes)
+            .step_by(4096)
+            .map(|start| (lanes - start).min(4096).div_ceil(32))
+            .sum();
+        let path = std::env::temp_dir().join(format!(
+            "thirstyflops_{}_{}.json",
+            sweep.name,
+            std::process::id()
+        ));
+        std::fs::write(&path, &text).expect("spec writes");
+        let args = ["scenario", "sweep", path.to_str().expect("UTF-8 path")];
+        let counted = [
+            profiled_counter(&args, "thirstyflops_batch_lanes_total"),
+            profiled_counter(&args, "thirstyflops_batch_kernel_passes_total"),
+        ];
+        std::fs::remove_file(&path).ok();
+        let baseline = 1;
+        assert_eq!(
+            counted,
+            [(lanes + baseline) as u64, (passes + baseline) as u64],
+            "{}: lanes and passes",
+            sweep.name
+        );
+        assert!(
+            lanes * 32 <= sweep.combination_count() || sweep.name == "two-windows",
+            "{lanes} lanes for {} cells",
+            sweep.combination_count()
+        );
+    }
+}
+
+/// `sweep` evaluated under 1-, 2- and 8-worker pools.
+fn at_thread_counts(sweep: &SweepSpec) -> Vec<Result<SweepReport, ScenarioError>> {
+    [1usize, 2, 8]
+        .iter()
+        .map(|&n| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .expect("pool builds");
+            pool.install(|| evaluate_sweep(sweep))
+        })
+        .collect()
+}
+
+/// An invalid section value fails the sweep at the first invalid cell
+/// in expansion order, with that cell's own error, at every thread
+/// count — whether the value sits in a lane section or a row section.
+/// With two invalid sections the error is the first cell's in
+/// expansion order, not in lane-major order. Sweeps are validated at
+/// parse time, so the bad values are added to an already parsed sweep.
+#[test]
+fn an_invalid_section_fails_at_the_first_invalid_cell_at_every_thread_count() {
+    let text = r#"{
+        "name": "invalid", "base": "polaris",
+        "axes": {
+            "pue": [1.1, 1.3],
+            "climate.preset": ["kobe", "lemont"],
+            "wsi.site": [0.2, 0.6],
+            "nodes": [400, 560]
+        }
+    }"#;
+    let cases: [&[(&str, &str)]; 5] = [
+        &[("nodes", "0")],
+        &[("wsi.site", "7.5")],
+        &[("climate.preset", "\"atlantis\"")],
+        &[("wsi.site", "7.5"), ("nodes", "0")],
+        &[("climate.preset", "\"atlantis\""), ("pue", "0.5")],
+    ];
+    for case in cases {
+        let mut sweep = SweepSpec::from_json(text).expect("sweep parses");
+        for &(axis, bad) in case {
+            let target = sweep
+                .axes
+                .iter_mut()
+                .find(|a| a.path == axis)
+                .expect("axis exists");
+            target
+                .values
+                .insert(1, serde_json::from_str(bad).expect("value parses"));
+        }
+        let oracle = (0..sweep.combination_count())
+            .find_map(|i| sweep.combination(i).and_then(|cell| evaluate(&cell)).err())
+            .expect("some cell is invalid");
+        for (threads, result) in [1, 2, 8].iter().zip(at_thread_counts(&sweep)) {
+            let err = result.expect_err("the sweep fails");
+            assert_eq!(
+                err.to_string(),
+                oracle.to_string(),
+                "{case:?} at {threads} threads"
+            );
+        }
+    }
+}
+
+/// A plain sweep lists its rows in expansion order at every thread
+/// count, although cells are evaluated lane by lane: here the row
+/// section `pue` is the slowest axis, so lane-major order differs from
+/// expansion order.
+#[test]
+fn plain_sweep_rows_stay_in_expansion_order_at_every_thread_count() {
+    let sweep = SweepSpec::from_json(
+        r#"{
+        "name": "row-major", "base": "polaris",
+        "axes": {
+            "pue": [1.1, 1.3, 1.2],
+            "climate.preset": ["kobe", "lemont"],
+            "wsi.site": [0.2, 0.6],
+            "grid.region": ["kansai", "tennessee"]
+        }
+    }"#,
+    )
+    .expect("sweep parses");
+    let oracle = per_cell_oracle(&sweep);
+    for (threads, result) in [1, 2, 8].iter().zip(at_thread_counts(&sweep)) {
+        let report = result.expect("sweep evaluates");
+        assert_eq!(report.rows.len(), oracle.len());
+        for (row, want) in report.rows.iter().zip(&oracle) {
+            assert_eq!(row.name, want.name, "{threads} threads");
+            assert_eq!(
+                format!("{:?}", row.scenario),
+                format!("{:?}", want.scenario),
+                "{} at {threads} threads",
+                row.name
+            );
+        }
+    }
+}
+
+/// A sweep with more lane sub-combinations than one window keeps the
+/// per-cell oracle's top-N at every thread count.
+#[test]
+fn a_sweep_over_two_lane_windows_keeps_the_oracle_top_n() {
+    let sweep = SweepSpec::from_json(&two_window_text()).expect("sweep parses");
+    let oracle = per_cell_oracle(&sweep);
+    let mut ranked: Vec<usize> = (0..oracle.len()).collect();
+    ranked.sort_by(|&a, &b| {
+        let key = |i: usize| oracle[i].scenario.operational_water_l;
+        key(a).total_cmp(&key(b)).then(a.cmp(&b))
+    });
+    ranked.truncate(9);
     assert!(
-        expected < keys.len() / 100,
-        "{expected} lanes for {} cells",
-        keys.len()
+        ranked.iter().any(|&i| i < 4096) && ranked.iter().any(|&i| i >= 4096),
+        "the best rows come from both windows: {ranked:?}"
     );
+    for (threads, result) in [1, 2, 8].iter().zip(at_thread_counts(&sweep)) {
+        let report = result.expect("sweep evaluates");
+        assert_eq!(report.rows.len(), ranked.len());
+        for (row, &i) in report.rows.iter().zip(&ranked) {
+            assert_eq!(row.name, oracle[i].name, "{threads} threads");
+            assert_eq!(
+                format!("{:?}", row.scenario),
+                format!("{:?}", oracle[i].scenario),
+                "{threads} threads"
+            );
+        }
+    }
 }
 
 /// One counter of a CLI run's `--profile --json` report. The run is a

@@ -91,8 +91,10 @@ fn profile_counts_are_identical_across_thread_counts() {
 /// The fig06–08 lane statistics (`core::batch::year_lane_stats`) run one
 /// fused kernel pass over the four paper years, and a `fig07` profile
 /// counts the same stages and counters at 1 and 8 threads. A cold
-/// `rank` reduces each of its six reports as one kernel lane, with one
-/// grid and one WUE demand per report.
+/// `rank` reduces each of its six reports as one kernel lane through one
+/// memo-layer resolution, and computes five climates and five grid
+/// years: Aurora shares Polaris's Lemont climate and Northern Illinois
+/// grid.
 #[test]
 fn fig07_lane_stats_profile_is_thread_count_independent() {
     const FIG07: [&str; 4] = ["experiments", "fig07", "--json", "--profile"];
@@ -111,8 +113,10 @@ fn fig07_lane_stats_profile_is_thread_count_independent() {
             &RANK,
             &[
                 ("fused_reduction", 6),
-                ("wue_series", 6),
-                ("grid_kernel", 6),
+                ("cache_lookup", 6),
+                ("workload_sim", 6),
+                ("wue_series", 5),
+                ("grid_kernel", 5),
             ],
             &[
                 ("thirstyflops_batch_lanes_total", 6),
@@ -149,5 +153,49 @@ fn fig07_lane_stats_profile_is_thread_count_independent() {
         for &(name, want) in counters {
             assert_eq!(count(&counters_1, name), want, "{command:?}: {name}");
         }
+    }
+}
+
+/// Cold lookups resolve concurrently, yet a cold siting sweep and a cold
+/// `footprint fugaku` count the same stages and counters at 1, 2 and 8
+/// threads, simcache misses included: each distinct workload key,
+/// climate and region is computed once, whichever thread computes it.
+#[test]
+fn cold_resolution_counts_are_thread_count_independent() {
+    let misses = |layer: &str| format!("thirstyflops_simcache_misses_total{{cache=\"{layer}\"}}");
+    let cases: [(&[&str], [u64; 3]); 2] =
+        [(&SWEEP, [1, 5, 5]), (&["footprint", "fugaku"], [1, 1, 1])];
+    for (command, [workloads, climates, regions]) in cases {
+        let runs: Vec<(Counts, Counts)> = ["1", "2", "8"]
+            .iter()
+            .map(|threads| {
+                let out = run(&[command, &["--json", "--profile", "--threads", threads]].concat());
+                counts(&profile(&out))
+            })
+            .collect();
+        for run in &runs[1..] {
+            assert_eq!(run, &runs[0], "{command:?}: counts depend on thread count");
+        }
+        let (stages, counters) = &runs[0];
+        let value = |list: &Counts, name: &str| {
+            list.iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("{name} missing from {list:?}"))
+        };
+        for (layer, want) in [
+            ("system_years", workloads),
+            ("wue_series", climates),
+            ("grid_years", regions),
+        ] {
+            assert_eq!(
+                value(counters, &misses(layer)),
+                want,
+                "{command:?}: {layer}"
+            );
+        }
+        assert_eq!(value(stages, "workload_sim"), workloads, "{command:?}");
+        assert_eq!(value(stages, "wue_series"), climates, "{command:?}");
+        assert_eq!(value(stages, "grid_kernel"), regions, "{command:?}");
     }
 }
