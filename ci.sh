@@ -5,7 +5,10 @@
 #                          # perfbench build, tests and digest check,
 #                          # tests at two worker thread counts plus
 #                          # passes at one and at four concurrent test
-#                          # threads, serve smoke, docs
+#                          # threads, the determinism matrix
+#                          # (tests/determinism.rs: every CLI command at
+#                          # 1, 2 and 8 threads) on the release build,
+#                          # the smokes below, docs
 #   ./ci.sh quick          # skip the release build, the sequential and
 #                          # the one- and four-test-thread passes
 #                          # (fastest signal)
@@ -14,29 +17,12 @@
 #   ./ci.sh load-smoke     # deterministic loadgen replay of the smoke
 #                          # mix at --workers 1 and 8: every response
 #                          # body byte-verified, zero mismatches required
-#   ./ci.sh scenario-smoke # run every spec in examples/scenarios/ through
-#                          # the scenario engine (run or sweep by name);
-#                          # run specs at THIRSTYFLOPS_THREADS=1 and 8
-#                          # must give byte-identical JSON and --profile
-#                          # counts
-#   ./ci.sh batch-smoke    # the 101,250-cell streaming top-N sweep through
-#                          # the batched K-lane kernel at
-#                          # THIRSTYFLOPS_THREADS=1 and 8; the two JSON
-#                          # reports and their --profile counts must be
-#                          # byte-identical
-#   ./ci.sh obs-smoke      # observability gate: the siting sweep with
-#                          # --profile --json at 1 and 8 threads — stdout
-#                          # untouched, profiled counts byte-identical —
-#                          # plus a /v1/metrics fetch over raw TCP that
-#                          # must be well-formed Prometheus text
-#   ./ci.sh trace-smoke    # causal-tracing gate: --trace-out leaves
-#                          # stdout untouched and exports valid Chrome
-#                          # trace_event JSON, the folded span-tree
-#                          # shape of the siting sweep and of
-#                          # experiments --all (miniAMR stages
-#                          # included) is byte-identical at 1 and 8
-#                          # threads,
-#                          # and GET /v1/trace answers over raw TCP with
+#   ./ci.sh obs-smoke      # a /v1/metrics fetch over raw TCP that must
+#                          # be well-formed Prometheus text with every
+#                          # family declared once
+#   ./ci.sh trace-smoke    # causal-tracing gate: --trace-out exports
+#                          # valid Chrome trace_event JSON, and
+#                          # GET /v1/trace answers over raw TCP with
 #                          # the client's X-Request-Id echoed and the
 #                          # request access-logged as strict JSON
 #   ./ci.sh chaos-smoke    # deterministic chaos replay: the bench mix
@@ -152,149 +138,13 @@ if [[ "$mode" == "load-smoke" ]]; then
   exit 0
 fi
 
-scenario_smoke() {
-  # Every spec in the shipped library must evaluate: sweep_* files go
-  # through `scenario sweep`, everything else through `scenario run`.
-  # JSON output is rendered so the full engine + serialization path
-  # runs, not just validation. Single runs reduce through the K-lane
-  # kernel like sweeps do, so each run spec is evaluated at
-  # THIRSTYFLOPS_THREADS=1 and 8: the --json reports must match byte
-  # for byte, and so must the --profile counts (the `_ns` lines
-  # stripped, as in obs-smoke).
-  step "scenario smoke (every spec in examples/scenarios/; run specs at 1 and 8 threads)"
-  cargo build --release -q
-  local bin=target/release/thirstyflops
-  local count=0
-  mkdir -p target
-  for spec in examples/scenarios/*.json; do
-    case "$(basename "$spec")" in
-      sweep_*) "$bin" scenario sweep "$spec" --json > /dev/null ;;
-      *)
-        for threads in 1 8; do
-          THIRSTYFLOPS_THREADS=$threads "$bin" scenario run "$spec" --json --profile \
-            > "target/scenario_smoke_t$threads.json" \
-            2> "target/scenario_smoke_profile_t$threads.json"
-          grep -v '_ns"' "target/scenario_smoke_profile_t$threads.json" \
-            > "target/scenario_smoke_counts_t$threads.json"
-        done
-        if ! cmp -s target/scenario_smoke_t1.json target/scenario_smoke_t8.json; then
-          echo "scenario smoke: $spec reports differ at 1 vs 8 threads" >&2
-          exit 1
-        fi
-        if ! cmp -s target/scenario_smoke_counts_t1.json target/scenario_smoke_counts_t8.json; then
-          echo "scenario smoke: $spec profiled counts differ at 1 vs 8 threads" >&2
-          diff target/scenario_smoke_counts_t1.json target/scenario_smoke_counts_t8.json >&2 || true
-          exit 1
-        fi
-        ;;
-    esac
-    count=$((count + 1))
-    printf '  ok %s\n' "$spec"
-  done
-  if [[ "$count" -lt 9 ]]; then
-    echo "expected at least 9 scenario specs, found $count" >&2
-    exit 1
-  fi
-}
-
-if [[ "$mode" == "scenario-smoke" ]]; then
-  scenario_smoke
-  exit 0
-fi
-
-batch_smoke() {
-  # The tentpole determinism gate: the shipped 101,250-cell streaming
-  # top-N sweep runs through the batched K-lane kernel at one worker
-  # thread and at eight, and the two reports must match byte for byte
-  # (docs/CONCURRENCY.md; the scalar-vs-batched bit-identity itself is
-  # tests/batch.rs' job — the scalar oracle at this cell count is far
-  # too slow for a smoke target). Both runs are profiled: this sweep's
-  # 198 chunks and two kernel passes run on several workers at once,
-  # and its counts (the `_ns` lines stripped, as in obs-smoke) must be
-  # byte-identical too.
-  step "batch smoke (101,250-cell top-N sweep at THIRSTYFLOPS_THREADS=1 vs 8)"
-  cargo build --release -q
-  local bin=target/release/thirstyflops
-  local spec=examples/scenarios/sweep_siting_large.json
-  mkdir -p target
-  THIRSTYFLOPS_THREADS=1 "$bin" scenario sweep "$spec" --json --profile \
-    > target/batch_smoke_t1.json 2> target/batch_smoke_profile_t1.json
-  THIRSTYFLOPS_THREADS=8 "$bin" scenario sweep "$spec" --json --profile \
-    > target/batch_smoke_t8.json 2> target/batch_smoke_profile_t8.json
-  if ! cmp -s target/batch_smoke_t1.json target/batch_smoke_t8.json; then
-    echo "batch smoke: 1-thread and 8-thread sweep reports differ" >&2
-    exit 1
-  fi
-  grep -q '"scenario_count": 101250' target/batch_smoke_t1.json
-  grep -q '"top_n": 24' target/batch_smoke_t1.json
-  grep -v '_ns"' target/batch_smoke_profile_t1.json > target/batch_smoke_counts_t1.json
-  grep -v '_ns"' target/batch_smoke_profile_t8.json > target/batch_smoke_counts_t8.json
-  if ! cmp -s target/batch_smoke_counts_t1.json target/batch_smoke_counts_t8.json; then
-    echo "batch smoke: profiled counts differ at 1 vs 8 threads" >&2
-    diff target/batch_smoke_counts_t1.json target/batch_smoke_counts_t8.json >&2 || true
-    exit 1
-  fi
-  grep -q 'thirstyflops_workload_jobs_simulated_total' target/batch_smoke_counts_t1.json
-  # Lane-major evaluation reduces each of the sweep's 50 lane
-  # sub-combinations once, plus the baseline lane, in two 32-lane passes
-  # plus the baseline's; per-chunk re-aggregation would count 248 lanes.
-  local name want got
-  for pin in 'thirstyflops_batch_lanes_total 51' 'thirstyflops_batch_kernel_passes_total 3'; do
-    read -r name want <<< "$pin"
-    got=$(grep -A1 "\"name\": \"$name\"" target/batch_smoke_counts_t1.json \
-      | sed -n 's/.*"value": \([0-9]*\).*/\1/p')
-    if [[ "$got" != "$want" ]]; then
-      echo "batch smoke: $name is '${got}', want $want" >&2
-      exit 1
-    fi
-  done
-  printf '  ok 101250 cells -> 24 rows over 51 lanes in 3 passes, byte-identical at 1 and 8 threads, profiled counts too\n'
-}
-
-if [[ "$mode" == "batch-smoke" ]]; then
-  batch_smoke
-  exit 0
-fi
-
 obs_smoke() {
-  # The observability gate (docs/OBSERVABILITY.md): --profile must not
-  # touch stdout, profiled counts must be byte-identical across thread
-  # counts once wall-clock (*_ns) lines are stripped, the report must
-  # carry the expected schema, and GET /v1/metrics must serve
-  # well-formed Prometheus text over a real socket (bash /dev/tcp — no
-  # curl involved).
-  step "obs smoke (--profile determinism + /v1/metrics exposition)"
+  # GET /v1/metrics must serve well-formed Prometheus text over a real
+  # socket (bash /dev/tcp — no curl involved; docs/OBSERVABILITY.md).
+  step "obs smoke (/v1/metrics exposition)"
   cargo build --release -q
   local bin=target/release/thirstyflops
-  local spec=examples/scenarios/sweep_siting.json
   mkdir -p target
-
-  "$bin" scenario sweep "$spec" --json > target/obs_plain.json
-  "$bin" scenario sweep "$spec" --json --profile --threads 1     > target/obs_t1.json 2> target/obs_profile_t1.json
-  "$bin" scenario sweep "$spec" --json --profile --threads 8     > target/obs_t8.json 2> target/obs_profile_t8.json
-  if ! cmp -s target/obs_plain.json target/obs_t1.json; then
-    echo "obs smoke: --profile changed stdout" >&2
-    exit 1
-  fi
-  if ! cmp -s target/obs_t1.json target/obs_t8.json; then
-    echo "obs smoke: sweep stdout differs across thread counts" >&2
-    exit 1
-  fi
-  grep -v '_ns"' target/obs_profile_t1.json > target/obs_counts_t1.json
-  grep -v '_ns"' target/obs_profile_t8.json > target/obs_counts_t8.json
-  if ! cmp -s target/obs_counts_t1.json target/obs_counts_t8.json; then
-    echo "obs smoke: profiled counts differ at 1 vs 8 threads" >&2
-    diff target/obs_counts_t1.json target/obs_counts_t8.json >&2 || true
-    exit 1
-  fi
-  # Schema spot-checks on the profile report.
-  for needle in '"stages"' '"counters"' '"invocations"' 'workload_sim'     'sweep_chunk' 'thirstyflops_sweep_cells_total'; do
-    if ! grep -q -- "$needle" target/obs_profile_t1.json; then
-      echo "obs smoke: profile report is missing $needle" >&2
-      exit 1
-    fi
-  done
-  printf '  ok --profile: stdout untouched, counts byte-identical at 1 and 8 threads\n'
 
   # /v1/metrics over raw TCP against an ephemeral-port server.
   "$bin" serve --addr 127.0.0.1:0 --workers 1 > target/obs_serve_banner.txt 2>/dev/null &
@@ -349,30 +199,16 @@ if [[ "$mode" == "obs-smoke" ]]; then
 fi
 
 trace_smoke() {
-  # The causal-tracing gate (docs/OBSERVABILITY.md): --trace-out and
-  # --trace-sample must not touch stdout, the exported file must be
-  # valid Chrome trace_event JSON whose only phases are complete spans
-  # ("X") and fault instants ("i"), the folded span-tree *shape*
-  # (paths and counts, never durations) must be byte-identical at 1
-  # and 8 worker threads, and GET /v1/trace must answer over a real
-  # socket with the client's X-Request-Id echoed back and the request
-  # access-logged as one strict-JSON line (serve --log-json).
-  step "trace smoke (--trace-out export + span-tree shape + /v1/trace)"
+  # The causal-tracing gate (docs/OBSERVABILITY.md): the exported file
+  # must be valid Chrome trace_event JSON whose only phases are complete
+  # spans ("X") and fault instants ("i"), and GET /v1/trace must answer
+  # over a real socket with the client's X-Request-Id echoed back and the
+  # request access-logged as one strict-JSON line (serve --log-json).
+  step "trace smoke (--trace-out export + /v1/trace)"
   cargo build --release -q
   local bin=target/release/thirstyflops
-  local spec=examples/scenarios/sweep_siting.json
   mkdir -p target
-
-  # stdout byte-identity: tracing off, recording, and sampled.
-  "$bin" rank --json > target/trace_plain.json
-  "$bin" rank --json --trace-out target/trace_on.trace     > target/trace_on_stdout.json 2>/dev/null
-  "$bin" rank --json --trace-out target/trace_sampled.trace --trace-sample 1/4     > target/trace_sampled_stdout.json 2>/dev/null
-  for mode in on sampled; do
-    if ! cmp -s target/trace_plain.json "target/trace_${mode}_stdout.json"; then
-      echo "trace smoke: --trace-out ($mode) changed stdout" >&2
-      exit 1
-    fi
-  done
+  "$bin" rank --json --trace-out target/trace_on.trace > /dev/null 2>&1
 
   # The export is valid Chrome trace_event JSON attributing the
   # workload sub-stages (python3 when available, grep otherwise).
@@ -400,47 +236,7 @@ PY
       exit 1
     fi
   fi
-  printf '  ok --trace-out: stdout untouched, valid Chrome JSON with workload stages\n'
-
-  # Span-tree shape: the folded rollup (paths + counts; *_ns stripped)
-  # is byte-identical across thread counts (docs/CONCURRENCY.md rule 7).
-  THIRSTYFLOPS_THREADS=1 "$bin" scenario sweep "$spec" --json --profile     > /dev/null 2> target/trace_profile_t1.json
-  THIRSTYFLOPS_THREADS=8 "$bin" scenario sweep "$spec" --json --profile     > /dev/null 2> target/trace_profile_t8.json
-  for needle in '"folded"' '"stack"' 'workload_sim;trace_gen'; do
-    if ! grep -q -- "$needle" target/trace_profile_t1.json; then
-      echo "trace smoke: profile report is missing $needle" >&2
-      exit 1
-    fi
-  done
-  grep -v '_ns"' target/trace_profile_t1.json > target/trace_shape_t1.json
-  grep -v '_ns"' target/trace_profile_t8.json > target/trace_shape_t8.json
-  if ! cmp -s target/trace_shape_t1.json target/trace_shape_t8.json; then
-    echo "trace smoke: span-tree shape differs at 1 vs 8 threads" >&2
-    diff target/trace_shape_t1.json target/trace_shape_t8.json >&2 || true
-    exit 1
-  fi
-  printf '  ok folded span-tree shape byte-identical at 1 and 8 threads\n'
-
-  # The same contract across every fan-out of the paper artifacts: the
-  # folded section (the report's last key) of experiments --all.
-  for threads in 1 8; do
-    THIRSTYFLOPS_THREADS=$threads "$bin" experiments --all --json --profile \
-      > /dev/null 2> "target/trace_experiments_t$threads.json"
-    sed -n '/"folded"/,$p' "target/trace_experiments_t$threads.json" | grep -v '_ns"' \
-      > "target/trace_experiments_shape_t$threads.json"
-  done
-  for needle in 'workload_sim;trace_gen' 'miniamr_regrid;miniamr_ghost' 'miniamr_stencil'; do
-    if ! grep -q -- "$needle" target/trace_experiments_shape_t1.json; then
-      echo "trace smoke: experiments --all folded stacks miss $needle" >&2
-      exit 1
-    fi
-  done
-  if ! cmp -s target/trace_experiments_shape_t1.json target/trace_experiments_shape_t8.json; then
-    echo "trace smoke: experiments --all span-tree shape differs at 1 vs 8 threads" >&2
-    diff target/trace_experiments_shape_t1.json target/trace_experiments_shape_t8.json >&2 || true
-    exit 1
-  fi
-  printf '  ok experiments --all folded shape byte-identical at 1 and 8 threads\n'
+  printf '  ok --trace-out: valid Chrome JSON with workload stages\n'
 
   # /v1/trace + X-Request-Id echo + --log-json over raw TCP.
   "$bin" serve --addr 127.0.0.1:0 --workers 1 --log-json     > target/trace_serve_banner.txt 2> target/trace_access_log.txt &
@@ -607,10 +403,12 @@ if [[ "$mode" != "quick" ]]; then
 fi
 
 if [[ "$mode" != "quick" ]]; then
+  # The passes above run the matrix against the debug binary; the
+  # release binary is the one users and perfbench run.
+  step "cargo test --release -q --test determinism (release binary)"
+  cargo test --release -q --test determinism
   serve_smoke
   load_smoke
-  scenario_smoke
-  batch_smoke
   obs_smoke
   trace_smoke
   chaos_smoke

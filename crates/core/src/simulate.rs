@@ -177,78 +177,6 @@ impl SystemYear {
     pub fn hourly_water(&self) -> HourlySeries {
         self.energy.mul(&self.water_intensity())
     }
-
-    /// Hourly operational water against a water-intensity series the
-    /// caller already derived — the reuse path for exports that need
-    /// both WI and water (deriving WI twice costs two year-long
-    /// allocations and 8760 fused multiply-adds).
-    fn hourly_water_with(&self, water_intensity: &HourlySeries) -> HourlySeries {
-        self.energy.mul(water_intensity)
-    }
-
-    /// Exports the hourly telemetry as a [`Frame`](thirstyflops_timeseries::Frame) (hour, utilization,
-    /// energy, WUE, EWF, WI, carbon) — the dump downstream plotting
-    /// pipelines consume via `Frame::to_csv`.
-    pub fn hourly_frame(&self) -> thirstyflops_timeseries::Frame {
-        // One WI derivation feeds the whole export.
-        let wi = self.water_intensity();
-        let mut frame = thirstyflops_timeseries::Frame::new();
-        let hours: Vec<f64> = (0..self.energy.len()).map(|h| h as f64).collect();
-        frame.push_number("hour", hours).expect("first column");
-        frame
-            .push_number("utilization", self.utilization.values().to_vec())
-            .expect("same length");
-        frame
-            .push_number("energy_kwh", self.energy.values().to_vec())
-            .expect("same length");
-        frame
-            .push_number("wue_l_per_kwh", self.wue.values().to_vec())
-            .expect("same length");
-        frame
-            .push_number("ewf_l_per_kwh", self.ewf.values().to_vec())
-            .expect("same length");
-        frame
-            .push_number("wi_l_per_kwh", wi.values().to_vec())
-            .expect("same length");
-        frame
-            .push_number("carbon_g_per_kwh", self.carbon.values().to_vec())
-            .expect("same length");
-        frame
-    }
-
-    /// Exports monthly aggregates as a [`Frame`](thirstyflops_timeseries::Frame) (month, energy, water,
-    /// mean WUE/EWF/WI/CI) — the Fig. 11/12 input table.
-    pub fn monthly_frame(&self) -> thirstyflops_timeseries::Frame {
-        use thirstyflops_timeseries::Month;
-        // One WI derivation feeds both the water totals and the WI means
-        // (this used to re-derive the series per column).
-        let hourly_wi = self.water_intensity();
-        let energy = self.energy.monthly_sum();
-        let water = self.hourly_water_with(&hourly_wi).monthly_sum();
-        let wue = self.wue.monthly_mean();
-        let ewf = self.ewf.monthly_mean();
-        let wi = hourly_wi.monthly_mean();
-        let ci = self.carbon.monthly_mean();
-        let mut frame = thirstyflops_timeseries::Frame::new();
-        frame
-            .push_text(
-                "month",
-                Month::ALL.iter().map(|m| m.name().to_string()).collect(),
-            )
-            .expect("first column");
-        let col = |s: &thirstyflops_timeseries::MonthlySeries| -> Vec<f64> {
-            Month::ALL.iter().map(|&m| s.get(m)).collect()
-        };
-        frame
-            .push_number("energy_kwh", col(&energy))
-            .expect("12 rows");
-        frame.push_number("water_l", col(&water)).expect("12 rows");
-        frame.push_number("mean_wue", col(&wue)).expect("12 rows");
-        frame.push_number("mean_ewf", col(&ewf)).expect("12 rows");
-        frame.push_number("mean_wi", col(&wi)).expect("12 rows");
-        frame.push_number("mean_ci", col(&ci)).expect("12 rows");
-        frame
-    }
 }
 
 /// The top-level ThirstyFLOPS model for one system.
@@ -395,31 +323,6 @@ mod tests {
         // Energy: tens to hundreds of GWh.
         let gwh = report.energy.value() / 1e6;
         assert!((50.0..400.0).contains(&gwh), "{gwh} GWh");
-    }
-
-    #[test]
-    fn telemetry_frames_export() {
-        let year = SystemYear::simulate(SystemId::Polaris, 4);
-        let hourly = year.hourly_frame();
-        assert_eq!(hourly.n_rows(), 8760);
-        assert_eq!(hourly.n_cols(), 7);
-        // WI column equals WUE + PUE·EWF pointwise.
-        let wi = hourly.numbers("wi_l_per_kwh").unwrap();
-        let wue = hourly.numbers("wue_l_per_kwh").unwrap();
-        let ewf = hourly.numbers("ewf_l_per_kwh").unwrap();
-        for h in [0usize, 100, 8759] {
-            assert!((wi[h] - (wue[h] + year.spec.pue.value() * ewf[h])).abs() < 1e-9);
-        }
-        let monthly = year.monthly_frame();
-        assert_eq!(monthly.n_rows(), 12);
-        // Monthly water sums to the operational total.
-        let water: f64 = monthly.numbers("water_l").unwrap().iter().sum();
-        let op = year.energy.dot(&year.wue) + year.energy.dot(&year.ewf) * year.spec.pue.value();
-        assert!((water - op).abs() < 1e-6 * water);
-        // CSV round-trips structurally.
-        let csv = monthly.to_csv();
-        assert!(csv.starts_with("month,"));
-        assert_eq!(csv.lines().count(), 13);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! The CLI prints this to **stderr** after the command finishes, so
 //! stdout (the actual command output) stays byte-identical with
-//! profiling on or off. The JSON form is the schema `./ci.sh obs-smoke`
-//! validates and `tests/obs.rs` compares across thread counts — strip
-//! the `*_ns` fields before comparing; they are wall-clock.
+//! profiling on or off. `tests/determinism.rs` compares both forms
+//! across thread counts — strip the `*_ns` fields before comparing;
+//! they are wall-clock.
 
 use crate::registry;
 use crate::trace::{self, FoldedStack, StageProfile};

@@ -27,7 +27,7 @@
 //! evaluating each combination on its own. Windows, lanes and chunks
 //! are pure functions of the compiled sections, so the kernel and sweep
 //! counters are too (`docs/CONCURRENCY.md`, enforced by `tests/batch.rs`
-//! and `./ci.sh batch-smoke`).
+//! and `tests/determinism.rs`).
 
 use std::ops::Range;
 use std::sync::OnceLock;

@@ -162,11 +162,8 @@ pub struct SweepReport {
 impl SweepSpec {
     /// Parses and validates a sweep spec from JSON text. As strict as
     /// [`ScenarioSpec::from_json`]; additionally requires `"axes"` and
-    /// validates the expanded combinations (every one below
-    /// [`MAX_SCENARIOS`]; above it — reachable only with `top_n` —
-    /// every axis value is validated against the first value of every
-    /// other axis, and any bad *combination* of independently-valid
-    /// values still fails at evaluation time).
+    /// validates every combination, at any size, naming the first
+    /// invalid one in expansion order.
     pub fn from_json(text: &str) -> Result<SweepSpec, ScenarioError> {
         SweepSpec::from_json_with_top(text, None)
     }
@@ -291,15 +288,8 @@ impl SweepSpec {
             top_n,
             rank_by,
         };
-        // Every combination must be a valid scenario spec. Above the
-        // plain ceiling (streaming sweeps only) validation samples:
-        // every axis value, with the other axes pinned to their first
-        // value; a jointly invalid combination then fails at evaluation.
-        if expansion <= MAX_SCENARIOS {
-            sweep.validate_combinations()?;
-        } else {
-            sweep.validate_sampled()?;
-        }
+        // Every combination must be a valid scenario spec.
+        sweep.validate_combinations()?;
         Ok(sweep)
     }
 
@@ -366,17 +356,11 @@ impl SweepSpec {
     /// each override section's sub-combinations are parsed and
     /// validated once (`SweepPlan`), and the first combination in
     /// expansion order that picks an invalid one reports exactly the
-    /// error [`SweepSpec::combination`] gives it. [`SweepSpec::from_json`]
-    /// runs this below [`MAX_SCENARIOS`]; above it a streaming sweep is
-    /// only sample-validated, so a caller that must refuse a jointly
-    /// invalid combination before evaluating runs this itself.
-    pub fn validate_combinations(&self) -> Result<(), ScenarioError> {
-        let expansion = self.combination_count();
-        if expansion > self.ceiling() {
-            return Err(ceiling_error(expansion, self.top_n));
-        }
+    /// error [`SweepSpec::combination`] gives it, so a jointly invalid
+    /// combination is refused at parse time whatever the sweep's size.
+    fn validate_combinations(&self) -> Result<(), ScenarioError> {
         let (plan, sections) = SweepPlan::compile(self);
-        match plan.first_invalid(&sections, expansion) {
+        match plan.first_invalid(&sections, self.combination_count()) {
             Some(index) => Err(self
                 .combination(index)
                 .expect_err("a combination picking an invalid section fails")),
@@ -416,24 +400,6 @@ impl SweepSpec {
         };
         spec.validate().ok()?;
         Some(spec.overrides)
-    }
-
-    /// Sampled validation for streaming sweeps too large to expand:
-    /// every axis value is checked once, with every other axis pinned
-    /// to its first value (Σ axis lengths combinations instead of their
-    /// product). An invalid *combination* of independently-valid values
-    /// still fails at evaluation time, per row.
-    fn validate_sampled(&self) -> Result<(), ScenarioError> {
-        let mut indices = vec![0usize; self.axes.len()];
-        self.spec_for_indices(&indices)?;
-        for pos in 0..self.axes.len() {
-            for i in 1..self.axes[pos].values.len() {
-                indices[pos] = i;
-                self.spec_for_indices(&indices)?;
-            }
-            indices[pos] = 0;
-        }
-        Ok(())
     }
 
     fn spec_for_indices(&self, indices: &[usize]) -> Result<ScenarioSpec, ScenarioError> {

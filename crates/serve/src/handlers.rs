@@ -327,12 +327,6 @@ fn try_handle(req: &Request, state: &AppState, trace: &mut Trace) -> Result<Resp
         Route::ScenarioSweep => {
             query.expect_only(&[])?;
             let sweep = parse_spec_body(&req.body, thirstyflops_scenario::SweepSpec::from_json)?;
-            // Parsing only samples a streaming sweep's combinations; a
-            // jointly invalid one must be a 400 naming it, not a failed
-            // render inside the cache.
-            sweep
-                .validate_combinations()
-                .map_err(|e| ServeError::BadRequest(e.to_string()))?;
             let key = format!("scenarios/sweep:{}", sweep.canonical_json());
             let body = cached(state, trace, &key, || {
                 api::to_json(&api::scenario_sweep_payload(&sweep).expect("sweep was validated"))

@@ -27,6 +27,8 @@ use thirstyflops::scenario::{
 };
 use thirstyflops::timeseries::Month;
 
+mod matrix;
+
 /// A proptest-shaped spec perturbation: system pick, node count,
 /// utilization, and seed. Kept in valid catalog ranges.
 fn spec_for(pick: u64, nodes: u64, util: f64) -> SystemSpec {
@@ -212,33 +214,22 @@ fn streaming_top_n_rows_equal_sort_then_truncate_of_the_full_report() {
 }
 
 /// CLI-level differential: `scenario sweep --json` emits byte-identical
-/// reports at 1 and 8 threads. Rows against the per-cell oracle are
+/// reports at every thread count. Rows against the per-cell oracle are
 /// `compiled_sweep_rows_equal_the_per_cell_oracle`'s job, and cached
 /// against uncached simulation is `tests/simcache.rs`'s.
 #[test]
 fn cli_sweep_bytes_identical_batched_vs_scalar_across_threads_and_cache() {
-    let path = spec_path("sweep_siting.json");
-    let mut bodies: Vec<Vec<u8>> = Vec::new();
-    for threads in ["1", "8"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
-            .args(["scenario", "sweep", path.as_str(), "--json"])
-            .env("THIRSTYFLOPS_THREADS", threads)
-            .output()
-            .expect("CLI binary runs");
-        assert!(out.status.success(), "{threads} threads failed: {out:?}");
-        bodies.push(out.stdout);
-    }
-    assert_eq!(
-        bodies[0], bodies[1],
-        "sweep bytes must not depend on the thread count"
+    matrix::check(
+        matrix::table_rows(&["scenario sweep examples/scenarios/sweep_siting.json --json"]),
+        &[],
     );
 }
 
 /// The same differential over a *streaming* (top-N) sweep: a 600-cell
 /// spec — more than one 512-row chunk, so chunked top-N merging runs —
-/// produces one byte set at 1 and 8 threads (the 101,250-cell spec is
-/// `./ci.sh batch-smoke`'s job). The top-7 of a two-chunk sweep against
-/// the per-cell oracle is `compiled_sweep_rows_equal_the_per_cell_oracle`'s.
+/// produces one byte set at every thread count (the 101,250-cell spec is
+/// a matrix row of its own). The top-7 of a two-chunk sweep against the
+/// per-cell oracle is `compiled_sweep_rows_equal_the_per_cell_oracle`'s.
 #[test]
 fn cli_streaming_sweep_bytes_identical_batched_vs_scalar() {
     let spec = r#"{
@@ -253,18 +244,12 @@ fn cli_streaming_sweep_bytes_identical_batched_vs_scalar() {
     let path = std::env::temp_dir().join("thirstyflops_streaming_differential.json");
     std::fs::write(&path, spec).expect("spec writes");
     let path = path.to_str().expect("temp path is UTF-8");
-    let mut bodies: Vec<Vec<u8>> = Vec::new();
-    for threads in ["1", "8"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
-            .args(["scenario", "sweep", path, "--json"])
-            .env("THIRSTYFLOPS_THREADS", threads)
-            .output()
-            .expect("CLI binary runs");
-        assert!(out.status.success(), "{threads} threads failed: {out:?}");
-        bodies.push(out.stdout);
-    }
-    assert!(bodies[0].len() > 100, "report is non-trivial");
-    assert_eq!(bodies[0], bodies[1], "thread count leaked into the bytes");
+    const PINS: &[(&str, u64)] = &[
+        ("stdout \"scenario_count\": 600", 1),
+        ("stdout \"top_n\": 7", 1),
+    ];
+    let args = format!("scenario sweep {path} --json");
+    matrix::check(vec![matrix::row(&args, PINS)], &[]);
 }
 
 // ---------------------------------------- compiled sweeps vs the oracle

@@ -1,7 +1,10 @@
 //! The determinism contract (docs/CONCURRENCY.md), enforced: parallel
 //! execution must produce **bit-identical** results at every thread
 //! count, because every work item is a pure function of its index/seed
-//! and per-chunk results merge in ascending index order.
+//! and per-chunk results merge in ascending index order. These tests
+//! check the library under in-process pools, including the
+//! `KernelReport` fields the CLI never prints; every CLI command's
+//! output at 1, 2 and 8 threads is `tests/determinism.rs`'s job.
 //!
 //! The whole workspace test suite doubles as a second enforcement layer:
 //! `ci.sh` runs it under `THIRSTYFLOPS_THREADS=1` and the default count,

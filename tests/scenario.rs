@@ -1,27 +1,17 @@
 //! Integration tests of the declarative scenario engine: the spec
-//! library evaluates, sweeps expand to their full cartesian product, and
-//! — the determinism contract — the same spec produces byte-identical
-//! JSON at every thread count and with the simulation cache on or off
-//! (the `tests/simcache.rs` pattern extended to the engine).
+//! library evaluates, sweeps expand to their full cartesian product and
+//! respect their ceilings, and — the determinism contract — the same
+//! spec produces byte-identical JSON at every thread count, through the
+//! CLI (`tests/matrix`) and the library.
 
 use std::process::Command;
 
 use thirstyflops::scenario::{evaluate_sweep, ScenarioSpec, SweepSpec};
 
+mod matrix;
+
 fn spec_path(name: &str) -> String {
     format!("{}/examples/scenarios/{name}", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Runs the CLI with the given args and env, returning stdout bytes.
-fn cli_stdout(args: &[&str], envs: &[(&str, &str)]) -> Vec<u8> {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_thirstyflops"));
-    cmd.args(args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("CLI binary runs");
-    assert!(out.status.success(), "CLI {args:?} failed: {out:?}");
-    out.stdout
 }
 
 /// The acceptance-criteria sweep: `sweep_siting.json` expands to 25
@@ -81,30 +71,19 @@ fn shipped_spec_library_evaluates() {
 }
 
 /// The determinism contract end to end: `scenario run` and `scenario
-/// sweep` emit byte-identical JSON at `THIRSTYFLOPS_THREADS=1` vs `8`.
-/// The simulation cache has no off switch; that it is invisible in the
+/// sweep` emit byte-identical JSON at every thread count. The
+/// simulation cache has no off switch; that it is invisible in the
 /// bytes is `tests/simcache.rs`'s in-process oracle comparison, which
 /// covers every shipped run spec.
 #[test]
 fn run_and_sweep_json_identical_across_threads_and_cache() {
-    let run_path = spec_path("drought_grid.json");
-    let sweep_path = spec_path("sweep_siting.json");
-    let cases: [&[&str]; 2] = [
-        &["scenario", "run", &run_path, "--json"],
-        &["scenario", "sweep", &sweep_path, "--json"],
-    ];
-    for args in cases {
-        let mut bodies: Vec<Vec<u8>> = Vec::new();
-        for threads in ["1", "8"] {
-            let body = cli_stdout(args, &[("THIRSTYFLOPS_THREADS", threads)]);
-            assert!(!body.is_empty());
-            bodies.push(body);
-        }
-        assert_eq!(
-            bodies[0], bodies[1],
-            "{args:?} must not depend on the thread count"
-        );
-    }
+    matrix::check(
+        matrix::table_rows(&[
+            "scenario run examples/scenarios/drought_grid.json --json",
+            "scenario sweep examples/scenarios/sweep_siting.json --json",
+        ]),
+        &[],
+    );
 }
 
 /// Library-level thread-count determinism: the same sweep evaluated
@@ -242,7 +221,7 @@ fn top_override_and_in_body_top_n_agree() {
 
 /// The shipped 101,250-cell siting sweep: parses, streams under its
 /// `top_n`, and the expansion arithmetic matches the axes. (Evaluation
-/// of the full spec is `./ci.sh batch-smoke`'s release-build job.)
+/// of the full spec is a `tests/determinism.rs` row.)
 #[test]
 fn shipped_large_sweep_parses_and_counts_101250_cells() {
     let text = std::fs::read_to_string(spec_path("sweep_siting_large.json")).expect("spec ships");

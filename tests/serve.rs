@@ -471,35 +471,44 @@ fn oversized_sweep_post_gets_structured_json_400() {
     server.shutdown();
 }
 
-/// A streaming sweep is only sample-validated at parse time, so a
-/// combination that is invalid only jointly inside one section — a
+/// A combination that is invalid only jointly inside one section — a
 /// `mix_delta` that zeroes every Northern Illinois share but leaves
-/// Emilia-Romagna its hydro — fails at evaluation. The error names the
-/// first such combination in expansion order, identically from
-/// `evaluate_sweep`, the CLI and `POST /v1/scenarios/sweep`.
+/// Emilia-Romagna its hydro — fails a streaming sweep at parse time,
+/// however many cells it has. The error names the first such
+/// combination in expansion order, identically from `SweepSpec::from_json`,
+/// from `evaluate_sweep` on a sweep built in code past the parser, from
+/// the CLI and from `POST /v1/scenarios/sweep`.
 #[test]
 fn jointly_invalid_streaming_sweep_names_its_first_bad_combination() {
-    // 2 × 2 × 1025 = 4100 cells: over the plain ceiling, so parsing
-    // samples; the first bad cell (index 3075) sits mid-chunk.
+    // 2 × 2 × 1025 = 4100 cells, over the plain ceiling; the first bad
+    // cell (index 3075) sits mid-chunk.
     let pue: Vec<String> = (0..1025)
         .map(|i| format!("{:.3}", 1.0 + f64::from(i) * 0.001))
         .collect();
-    let spec = format!(
-        r#"{{"name": "joint", "base": "polaris", "top_n": 3, "axes": {{
-            "grid.region": ["emilia-romagna", "northern-illinois"],
-            "grid.mix_delta": [{{"gas": 0.05}},
-                               {{"nuclear": -1, "coal": -1, "wind": -1, "solar": -1, "gas": -1}}],
-            "pue": [{}]
-        }}}}"#,
-        pue.join(", ")
-    );
+    let bad_delta = r#"{"nuclear": -1, "coal": -1, "wind": -1, "solar": -1, "gas": -1}"#;
+    let spec_with = |deltas: &str| {
+        format!(
+            r#"{{"name": "joint", "base": "polaris", "top_n": 3, "axes": {{
+                "grid.region": ["emilia-romagna", "northern-illinois"],
+                "grid.mix_delta": [{deltas}],
+                "pue": [{}]
+            }}}}"#,
+            pue.join(", ")
+        )
+    };
+    let spec = spec_with(&format!(r#"{{"gas": 0.05}}, {bad_delta}"#));
     let expected = "invalid scenario spec: combination [grid.region=northern-illinois,\
         grid.mix_delta={\"nuclear\":-1,\"coal\":-1,\"wind\":-1,\"solar\":-1,\"gas\":-1},pue=1.0] \
         is invalid: \"grid.mix_delta\" drives every share to zero on Northern Illinois (US): \
         energy mix has no sources";
 
-    let sweep =
-        thirstyflops::scenario::SweepSpec::from_json(&spec).expect("sampled validation passes");
+    let err = thirstyflops::scenario::SweepSpec::from_json(&spec).expect_err("parse refuses");
+    assert_eq!(err.to_string(), expected);
+    let mut sweep = thirstyflops::scenario::SweepSpec::from_json(&spec_with(r#"{"gas": 0.05}"#))
+        .expect("the valid half parses");
+    sweep.axes[1]
+        .values
+        .push(serde_json::from_str(bad_delta).expect("delta parses"));
     assert_eq!(sweep.combination_count(), 4100);
     let err = thirstyflops::scenario::evaluate_sweep(&sweep).expect_err("joint cell fails");
     assert_eq!(err.to_string(), expected);

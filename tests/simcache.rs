@@ -6,7 +6,6 @@
 //! Counter-sensitive tests serialize on [`lock`] because the caches are
 //! process-wide and the test harness runs `#[test]`s concurrently.
 
-use std::process::Command;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use thirstyflops::catalog::{SystemId, SystemSpec};
@@ -20,22 +19,12 @@ use thirstyflops::scenario::{engine, ScenarioSpec};
 use thirstyflops::units::{KilowattHours, Liters, LitersPerKilowattHour, Pue, WaterScarcityIndex};
 use thirstyflops::weather::ClimatePreset;
 
+mod matrix;
+
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Runs the CLI with the given args and env, returning stdout bytes.
-fn cli_stdout(args: &[&str], envs: &[(&str, &str)]) -> Vec<u8> {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_thirstyflops"));
-    cmd.args(args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("CLI binary runs");
-    assert!(out.status.success(), "CLI {args:?} failed: {out:?}");
-    out.stdout
 }
 
 /// Bit equality of two years' five series.
@@ -238,8 +227,8 @@ fn report_oracle(year: &SystemYear) -> AnnualReport {
 }
 
 /// The memoized path gives the same bits as the fully uncached
-/// reference [`SystemYear::simulate_uncached`] — telemetry, reports and
-/// figure frames — on a cold lookup and again on the warm repeat. This
+/// reference [`SystemYear::simulate_uncached`] — telemetry series and
+/// reports — on a cold lookup and again on the warm repeat. This
 /// is the cache-invisibility oracle: there is no runtime switch to turn
 /// the memo layers off, so this comparison is what keeps them honest.
 /// The annual report, reduced by the K-lane kernel, equals
@@ -258,48 +247,28 @@ fn cached_and_uncached_results_are_bit_identical() {
             "{name}: the repeat is a hit"
         );
         assert_same_series(&cold, &warm, &name);
-        let cached = &*cold;
-        assert_same_series(cached, &uncached, &name);
-        // Reports and frame exports (the figure inputs) agree exactly.
+        assert_same_series(&cold, &uncached, &name);
         assert_eq!(
             FootprintModel::from_spec(spec.clone()).annual_report(seed),
             report_oracle(&uncached),
             "{name}"
         );
-        assert_eq!(
-            cached.hourly_frame().to_csv(),
-            uncached.hourly_frame().to_csv(),
-            "{name}"
-        );
-        assert_eq!(
-            cached.monthly_frame().to_csv(),
-            uncached.monthly_frame().to_csv(),
-            "{name}"
-        );
     }
 }
 
-/// CLI `--json` bodies are byte-identical at `THIRSTYFLOPS_THREADS=1`
-/// and `8`: the worker count never reaches the bytes. The memo layers
-/// have no off switch, so the "with and without cache" half of the
-/// contract is checked in process against the uncached oracle
+/// CLI `--json` bodies are byte-identical at every thread count: the
+/// worker count never reaches the bytes. The memo layers have no off
+/// switch, so the "with and without cache" half of the contract is
+/// checked in process against the uncached oracle
 /// ([`cached_and_uncached_results_are_bit_identical`]).
 #[test]
 fn cli_json_bodies_identical_with_and_without_cache() {
-    let cases: [&[&str]; 3] = [
-        &["footprint", "polaris", "--seed", "7", "--json"],
-        &["scenario", "fugaku", "--seed", "7", "--json"],
-        &["experiments", "fig07", "--json"],
-    ];
-    for args in cases {
-        let bodies: Vec<Vec<u8>> = ["1", "8"]
-            .iter()
-            .map(|threads| cli_stdout(args, &[("THIRSTYFLOPS_THREADS", threads)]))
-            .collect();
-        assert!(!bodies[0].is_empty());
-        assert_eq!(
-            bodies[0], bodies[1],
-            "{args:?} must not depend on the thread count"
-        );
-    }
+    matrix::check(
+        matrix::table_rows(&[
+            "footprint polaris --seed 7 --json",
+            "scenario fugaku --seed 7 --json",
+            "experiments fig07 --json",
+        ]),
+        &[],
+    );
 }

@@ -3,21 +3,19 @@
 //!
 //! The contract: tracing must never change a command's output, and the
 //! span-tree *shape* — folded stack paths and their counts — must be
-//! bit-identical across thread counts. Durations are
-//! wall-clock and exempt. The Chrome `trace_event` export must be valid
-//! JSON with only complete-span (`"X"`) and fault-instant (`"i"`)
-//! events, and the serving layer must echo `X-Request-Id` and answer
-//! `GET /v1/trace` with parseable JSON under concurrent load.
+//! bit-identical across thread counts; both run through `tests/matrix`.
+//! The Chrome `trace_event` export must be valid JSON with only
+//! complete-span (`"X"`) and fault-instant (`"i"`) events, and the
+//! serving layer must echo `X-Request-Id` and answer `GET /v1/trace`
+//! with parseable JSON under concurrent load.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Output};
 
-use thirstyflops::obs::report::ProfileReport;
-use thirstyflops::obs::trace::FoldedStack;
 use thirstyflops::serve::{Server, ServerConfig};
 
-const SWEEP: [&str; 3] = ["scenario", "sweep", "examples/scenarios/sweep_siting.json"];
+mod matrix;
 
 fn run(args: &[&str]) -> Output {
     let out = Command::new(env!("CARGO_BIN_EXE_thirstyflops"))
@@ -26,22 +24,6 @@ fn run(args: &[&str]) -> Output {
         .expect("CLI binary runs");
     assert!(out.status.success(), "CLI {args:?} failed: {out:?}");
     out
-}
-
-/// Parses the `--profile --json` stderr payload.
-fn profile(out: &Output) -> ProfileReport {
-    let stderr = String::from_utf8(out.stderr.clone()).expect("stderr is UTF-8");
-    serde_json::from_str(&stderr).expect("stderr is a profile report")
-}
-
-/// The deterministic half of the folded rollup: `(path, count)` pairs
-/// with the wall-clock `self_ns` dropped.
-fn shape(report: &ProfileReport) -> Vec<(String, u64)> {
-    report
-        .folded
-        .iter()
-        .map(|f| (f.stack.clone(), f.count))
-        .collect()
 }
 
 /// A scratch path under the target-adjacent temp dir, unique per test.
@@ -54,110 +36,39 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 
 /// Tree-shape contract, thread axis: the folded stacks — every span's
 /// ancestor path and the number of spans closed on it — are identical
-/// at 1, 2 and 8 threads and across repeated runs, for every fan-out
-/// (sweep chunks, the experiments regenerators, the paper years,
+/// at 1, 2 and 8 threads and across a repeated 8-thread run, for every
+/// fan-out (sweep chunks, the experiments regenerators, the paper years,
 /// fig14's per-system scenarios, the year simulations behind `rank`,
-/// fig13's miniAMR regrids and sweeps),
-/// because each worker attaches to the trace context captured before
-/// its fan-out (docs/CONCURRENCY.md, rule 7). The stage table is the
-/// same rollup summed by leaf.
+/// fig13's miniAMR regrids and sweeps), because each worker attaches to
+/// the trace context captured before its fan-out (docs/CONCURRENCY.md,
+/// rule 7). The stage table is the same rollup summed by leaf.
 #[test]
 fn folded_shape_is_identical_across_thread_counts() {
-    let commands: [&[&str]; 7] = [
-        &SWEEP,
-        &["experiments", "fig06", "fig14"],
-        &["rank"],
-        &["experiments", "fig13"],
-        &["footprint", "fugaku"],
-        &["compare", "polaris", "frontier"],
-        &["scenario", "fugaku"],
-    ];
-    for command in commands {
-        let runs: Vec<(Output, ProfileReport)> = ["1", "2", "8", "8"]
-            .iter()
-            .map(|threads| {
-                let out = run(&[command, &["--json", "--profile", "--threads", threads]].concat());
-                let report = profile(&out);
-                (out, report)
-            })
-            .collect();
-        let (first, first_report) = &runs[0];
-        let first_shape = shape(first_report);
-        for (out, report) in &runs {
-            assert_eq!(
-                first.stdout, out.stdout,
-                "{command:?} output depends on threads"
-            );
-            assert_eq!(
-                shape(report),
-                first_shape,
-                "{command:?}: span-tree shape depends on thread count or run"
-            );
-            for stage in &report.stages {
-                let leaf = |f: &&FoldedStack| f.stack.rsplit(';').next() == Some(&stage.stage);
-                let folded: u64 = report.folded.iter().filter(leaf).map(|f| f.count).sum();
-                assert_eq!(
-                    stage.invocations, folded,
-                    "{command:?}: {} by leaf",
-                    stage.stage
-                );
-            }
-        }
-        // The rollup actually attributed the workload sub-stages, with
-        // their causal parents in the path.
-        for leaf in ["workload_sim;trace_gen", "workload_sim;cluster_sim"] {
-            let attributed = first_shape.iter().any(|(path, _)| path.ends_with(leaf));
-            assert!(
-                attributed,
-                "{command:?}: {leaf} missing from {first_shape:?}"
-            );
-        }
-        // fig13's miniAMR spans open on the calling thread: once per
-        // regrid (the ghost-source map build nested inside it) and once
-        // per sweep, so the default kernel's 40 steps at a regrid
-        // cadence of 5 give 8 / 8 / 40.
-        if command == ["experiments", "fig13"] {
-            for (path, count) in [
-                ("miniamr_regrid", 8),
-                ("miniamr_regrid;miniamr_ghost", 8),
-                ("miniamr_stencil", 40),
-            ] {
-                assert!(
-                    first_shape.contains(&(path.to_string(), count)),
-                    "({path}, {count}) missing from {first_shape:?}"
-                );
-            }
-        }
-    }
+    let mut rows = matrix::table_rows(&[
+        "scenario sweep examples/scenarios/sweep_siting.json --json",
+        "rank --json",
+        "experiments fig13 --json",
+        "footprint fugaku --json",
+        "compare polaris frontier --json",
+    ]);
+    rows.push(matrix::row("experiments fig06 fig14 --json", &[]));
+    rows.push(matrix::row("scenario fugaku --json", &[]));
+    matrix::check(
+        rows,
+        &[
+            ("2", &["--threads", "2", "--profile"]),
+            ("8", &["--threads", "8", "--profile"]),
+        ],
+    );
 }
 
-/// Tentpole acceptance: tracing off, recording, and sampled must all
-/// produce byte-identical stdout — the trace goes to a file, never
-/// into command output.
+/// Tracing off, recording, and sampled must all produce byte-identical
+/// stdout — the trace goes to a file, never into command output — and
+/// the CLI's root trace is ordinal 0, so it records at every sampling
+/// rate: both files hold a real trace.
 #[test]
 fn stdout_is_byte_identical_with_tracing_off_on_and_sampled() {
-    let on_path = scratch("on");
-    let sampled_path = scratch("sampled");
-    let off = run(&["rank", "--json"]);
-    let on = run(&["rank", "--json", "--trace-out", on_path.to_str().unwrap()]);
-    let sampled = run(&[
-        "rank",
-        "--json",
-        "--trace-out",
-        sampled_path.to_str().unwrap(),
-        "--trace-sample",
-        "1/4",
-    ]);
-    assert_eq!(off.stdout, on.stdout, "--trace-out altered stdout");
-    assert_eq!(off.stdout, sampled.stdout, "--trace-sample altered stdout");
-    assert!(off.stderr.is_empty(), "no stderr without tracing");
-    // The CLI's root trace is ordinal 0, so it records at every
-    // sampling rate — both files hold a real trace.
-    for path in [&on_path, &sampled_path] {
-        let text = std::fs::read_to_string(path).expect("trace file written");
-        assert!(text.contains("\"traceEvents\""), "{path:?}: {text}");
-        std::fs::remove_file(path).ok();
-    }
+    matrix::check(matrix::table_rows(&["rank --json"]), &[]);
 }
 
 /// The exported file is valid Chrome `trace_event` JSON (object
