@@ -7,8 +7,9 @@
 #                          # passes at one and at four concurrent test
 #                          # threads, the determinism matrix
 #                          # (tests/determinism.rs: every CLI command at
-#                          # 1, 2 and 8 threads) on the release build,
-#                          # the smokes below, docs
+#                          # 1, 2 and 8 threads) and the K-lane
+#                          # kernel's bit-identity oracles on the
+#                          # release build, the smokes below, docs
 #   ./ci.sh quick          # skip the release build, the sequential and
 #                          # the one- and four-test-thread passes
 #                          # (fastest signal)
@@ -407,6 +408,11 @@ if [[ "$mode" != "quick" ]]; then
   # release binary is the one users and perfbench run.
   step "cargo test --release -q --test determinism (release binary)"
   cargo test --release -q --test determinism
+  # The K-lane kernel's bit-identity oracles, compiled as users run the
+  # kernel: an optimization that reorders a fold shows here first.
+  step "cargo test --release -q (the K-lane kernel's bit-identity oracles)"
+  cargo test --release -q --test batch --test scenario_oracle --test simcache
+  cargo test --release -q -p thirstyflops_timeseries
   serve_smoke
   load_smoke
   obs_smoke

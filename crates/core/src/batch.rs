@@ -1,14 +1,17 @@
-//! Batched K-lane evaluation: score K system configurations in one pass
-//! over the hour axis instead of K scalar walks.
+//! Batched K-lane evaluation: score K system configurations in one
+//! kernel call, each distinct configuration once, instead of K scalar
+//! walks.
 //!
 //! Every annual measurement — a footprint report, a scenario run's
 //! baseline and scenario, a sweep's baseline and each of its cells — is
 //! the same set of annual reductions (`Σe`, `Σe·w`, `Σe·f`, `Σe·c`,
 //! means, monthly sums) over hourly series the memo layers already hold.
-//! This module runs them for K lanes in one pass of the K-lane kernel
+//! This module runs them for K lanes through the K-lane kernel
 //! ([`thirstyflops_timeseries::lanes::annual_reductions_scaled`]),
 //! reading the shared series in place and applying each lane's
-//! reinterpretation scales on the fly, so no lane copies a year.
+//! reinterpretation scales on the fly, so no lane copies a year. Each
+//! distinct lane of a call reduces once: a scenario whose baseline and
+//! scenario lanes coincide reads its year once.
 //!
 //! **Bit-identity contract.** The batch path is *invisible*: per lane it
 //! performs the exact operation sequence of the scalar expressions —
@@ -16,7 +19,10 @@
 //! `workload_series` helper [`SystemYear::simulate_uncached`] uses
 //! (identical seeding: `seed ^ id·φ64`), scales evaluate `v·k` exactly
 //! like [`HourlySeries::scale`], and every reduction folds hours in
-//! ascending order like the scalar kernels. The shared sub-simulations
+//! ascending order like the scalar kernels. The kernel reduces one lane
+//! at a time, so a lane's bits depend on no other lane of its call: not
+//! on its pass, its slot, or a repeat of it that shares its result.
+//! The shared sub-simulations
 //! (workload, grid and climate → WUE series) always come from the
 //! process-wide memo layers of [`crate::simcache`], which
 //! [`SystemYear::simulate`] reads too. `tests/batch.rs` proves the
@@ -29,7 +35,7 @@
 //! [`HourlySeries::scale`]: thirstyflops_timeseries::HourlySeries::scale
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use rayon::prelude::*;
@@ -47,9 +53,10 @@ use thirstyflops_timeseries::DistributionSummary;
 
 pub use thirstyflops_timeseries::lanes::LaneAggregates;
 
-/// Lanes evaluated per kernel pass. Bounds the per-pass accumulators and
-/// source slices the hour loop cycles through — lanes are independent,
-/// so splitting a batch across passes cannot change any lane's bits.
+/// Distinct lanes per kernel pass: the unit of parallel work, one
+/// `fused_reduction` span each. The kernel reduces lane by lane, so a
+/// lane's bits depend neither on the pass it falls in nor on its slot
+/// there; the width only sets how many tasks a large call splits into.
 const LANES_PER_PASS: usize = 32;
 
 // ------------------------------------------------------------- counters
@@ -57,15 +64,18 @@ const LANES_PER_PASS: usize = 32;
 // All three live in the workspace metrics registry (exposed both here
 // via [`stats`] and in Prometheus form at `GET /v1/metrics`). Their
 // values are deterministic: lanes/passes are pure functions of the
-// command (a sweep reduces each lane sub-combination once per window,
-// see `scenario::batch`), and top-N pushes count offered rows.
+// command (a sweep requests each lane sub-combination once per window,
+// see `scenario::batch`), and top-N pushes count offered rows. Lanes
+// count what callers request; passes count the passes run over the
+// distinct lanes of each call, so a repeated lane is counted but not
+// reduced again.
 
 fn lanes_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| {
         thirstyflops_obs::registry::global().counter(
             "thirstyflops_batch_lanes_total",
-            "Lanes aggregated by the K-lane kernel (annual reports, scenario runs, sweep baselines and cells, experiment years).",
+            "Lanes requested from the K-lane kernel (annual reports, scenario runs, sweep baselines and cells, experiment years); repeats within a call are reduced once.",
         )
     })
 }
@@ -75,7 +85,7 @@ fn passes_counter() -> &'static Counter {
     C.get_or_init(|| {
         thirstyflops_obs::registry::global().counter(
             "thirstyflops_batch_kernel_passes_total",
-            "Fused K-lane kernel passes executed.",
+            "Fused K-lane kernel passes executed over distinct lanes.",
         )
     })
 }
@@ -95,7 +105,7 @@ fn lane_width_hist() -> &'static std::sync::Arc<thirstyflops_obs::LatencyHistogr
     H.get_or_init(|| {
         thirstyflops_obs::registry::global().histogram(
             "thirstyflops_batch_lane_width",
-            "Lanes per fused kernel pass (log2 buckets).",
+            "Distinct lanes per fused kernel pass (log2 buckets).",
         )
     })
 }
@@ -104,9 +114,9 @@ fn lane_width_hist() -> &'static std::sync::Arc<thirstyflops_obs::LatencyHistogr
 /// `GET /v1/cache/stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BatchStats {
-    /// Lanes aggregated by the K-lane kernel since process start.
+    /// Lanes requested from the K-lane kernel since process start.
     pub lanes: u64,
-    /// Kernel passes (lane chunks) executed.
+    /// Kernel passes (chunks of distinct lanes) executed.
     pub chunks: u64,
     /// Rows offered to streaming top-N aggregators.
     pub topn_rows: u64,
@@ -169,51 +179,80 @@ impl BatchContext {
     }
 
     /// Evaluates a batch of lanes: every annual reduction of the
-    /// (scaled) hourly series, in parallel `LANES_PER_PASS`-lane kernel
-    /// passes. The lanes' series resolve first, once per distinct key
-    /// (`simcache::resolve`); the kernel reads them in place. Per lane
-    /// the result is bit-identical to the scalar expressions over
-    /// [`SystemYear::simulate_uncached`] telemetry (`tests/batch.rs`).
+    /// (scaled) hourly series, in request order. The lanes' series
+    /// resolve first, once per distinct key (`simcache::resolve`); each
+    /// distinct lane — same workload, climate and region slots and the
+    /// same scales, compared by bits — then reduces once, in parallel
+    /// `LANES_PER_PASS`-lane kernel passes that read the series in
+    /// place. A scenario whose baseline and scenario lanes coincide (a
+    /// PUE, WSI, reclaimed-water or price what-if) reduces its year once.
+    /// Per lane the result is bit-identical to the scalar expressions
+    /// over [`SystemYear::simulate_uncached`] telemetry (`tests/batch.rs`).
     pub fn aggregate(&self, requests: &[LaneRequest]) -> Vec<LaneAggregates> {
         let demands: Vec<_> = requests.iter().map(|req| (&req.spec, req.seed)).collect();
         let parts = simcache::resolve(&demands);
-        let passes: Vec<Vec<LaneAggregates>> = requests
-            .par_chunks(LANES_PER_PASS)
-            .zip(parts.par_chunks(LANES_PER_PASS))
-            .map(propagate(
-                |(block, parts): (&[LaneRequest], &[simcache::Parts])| {
-                    let sources: Vec<LaneSource<'_>> = block
-                        .iter()
-                        .zip(parts)
-                        .map(|(req, part)| LaneSource {
-                            energy: part.workload.1.values(),
-                            wue: part.wue.values(),
-                            ewf: part.grid.ewf().values(),
-                            carbon: part.grid.carbon().values(),
-                            wue_scale: req.wue_scale,
-                            ewf_scale: req.ewf_scale,
-                            carbon_scale: req.carbon_scale,
-                        })
-                        .collect();
-                    fused_pass(&sources)
-                },
-            ))
+        let (distinct, of_lane) = distinct_lanes(requests, &parts);
+        let sources: Vec<LaneSource<'_>> = distinct
+            .iter()
+            .map(|&lane| {
+                let (req, part) = (&requests[lane], &parts[lane]);
+                LaneSource {
+                    energy: part.workload.1.values(),
+                    wue: part.wue.values(),
+                    ewf: part.grid.ewf().values(),
+                    carbon: part.grid.carbon().values(),
+                    wue_scale: req.wue_scale,
+                    ewf_scale: req.ewf_scale,
+                    carbon_scale: req.carbon_scale,
+                }
+            })
             .collect();
-        passes.into_iter().flatten().collect()
+        let passes: Vec<Vec<LaneAggregates>> = sources
+            .par_chunks(LANES_PER_PASS)
+            .map(propagate(fused_pass))
+            .collect();
+        let reduced: Vec<LaneAggregates> = passes.into_iter().flatten().collect();
+        lanes_counter().add(requests.len() as u64);
+        of_lane.into_iter().map(|d| reduced[d]).collect()
     }
 }
 
-/// One counted kernel pass: every annual reduction of `sources` in one
-/// fused sweep over the hour axis.
+/// A lane's identity within one [`BatchContext::aggregate`] call: its
+/// resolver slots and its scales' bits (`None` and `Some(1.0)` differ).
+type LaneKey = ([usize; 3], [Option<u64>; 3]);
+
+/// The distinct lanes of a call: the first request index of each, in
+/// first-appearance order, and for every request the position of its
+/// distinct lane.
+fn distinct_lanes(requests: &[LaneRequest], parts: &[simcache::Parts]) -> (Vec<usize>, Vec<usize>) {
+    let mut seen: HashMap<LaneKey, usize, simcache::FixedState> = HashMap::default();
+    let mut distinct = Vec::new();
+    let of_lane = requests
+        .iter()
+        .zip(parts)
+        .enumerate()
+        .map(|(lane, (req, part))| {
+            let scales =
+                [req.wue_scale, req.ewf_scale, req.carbon_scale].map(|k| k.map(f64::to_bits));
+            let next = distinct.len();
+            *seen.entry((part.slots, scales)).or_insert_with(|| {
+                distinct.push(lane);
+                next
+            })
+        })
+        .collect();
+    (distinct, of_lane)
+}
+
+/// One counted kernel pass: every annual reduction of `sources`, lane by
+/// lane. Callers count the lanes they requested.
 fn fused_pass(sources: &[LaneSource<'_>]) -> Vec<LaneAggregates> {
     let aggregates = {
         let _span = span::span(span::FUSED_REDUCTION);
         lanes::annual_reductions_scaled(sources)
     };
-    let k = sources.len() as u64;
-    lanes_counter().add(k);
     passes_counter().inc();
-    lane_width_hist().record(k);
+    lane_width_hist().record(sources.len() as u64);
     aggregates
 }
 
@@ -260,6 +299,7 @@ pub fn year_lane_stats(years: &[Arc<SystemYear>]) -> YearLaneStats {
         })
         .collect();
     let aggregates = fused_pass(&sources);
+    lanes_counter().add(sources.len() as u64);
     YearLaneStats {
         operational: aggregates
             .iter()
@@ -450,6 +490,78 @@ mod tests {
             for (m, &month) in thirstyflops_timeseries::Month::ALL.iter().enumerate() {
                 assert_eq!(agg.monthly_direct_l[m], monthly.get(month), "month {m}");
             }
+        }
+    }
+
+    fn lane(spec: &SystemSpec, wue_scale: Option<f64>) -> LaneRequest {
+        LaneRequest {
+            spec: spec.clone(),
+            seed: 7,
+            wue_scale,
+            ewf_scale: None,
+            carbon_scale: Some(0.9),
+        }
+    }
+
+    #[test]
+    fn repeated_lanes_reduce_once_and_answer_in_request_order() {
+        let a = SystemSpec::reference(SystemId::Polaris);
+        // A′: a PUE/WSI what-if of A reads the same series and scales.
+        let mut a_prime = a.clone();
+        a_prime.operator = "respelled".into();
+        a_prime.pue = SystemSpec::reference(SystemId::Fugaku).pue;
+        a_prime.site_wsi = SystemSpec::reference(SystemId::Fugaku).site_wsi;
+        let mut c = a.clone();
+        c.climate = SystemSpec::reference(SystemId::Fugaku).climate;
+        let requests = [
+            lane(&a, None),
+            lane(&a, Some(1.3)),
+            lane(&a_prime, None),
+            lane(&c, None),
+            lane(&a, Some(1.3)),
+            // Presence decides: `Some(1.0)` is a lane of its own.
+            lane(&a, Some(1.0)),
+        ];
+        let demands: Vec<_> = requests.iter().map(|r| (&r.spec, r.seed)).collect();
+        let (distinct, of_lane) = distinct_lanes(&requests, &simcache::resolve(&demands));
+        assert_eq!(distinct, [0, 1, 3, 5]);
+        assert_eq!(of_lane, [0, 1, 0, 2, 1, 3]);
+
+        let ctx = BatchContext::new();
+        let got = ctx.aggregate(&requests);
+        for (i, req) in requests.iter().enumerate() {
+            let alone = ctx.aggregate(std::slice::from_ref(req))[0];
+            assert_eq!(got[i], alone, "lane {i}");
+        }
+    }
+
+    #[test]
+    fn a_lanes_bits_do_not_depend_on_its_pass_or_the_pool_size() {
+        let spec = SystemSpec::reference(SystemId::Frontier);
+        let others: Vec<LaneRequest> = (1..33)
+            .map(|i| lane(&spec, Some(0.5 + f64::from(i) / 64.0)))
+            .collect();
+        let target = lane(&spec, Some(0.5));
+        let with = |front: bool, n: usize| -> Vec<LaneRequest> {
+            let rest = others[..n].iter().cloned();
+            if front {
+                std::iter::once(target.clone()).chain(rest).collect()
+            } else {
+                rest.chain([target.clone()]).collect()
+            }
+        };
+        for threads in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool builds");
+            pool.install(|| {
+                let ctx = BatchContext::new();
+                let alone = ctx.aggregate(&with(true, 0))[0];
+                assert_eq!(ctx.aggregate(&with(true, 32))[0], alone, "first");
+                assert_eq!(ctx.aggregate(&with(false, 31))[31], alone, "last of 32");
+                assert_eq!(ctx.aggregate(&with(false, 32))[32], alone, "33rd of 33");
+            });
         }
     }
 

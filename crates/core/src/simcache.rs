@@ -59,7 +59,7 @@ use crate::simulate::{workload_series, WorkloadKey};
 
 /// `DefaultHasher::default()` is SipHash with fixed keys — deterministic
 /// across processes, unlike `RandomState`.
-type FixedState = BuildHasherDefault<DefaultHasher>;
+pub(crate) type FixedState = BuildHasherDefault<DefaultHasher>;
 
 /// One cache entry: the shared compute slot plus its LRU/TTL stamps.
 #[derive(Debug)]
@@ -368,6 +368,10 @@ pub(crate) struct Parts {
     pub(crate) wue: Arc<HourlySeries>,
     /// The grid year of the lane's region.
     pub(crate) grid: Arc<GridYear>,
+    /// The lane's workload, climate and region slots in its [`resolve`]
+    /// call: two lanes of one call read the same series iff their slots
+    /// are equal.
+    pub(crate) slots: [usize; 3],
 }
 
 /// One layer's distinct keys in a [`resolve`] call, in first-appearance
@@ -533,10 +537,14 @@ pub(crate) fn resolve(lanes: &[(&SystemSpec, u64)]) -> Vec<Parts> {
 
     slots
         .into_iter()
-        .map(|[workload, climate, region]| Parts {
-            workload: workloads.value(workload),
-            wue: climates.value(climate),
-            grid: regions.value(region),
+        .map(|slots| {
+            let [workload, climate, region] = slots;
+            Parts {
+                workload: workloads.value(workload),
+                wue: climates.value(climate),
+                grid: regions.value(region),
+                slots,
+            }
         })
         .collect()
 }

@@ -264,7 +264,7 @@ fn parse_mix_pairs(
 }
 
 /// Measures configurations — each a (transformed) system, a seed and
-/// the overrides that reinterpret its series — in one pass of the
+/// the overrides that reinterpret its series — in one call of the
 /// K-lane kernel (`core::batch`), which reads the memoized workload,
 /// grid and WUE series in place. Single runs and sweep baselines come
 /// through here; sweep cells call the same kernel from `crate::batch`.

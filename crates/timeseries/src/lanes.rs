@@ -1,6 +1,6 @@
 //! The K-lane annual reduction: every annual sum the scenario engine and
-//! the fig06–08 statistics need, for K lanes, in one pass over the hour
-//! axis.
+//! the fig06–08 statistics need, for K lanes, each lane in one pass over
+//! the hour axis.
 //!
 //! Each lane reads its own series slices in place ([`LaneSource`]).
 //! Sweeps share a handful of unique series across thousands of lanes
@@ -11,11 +11,13 @@
 //! **Bit-identity contract.** Every scalar reduction the kernel replaces
 //! is a left-to-right fold over the hour axis
 //! ([`HourlySeries::dot`](crate::hourly::HourlySeries::dot), [`HourlySeries::total`](crate::hourly::HourlySeries::total),
-//! [`HourlySeries::monthly_sum`](crate::hourly::HourlySeries::monthly_sum), `stats::mean`). The kernel keeps
-//! one accumulator per lane and visits hours in the same ascending
-//! order, so each lane performs the exact scalar operation sequence —
-//! the batched result is bit-identical to the scalar one, not merely
-//! close. `tests/batch.rs` enforces this differentially.
+//! [`HourlySeries::monthly_sum`](crate::hourly::HourlySeries::monthly_sum), `stats::mean`). The kernel reduces
+//! one lane at a time, each sum a local accumulator that starts at 0.0
+//! and visits hours in the same ascending order, so each lane performs
+//! the exact scalar operation sequence — the batched result is
+//! bit-identical to the scalar one, not merely close, and no lane's bits
+//! depend on the other lanes of its batch or its slot in it.
+//! `tests/batch.rs` enforces this differentially.
 
 use crate::calendar::{Month, SimCalendar, HOURS_PER_YEAR, MONTHS_PER_YEAR};
 
@@ -69,17 +71,17 @@ pub struct LaneAggregates {
 }
 
 /// The fused K-lane reduction: every field of [`LaneAggregates`] for
-/// each lane, in one pass over the hour axis, straight from the source
-/// slices.
+/// each lane, straight from the source slices, in lane order.
 ///
-/// **Bit-identity.** Each accumulator is an independent left-to-right
-/// fold from 0.0; months are contiguous ascending hour ranges
-/// partitioning the year, so iterating months-outer/hours-inner visits
-/// hours 0..8760 in exactly the scalar order. Per step the expressions
-/// are the scalar ones (`v * k` for a scaled sample, then `acc += e`,
-/// `acc += e*w`, …), and a mean is its ordered sum divided by 8760, as
-/// `stats::mean` computes it. `lanes::tests` pins every field against
-/// the scalar [`HourlySeries`](crate::hourly::HourlySeries) expressions bit for bit.
+/// **Bit-identity.** Lanes reduce one after another (lane → month →
+/// hour), each sum a local accumulator folded left to right from 0.0.
+/// Months are contiguous ascending hour ranges partitioning the year, so
+/// iterating months-outer/hours-inner visits hours 0..8760 in exactly
+/// the scalar order. Per step the expressions are the scalar ones
+/// (`v * k` for a scaled sample, then `acc += e`, `acc += e*w`, …), and
+/// a mean is its ordered sum divided by 8760, as `stats::mean` computes
+/// it. `lanes::tests` pins every field against the scalar
+/// [`HourlySeries`](crate::hourly::HourlySeries) expressions bit for bit.
 ///
 /// # Panics
 /// Panics if `sources` is empty or any slice is not a whole year.
@@ -91,42 +93,83 @@ pub fn annual_reductions_scaled(sources: &[LaneSource<'_>]) -> Vec<LaneAggregate
         assert_eq!(s.ewf.len(), HOURS_PER_YEAR, "lanes hold whole years");
         assert_eq!(s.carbon.len(), HOURS_PER_YEAR, "lanes hold whole years");
     }
-    let mut out = vec![LaneAggregates::default(); sources.len()];
-    let cal = SimCalendar;
-    for (m, &month) in Month::ALL.iter().enumerate() {
-        for h in cal.month_hours(month) {
-            for (acc, s) in out.iter_mut().zip(sources) {
-                let e = s.energy[h];
-                let w = match s.wue_scale {
-                    Some(k) => s.wue[h] * k,
-                    None => s.wue[h],
-                };
-                let f = match s.ewf_scale {
-                    Some(k) => s.ewf[h] * k,
-                    None => s.ewf[h],
-                };
-                let c = match s.carbon_scale {
-                    Some(k) => s.carbon[h] * k,
-                    None => s.carbon[h],
-                };
-                let ew = e * w;
-                acc.energy_kwh += e;
-                acc.direct_l += ew;
-                acc.indirect_per_pue_l += e * f;
-                acc.carbon_g += e * c;
-                acc.mean_wue += w;
-                acc.mean_ewf += f;
-                acc.mean_carbon += c;
-                acc.monthly_direct_l[m] += ew;
-            }
+    sources.iter().map(reduce_lane).collect()
+}
+
+/// A lane scale as the hour loop applies it: the presence rule, with a
+/// factor of `1.0` standing in when absent. The compiler turns the
+/// presence test into a branchless select that evaluates `v * k` on
+/// both arms; read straight from an `Option`, `k` would be `None`'s
+/// uninitialized payload, whose bits can be a subnormal that costs a
+/// floating-point assist on every sample. The product is discarded when
+/// absent, so the substitute never reaches a result.
+#[derive(Clone, Copy)]
+struct Scale {
+    present: bool,
+    k: f64,
+}
+
+impl Scale {
+    fn new(k: Option<f64>) -> Scale {
+        Scale {
+            present: k.is_some(),
+            k: k.unwrap_or(1.0),
         }
     }
-    for acc in &mut out {
-        acc.mean_wue /= HOURS_PER_YEAR as f64;
-        acc.mean_ewf /= HOURS_PER_YEAR as f64;
-        acc.mean_carbon /= HOURS_PER_YEAR as f64;
+
+    /// `v * k` when the lane carries a scale, `v` itself otherwise.
+    #[inline(always)]
+    fn apply(self, v: f64) -> f64 {
+        if self.present {
+            v * self.k
+        } else {
+            v
+        }
     }
-    out
+}
+
+/// One lane's reductions, every sum held in a local accumulator.
+fn reduce_lane(s: &LaneSource<'_>) -> LaneAggregates {
+    let [wue_scale, ewf_scale, carbon_scale] =
+        [s.wue_scale, s.ewf_scale, s.carbon_scale].map(Scale::new);
+    let (mut energy_kwh, mut direct_l, mut indirect_per_pue_l, mut carbon_g) = (0.0, 0.0, 0.0, 0.0);
+    let (mut sum_wue, mut sum_ewf, mut sum_carbon) = (0.0, 0.0, 0.0);
+    let mut monthly_direct_l = [0.0; MONTHS_PER_YEAR];
+    let cal = SimCalendar;
+    for (m, &month) in Month::ALL.iter().enumerate() {
+        let hours = cal.month_hours(month);
+        let mut month_direct = 0.0;
+        for (((&e, &w), &f), &c) in s.energy[hours.clone()]
+            .iter()
+            .zip(&s.wue[hours.clone()])
+            .zip(&s.ewf[hours.clone()])
+            .zip(&s.carbon[hours])
+        {
+            let w = wue_scale.apply(w);
+            let f = ewf_scale.apply(f);
+            let c = carbon_scale.apply(c);
+            let ew = e * w;
+            energy_kwh += e;
+            direct_l += ew;
+            indirect_per_pue_l += e * f;
+            carbon_g += e * c;
+            sum_wue += w;
+            sum_ewf += f;
+            sum_carbon += c;
+            month_direct += ew;
+        }
+        monthly_direct_l[m] = month_direct;
+    }
+    LaneAggregates {
+        energy_kwh,
+        direct_l,
+        indirect_per_pue_l,
+        carbon_g,
+        mean_wue: sum_wue / HOURS_PER_YEAR as f64,
+        mean_ewf: sum_ewf / HOURS_PER_YEAR as f64,
+        mean_carbon: sum_carbon / HOURS_PER_YEAR as f64,
+        monthly_direct_l,
+    }
 }
 
 #[cfg(test)]
@@ -299,6 +342,32 @@ mod tests {
         for (i, k) in [None, Some(k), Some(1.0)].into_iter().enumerate() {
             assert_eq!(annual_reductions_scaled(&[lane(k)])[0], got[i], "lane {i}");
         }
+    }
+
+    #[test]
+    fn a_lanes_bits_do_not_depend_on_its_slot_in_the_batch() {
+        let srcs: Vec<HourlySeries> = (0..4).map(series).collect();
+        let lane = |i: usize| LaneSource {
+            energy: srcs[i % 2].values(),
+            wue: srcs[1].values(),
+            ewf: srcs[2].values(),
+            carbon: srcs[3].values(),
+            wue_scale: Some(0.5 + i as f64 / 64.0),
+            ewf_scale: (i % 3 == 0).then_some(1.25),
+            carbon_scale: None,
+        };
+        let others: Vec<LaneSource> = (1..33).map(lane).collect();
+        let alone = annual_reductions_scaled(&[lane(0)])[0];
+        let first: Vec<LaneSource> = std::iter::once(lane(0)).chain(others.clone()).collect();
+        let last_of_32: Vec<LaneSource> = others[..31].iter().copied().chain([lane(0)]).collect();
+        let slot_33: Vec<LaneSource> = others.iter().copied().chain([lane(0)]).collect();
+        assert_eq!(annual_reductions_scaled(&first)[0], alone, "first");
+        assert_eq!(
+            annual_reductions_scaled(&last_of_32)[31],
+            alone,
+            "last of 32"
+        );
+        assert_eq!(annual_reductions_scaled(&slot_33)[32], alone, "33rd of 33");
     }
 
     #[test]

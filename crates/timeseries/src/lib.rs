@@ -15,7 +15,7 @@
 //! * [`stats`] — mean/median/quantile/std/extremes, min-max normalization,
 //!   Pearson and Spearman correlation, distribution summaries;
 //! * [`lanes`] — the fused K-lane annual reduction: every annual sum of
-//!   K lanes in one pass over the hour axis, bit-identical per lane to
+//!   K lanes, each in one pass over the hour axis, bit-identical per lane to
 //!   the scalar kernels;
 //! * [`Frame`] — a tiny named-column table with CSV export and group-by,
 //!   used by the experiment harness to emit figure/table rows.

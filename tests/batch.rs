@@ -51,10 +51,13 @@ proptest! {
              0.2f64..3.0, 0.2f64..3.0),
             // Crossing 33 exercises the 32-lane per-pass block split.
             1..34,
-        )
+        ),
+        // (source, position) pairs: each inserts a respelled copy of an
+        // earlier lane, which the kernel reduces once per call.
+        repeats in collection::vec((0usize..40, 0usize..40), 0..6),
     ) {
         let ctx = BatchContext::new();
-        let requests: Vec<LaneRequest> = lanes
+        let mut requests: Vec<LaneRequest> = lanes
             .iter()
             .enumerate()
             .map(|(i, &(pick, nodes, util, seed, wue_k, ewf_k))| LaneRequest {
@@ -67,6 +70,11 @@ proptest! {
                 carbon_scale: (i % 5 == 0).then_some(ewf_k * 0.5),
             })
             .collect();
+        for (source, position) in repeats {
+            let mut copy = requests[source % requests.len()].clone();
+            copy.spec.operator = format!("{} (respelled)", copy.spec.operator);
+            requests.insert(position % (requests.len() + 1), copy);
+        }
         let aggregates = ctx.aggregate(&requests);
         prop_assert_eq!(aggregates.len(), requests.len());
         for (req, agg) in requests.iter().zip(&aggregates) {
