@@ -32,17 +32,11 @@
 #                          # verification failures, at least one
 #                          # simcache_poison recompute per run, chaos
 #                          # accounting bit-identical across all three
-#                          # runs, stats
-#                          # recorded into BENCH_serve.json
-#                          # (docs/ROBUSTNESS.md)
-#   ./ci.sh bench-json     # quick cold-vs-warm SystemYear::simulate,
-#                          # grid-kernel, and per-cell-vs-batched
-#                          # scenario-sweep measurement, with a
-#                          # per-stage span breakdown of the cold path
-#                          # -> BENCH_simulate.json, plus a one-shot-vs-
-#                          # keep-alive loadgen run -> BENCH_serve.json
-#                          # (docs/PERFORMANCE.md, docs/SERVING.md;
-#                          # baselines are preserved)
+#                          # runs (docs/ROBUSTNESS.md)
+#   ./ci.sh bench-json     # perfbench's record of every BENCHMARK.json
+#                          # workload, untraced and traced, at the
+#                          # default seed and seconds ->
+#                          # BENCH_perfbench.json (docs/PERFORMANCE.md)
 #   ./ci.sh fanout-check   # every rayon fan-out in crates/*/src and src/
 #                          # wraps its per-item closure in
 #                          # trace::propagate (part of every gate run)
@@ -77,8 +71,8 @@ fanout_check() {
   # docs/CONCURRENCY.md rule seven). A par_iter / into_par_iter /
   # par_iter_mut / par_chunks / rayon::join in crates/*/src or src/
   # fails unless `propagate(` follows on the same line or within the
-  # next three code lines. shims/ and crates/bench/benches are outside
-  # the searched trees; comment lines are skipped.
+  # next three code lines. shims/ is outside the searched trees;
+  # comment lines are skipped.
   step "fan-out check (every rayon site goes through trace::propagate)"
   local bare
   bare=$(find src crates/*/src -name '*.rs' -print0 | xargs -0 awk '
@@ -288,19 +282,15 @@ chaos_smoke() {
   # client's bounded retries, and the chaos accounting (attempts,
   # retries, per-site injected counts) must be bit-identical across all
   # three runs: the fault schedule is a pure function of the plan seed
-  # and the visit counts, never of thread interleaving. The middle run
-  # also records the accounting into BENCH_serve.json ("chaos" key).
+  # and the visit counts, never of thread interleaving.
   step "chaos smoke (loadgen --chaos at --workers 1, 8, 1)"
   cargo build --release -q
   local bin=target/release/thirstyflops
   mkdir -p target
-  local runs=(1 8 1) workers extra
+  local runs=(1 8 1) workers
   for i in "${!runs[@]}"; do
     workers="${runs[$i]}"
-    extra=""
-    [[ "$i" == 1 ]] && extra="--bench-json"
-    # shellcheck disable=SC2086
-    "$bin" loadgen --mix examples/loadmix/bench.json       --requests 300 --connections 6 --workers "$workers"       --retries 32 --request-timeout 2000       --chaos examples/faults/smoke.json --json $extra       > "target/chaos_smoke_$i.json"
+    "$bin" loadgen --mix examples/loadmix/bench.json       --requests 300 --connections 6 --workers "$workers"       --retries 32 --request-timeout 2000       --chaos examples/faults/smoke.json --json       > "target/chaos_smoke_$i.json"
     for needle in '"mismatches": 0' '"errors": 0' '"unrecovered": 0'; do
       if ! grep -qF -- "$needle" "target/chaos_smoke_$i.json"; then
         echo "chaos smoke: run $i (workers $workers) violated $needle" >&2
@@ -332,7 +322,6 @@ chaos_smoke() {
       exit 1
     fi
   done
-  grep -q '"chaos":' BENCH_serve.json
   printf '  ok chaos replay: 0 mismatches, simcache_poison fired, accounting bit-identical at workers 1, 8, 1\n'
 }
 
@@ -342,13 +331,18 @@ if [[ "$mode" == "chaos-smoke" ]]; then
 fi
 
 if [[ "$mode" == "bench-json" ]]; then
-  # The tracked bench trajectory: medians of the serial instruction path
-  # (1-CPU container — compare medians across PRs, not parallel
-  # speedup). Preserves the recorded baseline, rewrites `current`.
-  step "cargo run --release -p thirstyflops_bench --bin bench_json"
-  cargo run --release -p thirstyflops_bench --bin bench_json
-  step "loadgen bench (one-shot vs keep-alive -> BENCH_serve.json)"
-  cargo run --release -q -- loadgen --mix examples/loadmix/bench.json     --requests 1200 --connections 2 --workers 2 --bench-json
+  # The tracked bench numbers: perfbench's record line (the second-to-
+  # last stdout line; `sed -n 'x;$p'` prints it) for each workload that
+  # BENCHMARK.json declares, untraced and traced.
+  records=()
+  for workload in $(sed -n '/"workloads"/,/]/s/.*"name": "\([a-z_]*\)".*/\1/p' BENCHMARK.json); do
+    for trace in 0 1; do
+      step "bash perfbench/run.sh --workload $workload --trace $trace"
+      records+=("$(bash perfbench/run.sh --workload "$workload" --trace "$trace" | sed -n 'x;$p')")
+    done
+  done
+  printf '%s\n' "${records[@]}" | sed '1s/^/[\n/; $!s/$/,/; $s/$/\n]/' > BENCH_perfbench.json
+  printf '  ok %d records -> BENCH_perfbench.json\n' "${#records[@]}"
   exit 0
 fi
 

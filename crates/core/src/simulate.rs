@@ -152,8 +152,8 @@ impl SystemYear {
     /// The fully uncached simulation: recomputes every sub-simulation and
     /// touches no process-wide state. This is the reference
     /// implementation the cached path must match byte for byte
-    /// (`tests/simcache.rs`) and the cold-path workload
-    /// `./ci.sh bench-json` tracks.
+    /// (`tests/simcache.rs`) and the cold path perfbench times as
+    /// `core.simulate_cold_ms`.
     pub fn simulate_uncached(spec: SystemSpec, seed: u64) -> SystemYear {
         let wue = crate::simcache::wue_compute(spec.climate);
         let grid = crate::simcache::grid_compute(spec.region);

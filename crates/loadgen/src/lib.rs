@@ -19,11 +19,7 @@
 //!   log-bucket [`LatencyHistogram`](thirstyflops_obs::LatencyHistogram)
 //!   the server uses, so client p50/p90/p99 and the server's
 //!   `thirstyflops_http_request_duration_micros` buckets in
-//!   `/v1/metrics` share edges;
-//! * [`report::write_bench_json`] writes the throughput/latency table
-//!   into `BENCH_serve.json` in the same baseline-vs-current format as
-//!   `BENCH_simulate.json` (the recorded baseline — the one-shot
-//!   discipline — is preserved verbatim; only `current` is rewritten).
+//!   `/v1/metrics` share edges.
 //!
 //! The request *plan* (which template each of the N requests uses, and
 //! which connection carries it) is derived from the mix's seed with the
@@ -38,7 +34,7 @@ pub mod report;
 pub mod run;
 
 pub use mix::{MixSpec, Template};
-pub use report::{chaos_json, chaos_table, human_table, write_bench_json};
+pub use report::{chaos_table, human_table};
 pub use run::{
     run, run_with_stats, ChaosStats, EndpointLoad, FaultSiteCount, LoadReport, RunConfig,
 };

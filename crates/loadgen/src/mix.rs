@@ -48,7 +48,7 @@ pub struct Template {
 /// A parsed request mix: named, seeded, weighted templates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MixSpec {
-    /// Mix name (reported in tables and `BENCH_serve.json`).
+    /// Mix name (reported in the summary table and `--json` output).
     pub name: String,
     /// Seed for the request plan's RNG (default 2023, the model year).
     pub seed: u64,

@@ -1,18 +1,7 @@
-//! Rendering load reports: the human table and `BENCH_serve.json`.
-//!
-//! `BENCH_serve.json` follows the same convention as
-//! `BENCH_simulate.json` (see `crates/bench`): the `baseline` object of
-//! an existing file is preserved **verbatim** — it records the one-shot
-//! (pre-keep-alive) discipline the first time the bench ran — and only
-//! `current` (the keep-alive replay) is rewritten, so current-vs-baseline
-//! is the tracked trajectory across PRs. On a 1-CPU container the
-//! interesting columns are correctness (mismatches must be 0) and the
-//! connection-setup work keep-alive removes, never parallel speedup.
-
-use std::path::Path;
+//! Rendering load reports: the human summary table and the chaos
+//! accounting block. `--json` output is rendered by `serve::api`.
 
 use crate::run::{ChaosStats, LoadReport};
-use crate::LoadError;
 
 /// Renders the human-readable summary table for one run.
 pub fn human_table(report: &LoadReport) -> String {
@@ -75,126 +64,6 @@ pub fn chaos_table(stats: &ChaosStats) -> String {
     out
 }
 
-/// Renders the chaos accounting as pretty JSON. Every field is
-/// deterministic (no timings), so two same-seed replays — at any worker
-/// count — must render byte-identically; `./ci.sh chaos-smoke` diffs
-/// this exact text across runs.
-pub fn chaos_json(stats: &ChaosStats) -> Result<String, LoadError> {
-    serde_json::to_string_pretty(stats).map_err(|e| LoadError::Io(format!("render chaos: {e}")))
-}
-
-/// Merges a `"chaos"` section into an existing `BENCH_serve.json`,
-/// preserving every other top-level key (`note`, `unit`, `baseline`,
-/// `current`) verbatim. Returns the rendered text.
-pub fn write_chaos_bench(path: &Path, stats: &ChaosStats) -> Result<String, LoadError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| LoadError::Io(format!("read {}: {e}", path.display())))?;
-    let value: serde::Value = serde_json::from_str(&text)
-        .map_err(|e| LoadError::Io(format!("parse {}: {e}", path.display())))?;
-    let object = value
-        .as_object()
-        .ok_or_else(|| LoadError::Io(format!("{} is not a JSON object", path.display())))?;
-    let mut report = String::from("{\n");
-    for (key, val) in object.iter().filter(|(k, _)| k != "chaos") {
-        let rendered = serde_json::to_string(val).expect("re-render parsed JSON");
-        report.push_str(&format!("  \"{key}\": {rendered},\n"));
-    }
-    let chaos = serde_json::to_string(stats).map_err(|e| LoadError::Io(format!("render: {e}")))?;
-    report.push_str(&format!("  \"chaos\": {chaos}\n}}\n"));
-    // Validate before writing so a formatting bug can't corrupt the
-    // tracked file.
-    let parsed: serde::Value =
-        serde_json::from_str(&report).map_err(|e| LoadError::Io(format!("invalid report: {e}")))?;
-    drop(parsed);
-    std::fs::write(path, &report)
-        .map_err(|e| LoadError::Io(format!("write {}: {e}", path.display())))?;
-    Ok(report)
-}
-
-/// One side (`baseline` or `current`) of `BENCH_serve.json`.
-#[derive(Debug, serde::Serialize)]
-struct BenchSide {
-    discipline: String,
-    requests: u64,
-    connections: u64,
-    workers: u64,
-    requests_per_sec: f64,
-    mismatches: u64,
-    endpoints: Vec<BenchEndpoint>,
-}
-
-#[derive(Debug, serde::Serialize)]
-struct BenchEndpoint {
-    endpoint: String,
-    requests: u64,
-    p50_micros: u64,
-    p99_micros: u64,
-}
-
-fn side(report: &LoadReport) -> BenchSide {
-    BenchSide {
-        discipline: report.discipline.clone(),
-        requests: report.requests,
-        connections: report.connections,
-        workers: report.workers,
-        // One decimal is plenty for a tracked trajectory file.
-        requests_per_sec: (report.requests_per_sec * 10.0).round() / 10.0,
-        mismatches: report.mismatches,
-        endpoints: report
-            .endpoints
-            .iter()
-            .map(|e| BenchEndpoint {
-                endpoint: e.endpoint.clone(),
-                requests: e.requests,
-                p50_micros: e.p50_micros,
-                p99_micros: e.p99_micros,
-            })
-            .collect(),
-    }
-}
-
-/// Extracts the `"baseline"` object of an existing `BENCH_serve.json`.
-fn previous_baseline(path: &Path) -> Option<String> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let value: serde::Value = serde_json::from_str(&text).ok()?;
-    value
-        .as_object()?
-        .iter()
-        .find(|(k, _)| k == "baseline")
-        .map(|(_, v)| serde_json::to_string(v).expect("re-render parsed JSON"))
-}
-
-/// Writes `BENCH_serve.json`: `baseline` = the recorded one-shot
-/// numbers (preserved verbatim once recorded; `oneshot` only seeds the
-/// very first file), `current` = this run's keep-alive numbers. Returns
-/// the rendered text.
-pub fn write_bench_json(
-    path: &Path,
-    oneshot: &LoadReport,
-    keepalive: &LoadReport,
-) -> Result<String, LoadError> {
-    let current = serde_json::to_string(&side(keepalive))
-        .map_err(|e| LoadError::Io(format!("render current: {e}")))?;
-    let fresh = serde_json::to_string(&side(oneshot))
-        .map_err(|e| LoadError::Io(format!("render baseline: {e}")))?;
-    let baseline = previous_baseline(path).unwrap_or(fresh);
-    let report = format!(
-        "{{\n  \"note\": \"deterministic mix replay against the serving layer (1-CPU \
-         container): mismatches must be 0 at any worker/connection count; baseline = \
-         one-shot connections, current = keep-alive (docs/SERVING.md)\",\n  \
-         \"unit\": \"microseconds (latency), requests/sec (throughput)\",\n  \
-         \"baseline\": {baseline},\n  \"current\": {current}\n}}\n"
-    );
-    // Validate before writing so a formatting bug can't corrupt the
-    // tracked file.
-    let parsed: serde::Value =
-        serde_json::from_str(&report).map_err(|e| LoadError::Io(format!("invalid report: {e}")))?;
-    drop(parsed);
-    std::fs::write(path, &report)
-        .map_err(|e| LoadError::Io(format!("write {}: {e}", path.display())))?;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,38 +99,5 @@ mod tests {
         assert!(text.contains("mix \"smoke\""), "{text}");
         assert!(text.contains("healthz"), "{text}");
         assert!(text.contains("0 mismatches"), "{text}");
-    }
-
-    #[test]
-    fn bench_json_preserves_the_recorded_baseline() {
-        let path = std::env::temp_dir().join(format!(
-            "thirstyflops_bench_serve_test_{}_{:?}.json",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-
-        // First run: the one-shot numbers become the baseline.
-        let first = write_bench_json(
-            &path,
-            &report("one-shot", 50.0),
-            &report("keep-alive", 100.0),
-        )
-        .unwrap();
-        assert!(first.contains("\"one-shot\""), "{first}");
-        assert!(first.contains("\"keep-alive\""), "{first}");
-
-        // Second run with different numbers: baseline text survives
-        // verbatim, current is rewritten.
-        let second = write_bench_json(
-            &path,
-            &report("one-shot", 77.0),
-            &report("keep-alive", 200.0),
-        )
-        .unwrap();
-        assert!(second.contains("50"), "baseline preserved: {second}");
-        assert!(!second.contains("77"), "fresh one-shot discarded: {second}");
-        assert!(second.contains("200"), "current rewritten: {second}");
-        let _ = std::fs::remove_file(&path);
     }
 }

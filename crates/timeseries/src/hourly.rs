@@ -107,16 +107,6 @@ impl HourlySeries {
         self.zip_with(other, |a, b| a + b * k)
     }
 
-    /// Buffer-reuse variant of [`add_scaled`](Self::add_scaled): writes
-    /// `self + k·other` into `out` without allocating. `out` keeps its
-    /// year-long length invariant, so any existing series can serve as
-    /// the scratch buffer in a hot loop.
-    pub fn add_scaled_into(&self, other: &Self, k: f64, out: &mut Self) {
-        for ((o, &a), &b) in out.values.iter_mut().zip(&self.values).zip(&other.values) {
-            *o = a + b * k;
-        }
-    }
-
     /// Single-pass product-sum `Σ self·other` with no intermediate
     /// series — the Eq. 6/7 `E·WUE` / `E·EWF` totals. Bit-identical to
     /// `self.mul(other).total()`: the products accumulate left to right
@@ -239,11 +229,6 @@ mod tests {
         assert_eq!(a.add_scaled(&b, k), a.add(&b.scale(k)));
         // dot ≡ mul().total() bit for bit.
         assert_eq!(a.dot(&b), a.mul(&b).total());
-        // The *_into variants reuse a buffer and agree with the
-        // allocating kernels.
-        let mut out = HourlySeries::constant(f64::NAN);
-        a.add_scaled_into(&b, k, &mut out);
-        assert_eq!(out, a.add_scaled(&b, k));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!                    [--fault-plan FILE]
 //! thirstyflops loadgen [--mix FILE] [--requests N] [--rate R] [--duration S]
 //!                      [--connections N] [--workers N] [--addr HOST:PORT]
-//!                      [--one-shot] [--bench-json] [--json] [--chaos PLAN]
-//!                      [--retries N] [--request-timeout MS]
+//!                      [--one-shot] [--json] [--chaos PLAN] [--retries N]
+//!                      [--request-timeout MS]
 //! thirstyflops help
 //! ```
 //!
@@ -176,7 +176,6 @@ const COMMANDS: &[Command] = &[
             value("--workers", "N", "in-process server workers (default 2)"),
             value("--addr", "HOST:PORT", "replay against a running server"),
             switch("--one-shot", "one request per connection"),
-            switch("--bench-json", "replay both disciplines into BENCH_serve.json"),
             JSON,
             value("--chaos", "PLAN", "replay under a fault plan, fail closed"),
             value("--retries", "N", "client retries per request (default 0)"),
@@ -963,43 +962,6 @@ fn cmd_loadgen(inv: &Invocation) -> Result<i32, String> {
         } else {
             print!("{}", loadgen::human_table(&report));
             print!("{}", loadgen::chaos_table(&stats));
-        }
-        if inv.has("--bench-json") {
-            let path = std::path::Path::new("BENCH_serve.json");
-            match loadgen::report::write_chaos_bench(path, &stats) {
-                // Stderr: chaos `--json --bench-json` pipelines parse
-                // stdout as one JSON document.
-                Ok(_) => eprintln!("wrote {}", path.display()),
-                Err(e) => return fail(e),
-            }
-        }
-        return Ok(i32::from(failed));
-    }
-
-    if inv.has("--bench-json") {
-        // The tracked trajectory: replay the mix one-shot (the recorded
-        // baseline discipline) and keep-alive (current), then write
-        // BENCH_serve.json with the baseline preserved verbatim.
-        let mut failed = false;
-        let mut reports = Vec::new();
-        for keep_alive in [false, true] {
-            let pass = loadgen::RunConfig {
-                keep_alive,
-                ..config.clone()
-            };
-            match loadgen::run(&mix, &pass) {
-                Ok(report) => {
-                    print!("{}", loadgen::human_table(&report));
-                    failed |= report.mismatches > 0 || report.errors > 0;
-                    reports.push(report);
-                }
-                Err(e) => return fail(e),
-            }
-        }
-        let path = std::path::Path::new("BENCH_serve.json");
-        match loadgen::write_bench_json(path, &reports[0], &reports[1]) {
-            Ok(_) => println!("wrote {}", path.display()),
-            Err(e) => return fail(e),
         }
         return Ok(i32::from(failed));
     }
